@@ -35,12 +35,72 @@ void Graph::finalize() {
   for (std::size_t v = 0; v < n; ++v)
     std::copy(adj_[v].begin(), adj_[v].end(),
               edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]));
+  adj_.clear();
+  adj_.shrink_to_fit();
+  pack_rows();
+}
+
+Graph Graph::from_claims(int n, std::span<const std::int64_t> offsets,
+                         std::span<const int> claims) {
+  MHCA_ASSERT(n >= 0 && offsets.size() == static_cast<std::size_t>(n) + 1,
+              "from_claims: offsets must hold n + 1 entries");
+  MHCA_ASSERT(offsets.front() == 0 &&
+                  offsets.back() == static_cast<std::int64_t>(claims.size()),
+              "from_claims: offsets must span the claims exactly");
+  const auto nn = static_cast<std::size_t>(n);
+  // Count both half-edges of every claim, then scatter them into their rows.
+  std::vector<std::int64_t> start(nn + 1, 0);
+  for (int v = 0; v < n; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    MHCA_ASSERT(offsets[vi] <= offsets[vi + 1],
+                "from_claims: offsets must be non-decreasing");
+    for (auto i = offsets[vi]; i < offsets[vi + 1]; ++i) {
+      const int u = claims[static_cast<std::size_t>(i)];
+      MHCA_ASSERT(u >= 0 && u < n, "edge endpoint out of range");
+      MHCA_ASSERT(u != v, "self-loops are not allowed");
+      ++start[vi + 1];
+      ++start[static_cast<std::size_t>(u) + 1];
+    }
+  }
+  for (std::size_t v = 0; v < nn; ++v) start[v + 1] += start[v];
+  std::vector<int> half(static_cast<std::size_t>(start[nn]));
+  std::vector<std::int64_t> fill(start.begin(), start.end() - 1);
+  for (int v = 0; v < n; ++v) {
+    const auto vi = static_cast<std::size_t>(v);
+    for (auto i = offsets[vi]; i < offsets[vi + 1]; ++i) {
+      const int u = claims[static_cast<std::size_t>(i)];
+      half[static_cast<std::size_t>(fill[vi]++)] = u;
+      half[static_cast<std::size_t>(fill[static_cast<std::size_t>(u)]++)] = v;
+    }
+  }
+  // Sort and deduplicate each row, compacting in place into the CSR.
+  Graph g;
+  g.n_ = n;
+  g.offsets_.assign(nn + 1, 0);
+  auto out = half.begin();
+  for (std::size_t v = 0; v < nn; ++v) {
+    const auto b = half.begin() + static_cast<std::ptrdiff_t>(start[v]);
+    const auto e = half.begin() + static_cast<std::ptrdiff_t>(start[v + 1]);
+    std::sort(b, e);
+    const auto last = std::unique(b, e);
+    out = out == b ? last : std::copy(b, last, out);
+    g.offsets_[v + 1] = static_cast<std::int64_t>(out - half.begin());
+  }
+  half.resize(static_cast<std::size_t>(out - half.begin()));
+  half.shrink_to_fit();
+  g.edges_ = std::move(half);
+  g.pack_rows();
+  return g;
+}
+
+void Graph::pack_rows() {
+  const auto n = static_cast<std::size_t>(n_);
   if (n_ > 0 && n_ <= kAdjacencyMatrixLimit) {
     row_blocks_ = (n + 63) / 64;
     bits_.assign(n * row_blocks_, 0);
     for (std::size_t v = 0; v < n; ++v) {
       std::uint64_t* row = bits_.data() + v * row_blocks_;
-      for (int u : adj_[v]) {
+      for (int u : neighbors(static_cast<int>(v))) {
         const auto ui = static_cast<std::size_t>(u);
         row[ui / 64] |= (std::uint64_t{1} << (ui % 64));
       }
@@ -48,8 +108,6 @@ void Graph::finalize() {
   } else if (n_ > kAdjacencyMatrixLimit) {
     build_sparse_rows();
   }
-  adj_.clear();
-  adj_.shrink_to_fit();
 }
 
 void Graph::append_sparse_row(int v, std::vector<int>& blocks,

@@ -63,6 +63,17 @@ class Graph {
   /// release the build-phase vectors. Idempotent; O(V + E).
   void finalize();
 
+  /// Build a finalized graph on n vertices in one pass from per-vertex
+  /// neighbor claims: CSR rows `offsets` (size n + 1) over `claims`, row v
+  /// naming the vertices v believes it is adjacent to. Edge {u, v} exists
+  /// iff either row names the other — the union semantics of calling
+  /// add_edge(v, u) for every claim — so asymmetric rows (stale neighbor
+  /// knowledge) are fine. Rows may be unsorted and repeat ids; self claims
+  /// and out-of-range ids are rejected. O(V + E log Δ), and the result is
+  /// identical to the add_edge + finalize() build of the same claims.
+  static Graph from_claims(int n, std::span<const std::int64_t> offsets,
+                           std::span<const int> claims);
+
   /// Incrementally patch a *finalized* graph: insert `added` edges and
   /// delete `removed` edges without reopening the build phase. The bitset
   /// matrix is patched bit by bit (O(1) per edge); the CSR arrays are
@@ -156,6 +167,10 @@ class Graph {
   /// Reopen the build phase: reconstruct adjacency vectors from the CSR and
   /// drop the packed structure.
   void definalize();
+
+  /// Build the bitset matrix (n <= kAdjacencyMatrixLimit) or the sharded
+  /// sparse rows from the (already current) CSR arrays.
+  void pack_rows();
 
   /// Rebuild the sharded sparse rows from the (already current) CSR arrays.
   void build_sparse_rows();

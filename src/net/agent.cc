@@ -8,6 +8,38 @@
 
 namespace mhca::net {
 
+namespace {
+
+/// Resolves a stream of global ids against the sorted member list. The
+/// streams this agent sees (advertised neighbor lists, a leader's verdicts)
+/// are ascending runs, so each lookup gallops forward from the previous
+/// hit — O(log gap) — and only an id smaller than its predecessor restarts
+/// the search at the front.
+class MemberCursor {
+ public:
+  explicit MemberCursor(const std::vector<int>& members)
+      : begin_(members.begin()), end_(members.end()), lo_(begin_) {}
+
+  /// Local id of `v`, or -1 when v is not a member.
+  int find(int v) {
+    if (v < prev_) lo_ = begin_;
+    prev_ = v;
+    std::ptrdiff_t step = 1;
+    while (step < end_ - lo_ && lo_[step] < v) {
+      lo_ += step;
+      step *= 2;
+    }
+    lo_ = std::lower_bound(lo_, step < end_ - lo_ ? lo_ + step : end_, v);
+    return lo_ != end_ && *lo_ == v ? static_cast<int>(lo_ - begin_) : -1;
+  }
+
+ private:
+  std::vector<int>::const_iterator begin_, end_, lo_;
+  int prev_ = -1;
+};
+
+}  // namespace
+
 VertexAgent::VertexAgent(int id, int r, bool memoize_cover,
                          MembershipMode mode, LivenessParams liveness)
     : id_(id), r_(r), memoize_cover_(memoize_cover), mode_(mode),
@@ -31,13 +63,19 @@ void VertexAgent::on_hello(const Message& msg) {
               "on_hello is the omniscient-discovery path; view-sync hellos "
               "go through on_membership_message");
   MHCA_ASSERT(!discovered_, "hello after discovery finalized");
-  hello_lists_[msg.origin] = Hello{msg.neighbor_list, msg.mean, msg.count};
+  hellos_.push_back(
+      Hello{msg.origin, static_cast<std::uint32_t>(hello_neighbors_.size()),
+            static_cast<std::uint32_t>(msg.neighbor_list.size()), msg.mean,
+            msg.count});
+  hello_neighbors_.insert(hello_neighbors_.end(), msg.neighbor_list.begin(),
+                          msg.neighbor_list.end());
 }
 
 void VertexAgent::reset_discovery() {
   MHCA_ASSERT(discovered_, "reset_discovery before initial discovery");
   discovered_ = false;
-  hello_lists_.clear();
+  hellos_.clear();
+  hello_neighbors_.clear();
   own_neighbors_.clear();
 }
 
@@ -45,27 +83,37 @@ void VertexAgent::set_own_neighbors(std::vector<int> neighbors) {
   own_neighbors_ = std::move(neighbors);
 }
 
-template <typename NeighborsOf>
-void VertexAgent::build_structures(NeighborsOf&& neighbors_of) {
-  local_graph_ = Graph(static_cast<int>(members_.size()));
-  auto add_edges_of = [&](int origin, const std::vector<int>& nbs) {
-    const int lo = local_id(origin);
-    for (int u : nbs) {
-      const auto it = std::lower_bound(members_.begin(), members_.end(), u);
-      if (it != members_.end() && *it == u)
-        local_graph_.add_edge(lo, static_cast<int>(it - members_.begin()));
-    }
-  };
-  for (int m : members_) add_edges_of(m, neighbors_of(m));
-  local_graph_.finalize();
+void VertexAgent::build_structures(std::vector<std::span<const int>>& rows) {
+  // Splice self into the sorted run of other members.
+  const auto at = std::lower_bound(members_.begin(), members_.end(), id_);
+  MHCA_ASSERT(at == members_.end() || *at != id_, "self listed as a member");
+  self_local_ = static_cast<int>(at - members_.begin());
+  members_.insert(at, id_);
+  rows.insert(rows.begin() + self_local_, own_neighbors_);
+
+  // Map every advertised neighbor list onto local ids and build the local
+  // graph from those claims in one pass (union semantics: an edge either
+  // endpoint advertises exists, as stale view-sync lists can disagree).
+  std::vector<std::int64_t> offsets;
+  offsets.reserve(members_.size() + 1);
+  offsets.push_back(0);
+  std::vector<int> claims;
+  for (const std::span<const int> row : rows) {
+    MemberCursor cursor(members_);
+    for (int u : row)
+      if (const int lu = cursor.find(u); lu >= 0) claims.push_back(lu);
+    offsets.push_back(static_cast<std::int64_t>(claims.size()));
+  }
+  local_graph_ = Graph::from_claims(static_cast<int>(members_.size()),
+                                    offsets, claims);
+  table_.assign(members_.size(), Entry{});
 
   // Memoize the r-ball (computed on the *local* subgraph — identical to
   // global r-hop distance because every shortest path of length <= r stays
   // inside J_{2r+1}(me)) and its weight-free clique cover: both are static
   // between membership changes, while indices change every round.
   BfsScratch scratch(local_graph_.size());
-  r_ball_local_ =
-      scratch.k_hop_neighborhood(local_graph_, local_id(id_), r_);
+  r_ball_local_ = scratch.k_hop_neighborhood(local_graph_, self_local_, r_);
   if (memoize_cover_) {
     r_ball_cliques_ = NeighborhoodCache::build_ball_cover(
         local_graph_, r_ball_local_, r_ball_cover_);
@@ -83,64 +131,68 @@ void VertexAgent::finalize_discovery() {
     discovered_ = true;
     return;
   }
-  members_.clear();
-  members_.push_back(id_);
-  for (const auto& [origin, _] : hello_lists_) members_.push_back(origin);
-  std::sort(members_.begin(), members_.end());
-  members_.erase(std::unique(members_.begin(), members_.end()),
-                 members_.end());
-
-  build_structures([&](int m) -> const std::vector<int>& {
-    return m == id_ ? own_neighbors_ : hello_lists_.at(m).neighbors;
-  });
-
-  table_.clear();
-  for (int m : members_) {
-    if (m == id_) continue;
-    // Seed the entry from the hello's carried statistics: zeros at initial
-    // discovery (nothing learned yet), the sender's live (µ̃, m) when a
-    // topology change brought it into this agent's horizon mid-run.
-    const Hello& hello = hello_lists_.at(m);
-    Entry e;
-    e.mean = hello.mean;
-    e.count = hello.count;
-    table_.emplace(m, e);
+  // Sort the hellos by origin and keep one per origin: of repeated
+  // deliveries (duplicates) the last one wins.
+  std::stable_sort(hellos_.begin(), hellos_.end(),
+                   [](const Hello& a, const Hello& b) {
+                     return a.origin < b.origin;
+                   });
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < hellos_.size(); ++i) {
+    if (i + 1 < hellos_.size() && hellos_[i + 1].origin == hellos_[i].origin)
+      continue;
+    if (kept != i) hellos_[kept] = std::move(hellos_[i]);
+    ++kept;
   }
-  hello_lists_.clear();
+  hellos_.resize(kept);
+
+  members_.clear();
+  members_.reserve(hellos_.size() + 1);
+  std::vector<std::span<const int>> rows;
+  rows.reserve(hellos_.size() + 1);
+  for (const Hello& h : hellos_) {
+    members_.push_back(h.origin);
+    rows.emplace_back(hello_neighbors_.data() + h.begin, h.size);
+  }
+  build_structures(rows);
+
+  // Seed each entry from the hello's carried statistics: zeros at initial
+  // discovery (nothing learned yet), the sender's live (µ̃, m) when a
+  // topology change brought it into this agent's horizon mid-run.
+  for (std::size_t j = 0; j < hellos_.size(); ++j) {
+    Entry& e = table_[other_slot(j)];
+    e.mean = hellos_[j].mean;
+    e.count = hellos_[j].count;
+  }
+  // Release the discovery buffers (clear() alone keeps their capacity).
+  std::vector<Hello>().swap(hellos_);
+  std::vector<int>().swap(hello_neighbors_);
   discovered_ = true;
 }
 
 void VertexAgent::rebuild_local_view() {
   members_.clear();
   members_.reserve(knowledge_.size() + 1);
-  // knowledge_ is ordered by id; splice self into the sorted run.
-  bool self_placed = false;
-  for (const auto& [m, _] : knowledge_) {
-    if (!self_placed && id_ < m) {
-      members_.push_back(id_);
-      self_placed = true;
-    }
+  std::vector<std::span<const int>> rows;
+  rows.reserve(knowledge_.size() + 1);
+  for (const auto& [m, k] : knowledge_) {  // ordered by id
     members_.push_back(m);
+    rows.emplace_back(k.neighbors);
   }
-  if (!self_placed) members_.push_back(id_);
+  build_structures(rows);
 
-  build_structures([&](int m) -> const std::vector<int>& {
-    return m == id_ ? own_neighbors_ : knowledge_.at(m).neighbors;
-  });
-
-  table_.clear();
+  std::size_t j = 0;
   for (const auto& [m, k] : knowledge_) {
-    Entry e;
+    Entry& e = table_[other_slot(j++)];
     e.mean = k.mean;
     e.count = k.count;
-    table_.emplace(m, e);
   }
 }
 
-int VertexAgent::local_id(int global) const {
+int VertexAgent::member_slot(int global) const {
+  if (global == id_) return -1;
   const auto it = std::lower_bound(members_.begin(), members_.end(), global);
-  MHCA_ASSERT(it != members_.end() && *it == global,
-              "vertex not in local table");
+  if (it == members_.end() || *it != global) return -1;
   return static_cast<int>(it - members_.begin());
 }
 
@@ -203,10 +255,10 @@ void VertexAgent::on_membership_message(const Message& msg,
   if (msg.count >= k.count) {
     k.count = msg.count;
     k.mean = msg.mean;
-    const auto t = table_.find(msg.origin);
-    if (t != table_.end()) {
-      t->second.mean = msg.mean;
-      t->second.count = msg.count;
+    const int lv = member_slot(msg.origin);
+    if (lv >= 0) {
+      table_[static_cast<std::size_t>(lv)].mean = msg.mean;
+      table_[static_cast<std::size_t>(lv)].count = msg.count;
     }
   }
   // Adjacency is round-monotonic: accept only payloads at least as new as
@@ -323,9 +375,16 @@ std::pair<double, std::int64_t> VertexAgent::member_stats(int v) const {
     MHCA_ASSERT(it != knowledge_.end(), "member_stats of unknown member");
     return {it->second.mean, it->second.count};
   }
-  const auto it = table_.find(v);
-  MHCA_ASSERT(it != table_.end(), "member_stats of unknown member");
-  return {it->second.mean, it->second.count};
+  const int lv = member_slot(v);
+  MHCA_ASSERT(lv >= 0, "member_stats of unknown member");
+  const Entry& e = table_[static_cast<std::size_t>(lv)];
+  return {e.mean, e.count};
+}
+
+VertexStatus VertexAgent::member_status(int v) const {
+  const int lv = member_slot(v);
+  MHCA_ASSERT(lv >= 0, "member_status of unknown member");
+  return table_[static_cast<std::size_t>(lv)].status;
 }
 
 const std::vector<int>* VertexAgent::member_neighbors(int v) const {
@@ -350,9 +409,11 @@ void VertexAgent::begin_round(const IndexPolicy& policy, std::int64_t t,
   // live agent's table still lists them as competition.
   status_ = active_ ? VertexStatus::kCandidate : VertexStatus::kLoser;
   own_index_ = policy.index_from(mean_, count_, id_, t, num_arms);
-  for (auto& [v, e] : table_) {
+  for (std::size_t i = 0; i < table_.size(); ++i) {
+    if (static_cast<int>(i) == self_local_) continue;
+    Entry& e = table_[i];
     e.status = VertexStatus::kCandidate;
-    e.index = policy.index_from(e.mean, e.count, v, t, num_arms);
+    e.index = policy.index_from(e.mean, e.count, members_[i], t, num_arms);
   }
   if (mode_ == MembershipMode::kViewSync && active_ && has_suspects())
     ++counters_.stale_decisions;  // this round is decided under a stale view
@@ -369,10 +430,11 @@ void VertexAgent::on_weight_update(const Message& msg) {
     k.mean = msg.mean;
     k.count = msg.count;
   }
-  const auto it = table_.find(msg.origin);
-  if (it == table_.end()) return;  // beyond my 2r+1 horizon
-  it->second.mean = msg.mean;
-  it->second.count = msg.count;
+  const int lv = member_slot(msg.origin);
+  if (lv < 0) return;  // beyond my 2r+1 horizon
+  Entry& e = table_[static_cast<std::size_t>(lv)];
+  e.mean = msg.mean;
+  e.count = msg.count;
 }
 
 bool VertexAgent::should_lead() const {
@@ -382,9 +444,12 @@ bool VertexAgent::should_lead() const {
   // missed contender is how double-claims happen.
   if (mode_ == MembershipMode::kViewSync && has_suspects()) return false;
   const std::pair<double, int> my_key{own_index_, -id_};
-  for (const auto& [v, e] : table_) {
-    if (e.status != VertexStatus::kCandidate) continue;
-    if (std::pair<double, int>{e.index, -v} > my_key) return false;
+  for (std::size_t i = 0; i < table_.size(); ++i) {
+    const Entry& e = table_[i];
+    if (e.status != VertexStatus::kCandidate ||
+        static_cast<int>(i) == self_local_)
+      continue;
+    if (std::pair<double, int>{e.index, -members_[i]} > my_key) return false;
   }
   return true;
 }
@@ -396,13 +461,12 @@ void VertexAgent::gather_local_candidates() {
   weight_buf_.assign(static_cast<std::size_t>(local_graph_.size()), 0.0);
   for (std::size_t i = 0; i < r_ball_local_.size(); ++i) {
     const int lv = r_ball_local_[i];
-    const int gv = members_[static_cast<std::size_t>(lv)];
-    if (gv == id_) {
+    if (lv == self_local_) {
       cand_buf_.push_back(lv);
       if (memoize_cover_) cand_cover_buf_.push_back(r_ball_cover_[i]);
       weight_buf_[static_cast<std::size_t>(lv)] = own_index_;
     } else {
-      const Entry& e = table_.at(gv);
+      const Entry& e = table_[static_cast<std::size_t>(lv)];
       if (e.status == VertexStatus::kCandidate) {
         cand_buf_.push_back(lv);
         if (memoize_cover_) cand_cover_buf_.push_back(r_ball_cover_[i]);
@@ -430,12 +494,13 @@ std::vector<StatusEntry> VertexAgent::verdicts_from(const MwisResult& res) {
   for (int lw : res.vertices) {
     for (int lu : local_graph_.neighbors(lw)) {
       if (decided[static_cast<std::size_t>(lu)]) continue;
-      const int gu = members_[static_cast<std::size_t>(lu)];
-      const VertexStatus st =
-          gu == id_ ? status_ : table_.at(gu).status;
+      const VertexStatus st = lu == self_local_
+                                  ? status_
+                                  : table_[static_cast<std::size_t>(lu)].status;
       if (st != VertexStatus::kCandidate) continue;
       decided[static_cast<std::size_t>(lu)] = 1;
-      verdicts.push_back(StatusEntry{gu, VertexStatus::kLoser});
+      verdicts.push_back(StatusEntry{members_[static_cast<std::size_t>(lu)],
+                                     VertexStatus::kLoser});
     }
   }
   return verdicts;
@@ -469,14 +534,17 @@ void VertexAgent::on_determination(const Message& msg) {
     // ghost: the statuses it names were re-randomized at begin_round.
     if (msg.round != round_now_) return;
   }
+  // Verdicts list the leader's candidates in ascending id order, then the
+  // winner-adjacent losers (ascending per winner): one cursor resolves them.
+  MemberCursor cursor(members_);
   for (const StatusEntry& e : msg.statuses) {
     if (e.vertex == id_) {
       status_ = e.status;
       decision_view_ = msg.view;
       continue;
     }
-    const auto it = table_.find(e.vertex);
-    if (it != table_.end()) it->second.status = e.status;
+    if (const int lv = cursor.find(e.vertex); lv >= 0)
+      table_[static_cast<std::size_t>(lv)].status = e.status;
   }
 }
 

@@ -27,7 +27,7 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -138,10 +138,14 @@ class VertexAgent {
   bool transmit_ok() const;
   void note_stale_abstain() { ++counters_.stale_decisions; }
 
-  /// Oracle accessors (tests): a tracked member's stored statistics and
-  /// believed adjacency; nullptr when the member is unknown.
+  /// Oracle accessors (tests): a tracked member's stored statistics,
+  /// believed adjacency (nullptr when the member is unknown) and status
+  /// this round, and the local subgraph over members() (local id i is
+  /// members()[i]).
   std::pair<double, std::int64_t> member_stats(int v) const;
   const std::vector<int>* member_neighbors(int v) const;
+  VertexStatus member_status(int v) const;
+  const Graph& local_graph() const { return local_graph_; }
 
   // ---- Learning state (vertex-local) ----
   /// Incorporate an observed data rate after transmitting (eqs. 5-6).
@@ -176,8 +180,10 @@ class VertexAgent {
   void on_determination(const Message& msg);
 
   /// Number of (2r+1)-hop members tracked, excluding self (the O(m)
-  /// space-complexity metric of §IV-C).
-  std::size_t table_size() const { return table_.size(); }
+  /// space-complexity metric of §IV-C). 0 before discovery.
+  std::size_t table_size() const {
+    return members_.empty() ? 0 : members_.size() - 1;
+  }
 
  private:
   struct Entry {
@@ -214,14 +220,21 @@ class VertexAgent {
   std::int64_t count_ = 0;
   std::int64_t round_now_ = 0;  ///< Current round (stale-verdict rejection).
 
-  // Discovery state (omniscient mode).
+  // Discovery state (omniscient mode): hellos in arrival order, sorted by
+  // origin once at finalize_discovery (the last copy of an origin wins).
+  // Their neighbor lists share one flat buffer, so discovery holds two
+  // growing buffers per agent, not one allocation per hello.
   struct Hello {
-    std::vector<int> neighbors;
+    int origin = -1;
+    // Neighbor list: hello_neighbors_[begin, begin + size).
+    std::uint32_t begin = 0;
+    std::uint32_t size = 0;
     double mean = 0.0;
     std::int64_t count = 0;
   };
   std::vector<int> own_neighbors_;
-  std::unordered_map<int, Hello> hello_lists_;
+  std::vector<Hello> hellos_;
+  std::vector<int> hello_neighbors_;
   bool discovered_ = false;
 
   // View-sync state.
@@ -236,11 +249,14 @@ class VertexAgent {
   bool solicit_pending_ = false;
   AgentCounters counters_;
 
-  // Local view: sorted member ids (== J_{2r+1}(id) incl. self), local graph
-  // over them, and per-member entries.
+  // Local view: sorted member ids (== J_{2r+1}(id) incl. self), the local
+  // graph over them, and the flat member table: table_[i] describes
+  // members_[i] (local id i). The self slot table_[self_local_] is unused —
+  // own state lives in mean_/count_/own_index_/status_.
   std::vector<int> members_;
   Graph local_graph_;
-  std::unordered_map<int, Entry> table_;
+  std::vector<Entry> table_;
+  int self_local_ = -1;
   // Memoized at discovery: this agent's r-ball (local ids, sorted) and its
   // weight-free clique cover — static for the lifetime of the network.
   std::vector<int> r_ball_local_;
@@ -251,17 +267,24 @@ class VertexAgent {
   std::vector<int> cand_cover_buf_;
   std::vector<double> weight_buf_;
 
-  int local_id(int global) const;
+  /// table_ slot (= local id) of a member other than self; -1 for self
+  /// and for non-members. One binary search over members_.
+  int member_slot(int global) const;
   void maybe_adopt(const ViewId& v);
   void bump_view();
   std::int64_t backoff_delay(int attempt) const;
   /// Rebuild members_/local_graph_/table_/r-ball from knowledge_ (view-sync
   /// structural refresh; statuses are re-seeded at the next begin_round).
   void rebuild_local_view();
-  /// Shared structural build over an already-sorted members_ list; edge
-  /// lists are read through `neighbors_of(member)`.
-  template <typename NeighborsOf>
-  void build_structures(NeighborsOf&& neighbors_of);
+  /// Shared structural build. On entry members_ lists the *other* members
+  /// (sorted) and `rows[j]` the neighbor list members_[j] advertised
+  /// (global ids); self and own_neighbors_ are spliced in here. Builds the
+  /// local graph, the r-ball and a zeroed table_.
+  void build_structures(std::vector<std::span<const int>>& rows);
+  /// table_ slot of the j-th other member (self's slot skipped).
+  std::size_t other_slot(std::size_t j) const {
+    return j < static_cast<std::size_t>(self_local_) ? j : j + 1;
+  }
   /// Fill cand_buf_/cand_cover_buf_/weight_buf_ with the Candidates of the
   /// memoized r-ball (and their cover ids), in ascending local-id order.
   void gather_local_candidates();

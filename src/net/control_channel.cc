@@ -76,10 +76,10 @@ double ControlChannel::fault_draw(int vertex, std::uint64_t salt) const {
   return hash_to_unit(splitmix64(h));
 }
 
-void ControlChannel::record_flood(const Message& msg, int ttl,
+void ControlChannel::record_flood(std::uint64_t digest, int ttl,
                                   const std::vector<std::uint8_t>& bytes) {
   trace_hash_ = hash_combine(trace_hash_, 0xF100D);
-  trace_hash_ = hash_combine(trace_hash_, message_digest(msg));
+  trace_hash_ = hash_combine(trace_hash_, digest);
   trace_hash_ = hash_combine(trace_hash_, static_cast<std::uint64_t>(ttl));
   // The wire-level fold: replays must agree on the exact bytes, not just on
   // the struct fields they decode to.
@@ -87,10 +87,10 @@ void ControlChannel::record_flood(const Message& msg, int ttl,
                              wire::bytes_digest(bytes.data(), bytes.size()));
 }
 
-void ControlChannel::record_delivery(int to, const Message& msg) {
+void ControlChannel::record_delivery(int to, std::uint64_t digest) {
   trace_hash_ = hash_combine(trace_hash_, 0xDE11);
   trace_hash_ = hash_combine(trace_hash_, static_cast<std::uint64_t>(to));
-  trace_hash_ = hash_combine(trace_hash_, message_digest(msg));
+  trace_hash_ = hash_combine(trace_hash_, digest);
 }
 
 void ControlChannel::bill(MsgType type, std::size_t wire_size,
@@ -105,7 +105,7 @@ void ControlChannel::bill(MsgType type, std::size_t wire_size,
 }
 
 void ControlChannel::deliver_copies(
-    int vertex, const Message& msg,
+    int vertex, const Message& msg, std::uint64_t digest,
     const std::shared_ptr<const std::vector<std::uint8_t>>& bytes,
     const std::function<void(int, const Message&)>& deliver,
     std::vector<Pending>& same_flood) {
@@ -143,7 +143,7 @@ void ControlChannel::deliver_copies(
       }
       continue;
     }
-    record_delivery(vertex, msg);
+    record_delivery(vertex, digest);
     deliver(vertex, msg);
   }
 }
@@ -155,19 +155,26 @@ void ControlChannel::flood(
   // below, and the decoded copy is what receivers actually see.
   auto bytes = std::make_shared<std::vector<std::uint8_t>>();
   wire::encode(msg, *bytes);
-  flood_impl(msg, std::move(bytes), ttl, deliver);
+  flood_impl(msg, nullptr, std::move(bytes), ttl, deliver);
 }
 
-void ControlChannel::flood_encoded(
+Message ControlChannel::flood_encoded(
     const std::shared_ptr<const std::vector<std::uint8_t>>& bytes, int ttl,
     const std::function<void(int, const Message&)>& deliver) {
   MHCA_ASSERT(bytes != nullptr && !bytes->empty(), "empty encoded flood");
-  const Message msg = wire::decode(bytes->data(), bytes->size());
-  flood_impl(msg, bytes, ttl, deliver);
+  Message decoded = wire::decode(bytes->data(), bytes->size());
+  // The round-trip invariant from the receiving side: the bytes a peer sent
+  // must be exactly what re-marshalling their decoded message produces.
+  std::vector<std::uint8_t> reencoded;
+  wire::encode(decoded, reencoded);
+  MHCA_ASSERT(reencoded == *bytes,
+              "wire round-trip changed the message (encode/decode drift)");
+  flood_impl(decoded, &decoded, bytes, ttl, deliver);
+  return decoded;
 }
 
 void ControlChannel::flood_impl(
-    const Message& msg,
+    const Message& msg, const Message* decoded,
     const std::shared_ptr<const std::vector<std::uint8_t>>& bytes, int ttl,
     const std::function<void(int, const Message&)>& deliver) {
   MHCA_ASSERT(msg.origin >= 0 && msg.origin < topology_.size(),
@@ -193,23 +200,31 @@ void ControlChannel::flood_impl(
                        kFloodSpanNames[static_cast<std::size_t>(msg.type)],
                        tr ? std::string(targs) : std::string());
 
-  ++stats_.floods;
-  record_flood(msg, ttl, *bytes);
-
   // The always-on round-trip invariant: what receivers decode from the wire
   // must be exactly what the sender marshalled. Deliveries below hand out
-  // this decoded copy, never the caller's struct.
-  const Message decoded = wire::decode(bytes->data(), wire_size);
-  MHCA_ASSERT(message_digest(decoded) == message_digest(msg),
-              "wire round-trip changed the message (encode/decode drift)");
+  // the decoded copy, never the caller's struct, and the digest computed
+  // here is the one folded for the flood and for every delivery.
+  Message fresh;
+  const bool check = decoded == nullptr;
+  if (check) {
+    fresh = wire::decode(bytes->data(), wire_size);
+    decoded = &fresh;
+  }
+  const std::uint64_t digest = message_digest(*decoded);
+  if (check)
+    MHCA_ASSERT(digest == message_digest(msg),
+                "wire round-trip changed the message (encode/decode drift)");
+
+  ++stats_.floods;
+  record_flood(digest, ttl, *bytes);
 
   if (!faults_.any()) {
     scratch_.k_hop_neighborhood(topology_, msg.origin, ttl, reach_buf_);
     bill(msg.type, wire_size, static_cast<std::int64_t>(reach_buf_.size()));
     for (int v : reach_buf_) {
       if (v == msg.origin) continue;
-      record_delivery(v, decoded);
-      deliver(v, decoded);
+      record_delivery(v, digest);
+      deliver(v, *decoded);
     }
     return;
   }
@@ -242,7 +257,7 @@ void ControlChannel::flood_impl(
         continue;
       }
       queue.push_back({u, it.depth + 1});
-      deliver_copies(u, decoded, bytes, deliver, same_flood);
+      deliver_copies(u, *decoded, digest, bytes, deliver, same_flood);
     }
   }
   bill(msg.type, wire_size, transmitters);
@@ -254,10 +269,11 @@ void ControlChannel::flood_impl(
                   return a.shuffle_key < b.shuffle_key;
                 return a.to < b.to;
               });
+    // Reordered copies of this flood carry its own bytes: they land as the
+    // same decoded message.
     for (const Pending& p : same_flood) {
-      const Message m = wire::decode(p.bytes->data(), p.bytes->size());
-      record_delivery(p.to, m);
-      deliver(p.to, m);
+      record_delivery(p.to, digest);
+      deliver(p.to, *decoded);
     }
   }
 }
@@ -283,7 +299,7 @@ void ControlChannel::begin_slot(
   for (const Pending& p : due) {
     // Stragglers decode when they finally land — the queue held datagrams.
     const Message m = wire::decode(p.bytes->data(), p.bytes->size());
-    record_delivery(p.to, m);
+    record_delivery(p.to, message_digest(m));
     dispatch(p.to, m);
   }
 }

@@ -93,11 +93,12 @@ class ControlChannel {
              const std::function<void(int, const Message&)>& deliver);
 
   /// Flood a message that already arrived as wire bytes (a sharded peer's
-  /// frame): identical fault/billing/trace behavior, minus the re-encode.
-  void flood_encoded(const std::shared_ptr<const std::vector<std::uint8_t>>&
-                         bytes,
-                     int ttl,
-                     const std::function<void(int, const Message&)>& deliver);
+  /// frame): identical fault/billing/trace behavior. Decodes once, asserts
+  /// that re-encoding the decoded message reproduces `bytes`, and returns
+  /// the decoded message (what every receiver saw).
+  Message flood_encoded(
+      const std::shared_ptr<const std::vector<std::uint8_t>>& bytes, int ttl,
+      const std::function<void(int, const Message&)>& deliver);
 
   /// Enter slot `round`: hands every delayed delivery that is now due to
   /// `dispatch(to, msg)`, in deterministic hash-shuffled order. Call once
@@ -149,15 +150,20 @@ class ControlChannel {
 
   /// Per-(flood, vertex, salt) uniform [0,1) draw.
   double fault_draw(int vertex, std::uint64_t salt) const;
-  void record_flood(const Message& msg, int ttl,
+  /// Trace folds. `digest` is the flood's message_digest, computed once
+  /// per flood (from the decoded message) and folded into every delivery.
+  void record_flood(std::uint64_t digest, int ttl,
                     const std::vector<std::uint8_t>& bytes);
-  void record_delivery(int to, const Message& msg);
+  void record_delivery(int to, std::uint64_t digest);
   void deliver_copies(
-      int vertex, const Message& msg,
+      int vertex, const Message& msg, std::uint64_t digest,
       const std::shared_ptr<const std::vector<std::uint8_t>>& bytes,
       const std::function<void(int, const Message&)>& deliver,
       std::vector<Pending>& same_flood);
-  void flood_impl(const Message& msg,
+  /// Shared flood body. `msg` is the sent message; `decoded` is its
+  /// decoded copy when the caller already has one (an encoded frame whose
+  /// bytes it verified), else null and the body decodes `bytes` itself.
+  void flood_impl(const Message& msg, const Message* decoded,
                   const std::shared_ptr<const std::vector<std::uint8_t>>&
                       bytes,
                   int ttl,

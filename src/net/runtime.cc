@@ -160,8 +160,10 @@ std::vector<int> DistributedRuntime::exchange_and_replay(
     origins.push_back(f.origin);
     const auto bytes = std::make_shared<const std::vector<std::uint8_t>>(
         std::move(f.bytes));
-    if (on_origin) on_origin(wire::decode(bytes->data(), bytes->size()));
-    channel_.flood_encoded(bytes, f.ttl, deliver);
+    // The origin applies its own message after the flood's deliveries —
+    // agents hold disjoint state, so the order is immaterial.
+    const Message msg = channel_.flood_encoded(bytes, f.ttl, deliver);
+    if (on_origin) on_origin(msg);
   }
   return origins;
 }

@@ -5,9 +5,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bandit/estimates.h"
@@ -16,10 +19,12 @@
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
 #include "mwis/distributed_ptas.h"
+#include "net/agent.h"
 #include "net/control_channel.h"
 #include "net/faults.h"
 #include "net/oracle.h"
 #include "net/runtime.h"
+#include "net/wire.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -71,6 +76,42 @@ TEST(ControlChannel, TimeslotCharging) {
   EXPECT_EQ(ch.stats().mini_timeslots, 12);
   ch.reset_stats();
   EXPECT_EQ(ch.stats().mini_timeslots, 0);
+}
+
+TEST(ControlChannel, EncodedFloodMatchesStructFloodAndReturnsTheMessage) {
+  // A frame that arrives as bytes (a sharded peer's flood) must fold the
+  // same trace, bill the same airtime and deliver the same message as the
+  // struct flood that produced it; flood_encoded hands that one decoded
+  // copy back to the caller.
+  Graph g = path_graph(8);
+  Message det;
+  det.type = MsgType::kDetermination;
+  det.origin = 3;
+  det.round = 5;
+  det.statuses = {{2, VertexStatus::kLoser}, {3, VertexStatus::kWinner},
+                  {4, VertexStatus::kLoser}};
+  ControlChannel by_struct(g);
+  std::vector<std::pair<int, std::size_t>> seen_struct;
+  by_struct.flood(det, 2, [&](int v, const Message& m) {
+    seen_struct.emplace_back(v, m.statuses.size());
+  });
+  auto bytes = std::make_shared<std::vector<std::uint8_t>>();
+  net::wire::encode(det, *bytes);
+  ControlChannel by_bytes(g);
+  std::vector<std::pair<int, std::size_t>> seen_bytes;
+  const Message back = by_bytes.flood_encoded(
+      bytes, 2, [&](int v, const Message& m) {
+        seen_bytes.emplace_back(v, m.statuses.size());
+      });
+  EXPECT_EQ(back.origin, 3);
+  EXPECT_EQ(back.round, 5);
+  ASSERT_EQ(back.statuses.size(), 3u);
+  EXPECT_EQ(back.statuses[1].vertex, 3);
+  EXPECT_EQ(back.statuses[1].status, VertexStatus::kWinner);
+  EXPECT_EQ(seen_bytes, seen_struct);
+  EXPECT_EQ(by_bytes.trace_hash(), by_struct.trace_hash());
+  EXPECT_EQ(by_bytes.stats().bytes_on_wire, by_struct.stats().bytes_on_wire);
+  EXPECT_EQ(by_bytes.stats().messages, by_struct.stats().messages);
 }
 
 class NetFixture : public ::testing::Test {
@@ -424,6 +465,141 @@ TEST_F(NetFixture, LivenessProbesAndViewChangesAreBilled) {
   // transmissions, never floods).
   EXPECT_GT(rt_lossy.channel_stats().floods, rt_clean.channel_stats().floods);
   EXPECT_GT(rt_lossy.channel_stats().of_type(MsgType::kViewChange), 0);
+}
+
+// --- The flat agent table: one entry per (2r+1)-hop member, parallel to
+// members(), looked up by binary search / a forward-galloping cursor. ---
+
+/// Agent 4 on the path 0-1-...-9 with r = 1: its (2r+1)-hop members are
+/// 1..7. Member m's hello carries (mean, count) = (m / 10, m).
+net::VertexAgent path_agent() {
+  net::VertexAgent a(4, 1);
+  for (int m : {1, 2, 3, 5, 6, 7}) {
+    Message h;
+    h.type = MsgType::kHello;
+    h.origin = m;
+    h.neighbor_list = {m - 1, m + 1};
+    h.mean = m / 10.0;
+    h.count = m;
+    a.on_hello(h);
+  }
+  a.set_own_neighbors({3, 5});
+  a.finalize_discovery();
+  return a;
+}
+
+Message determination(std::vector<net::StatusEntry> statuses) {
+  Message det;
+  det.type = MsgType::kDetermination;
+  det.origin = 6;
+  det.round = 1;
+  det.statuses = std::move(statuses);
+  return det;
+}
+
+TEST(AgentTable, EmptyBeforeDiscovery) {
+  for (const net::MembershipMode mode :
+       {net::MembershipMode::kOmniscient, net::MembershipMode::kViewSync}) {
+    net::VertexAgent a(4, 1, false, mode);
+    EXPECT_EQ(a.table_size(), 0u);
+    EXPECT_TRUE(a.members().empty());
+  }
+  net::VertexAgent a(4, 1);
+  Message h;
+  h.type = MsgType::kHello;
+  h.origin = 3;
+  h.neighbor_list = {2, 4};
+  a.on_hello(h);
+  EXPECT_EQ(a.table_size(), 0u) << "hellos alone must not populate the table";
+  a.set_own_neighbors({3});
+  a.finalize_discovery();
+  EXPECT_EQ(a.table_size(), 1u);
+  EXPECT_EQ(path_agent().table_size(), 6u);
+  EXPECT_EQ(path_agent().members(), (std::vector<int>{1, 2, 3, 4, 5, 6, 7}));
+}
+
+TEST(AgentTable, MemberStatsOfUnknownMemberAsserts) {
+  const net::VertexAgent a = path_agent();
+  EXPECT_EQ(a.member_stats(7), (std::pair<double, std::int64_t>{0.7, 7}));
+  EXPECT_EQ(a.member_stats(1), (std::pair<double, std::int64_t>{0.1, 1}));
+  EXPECT_THROW(a.member_stats(0), std::logic_error);   // beyond the horizon
+  EXPECT_THROW(a.member_stats(8), std::logic_error);   // beyond the horizon
+  EXPECT_THROW(a.member_stats(4), std::logic_error);   // self: not a member
+  EXPECT_THROW(a.member_stats(-1), std::logic_error);  // no such vertex
+  EXPECT_THROW(a.member_status(9), std::logic_error);
+}
+
+TEST(AgentTable, DeterminationHandlesOutOfOrderVerdictsAndNonMembers) {
+  net::VertexAgent a = path_agent();
+  auto policy = make_policy(PolicyKind::kCab);
+  a.begin_round(*policy, 1, 10);
+  using VS = VertexStatus;
+  // A leader's candidates ascending, then winner-adjacent losers (which
+  // restart below them), interleaved with vertices beyond this agent's
+  // horizon and its own verdict.
+  a.on_determination(determination({{5, VS::kLoser},
+                                    {6, VS::kWinner},
+                                    {9, VS::kLoser},
+                                    {2, VS::kWinner},
+                                    {0, VS::kLoser},
+                                    {4, VS::kLoser},
+                                    {3, VS::kLoser},
+                                    {42, VS::kWinner}}));
+  EXPECT_EQ(a.member_status(5), VS::kLoser);
+  EXPECT_EQ(a.member_status(6), VS::kWinner);
+  EXPECT_EQ(a.member_status(2), VS::kWinner);
+  EXPECT_EQ(a.member_status(3), VS::kLoser);
+  EXPECT_EQ(a.member_status(1), VS::kCandidate);
+  EXPECT_EQ(a.member_status(7), VS::kCandidate);
+  EXPECT_EQ(a.status(), VS::kLoser);
+  EXPECT_EQ(a.table_size(), 6u) << "non-members must not be admitted";
+
+  // Against a last-write-wins reference on random verdict lists: any order,
+  // repeated vertices, members and non-members mixed.
+  Rng rng(0xA6E47);
+  for (int trial = 0; trial < 200; ++trial) {
+    net::VertexAgent b = path_agent();
+    b.begin_round(*policy, 1, 10);
+    std::vector<net::StatusEntry> statuses;
+    std::map<int, VS> expected;
+    const int n = rng.uniform_int(0, 12);
+    for (int i = 0; i < n; ++i) {
+      const int v = rng.uniform_int(0, 10);
+      const auto st = static_cast<VS>(rng.uniform_int(0, 2));
+      statuses.push_back({v, st});
+      expected[v] = st;
+    }
+    b.on_determination(determination(statuses));
+    for (int m : b.members()) {
+      const VS want = expected.count(m) ? expected[m] : VS::kCandidate;
+      if (m == 4)
+        EXPECT_EQ(b.status(), want) << "trial " << trial;
+      else
+        EXPECT_EQ(b.member_status(m), want) << "trial " << trial << " v " << m;
+    }
+  }
+}
+
+TEST(AgentTable, WeightUpdateFromBeyondTheHorizonIsIgnored) {
+  net::VertexAgent a = path_agent();
+  Message wu;
+  wu.type = MsgType::kWeightUpdate;
+  wu.origin = 9;
+  wu.round = 2;
+  wu.mean = 0.9;
+  wu.count = 90;
+  a.on_weight_update(wu);
+  EXPECT_EQ(a.table_size(), 6u);
+  EXPECT_THROW(a.member_stats(9), std::logic_error);
+  for (int m : {1, 2, 3, 5, 6, 7})
+    EXPECT_EQ(a.member_stats(m),
+              (std::pair<double, std::int64_t>{m / 10.0, m}));
+  // A member's update lands in its own entry only.
+  wu.origin = 6;
+  a.on_weight_update(wu);
+  EXPECT_EQ(a.member_stats(6), (std::pair<double, std::int64_t>{0.9, 90}));
+  EXPECT_EQ(a.member_stats(5), (std::pair<double, std::int64_t>{0.5, 5}));
+  EXPECT_EQ(a.member_stats(7), (std::pair<double, std::int64_t>{0.7, 7}));
 }
 
 TEST(NetLinearWorstCase, OneLeaderPerMiniRound) {
