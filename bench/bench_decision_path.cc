@@ -1,23 +1,23 @@
 // Micro-benchmark of one full strategy decision (leader election + local
 // MWIS solves over H) on random geometric networks, comparing the seed
-// re-derivation path (per-decision max-relaxation floods, per-leader BFS,
-// per-solve allocation and list-scan adjacency builds) against the cached
-// decision path (NeighborhoodCache + reusable SolveScratch + bitset-row
-// adjacency gather).
+// re-derivation reference (tests/reference/seed_ptas.h: per-decision
+// max-relaxation floods, per-leader BFS) against the engine
+// (DistributedRobustPtas: NeighborhoodCache + incremental SoA election +
+// reusable SolveScratch).
 //
-// Both paths run the same local-solve algorithm (the enhanced
-// branch-and-bound search) with the same per-solve effort cap, so their
-// decisions are byte-identical *unconditionally* — node-cap aborts and
-// weight ties included; the bench verifies that on every measured decision.
-// The speedup column therefore isolates the decision-path infrastructure.
-// A per-stage breakdown (setup / election / gather / solve / apply /
-// validate / other) shows where each path spends its time, and the solver
+// Both run the same local-solve algorithm (the enhanced branch-and-bound
+// search) with the same per-solve effort cap, so their decisions are
+// byte-identical *unconditionally* — node-cap aborts and weight ties
+// included; the bench verifies that on every measured decision. The
+// speedup column therefore isolates the decision-path infrastructure.
+// The engine's per-stage breakdown (setup / election / gather / solve /
+// apply / validate / other) shows where it spends its time, and the solver
 // columns track search effort. The buckets are *total*: every cell asserts
-// that Σ stages covers ≥95% of the headline ms/decision (small absolute
+// that Σ stages covers ≥95% of the engine's ms/decision (small absolute
 // tolerance for sub-millisecond cells), and the bench exits nonzero
 // otherwise — an untimed hot spot on the decision path (like the O(W²)
 // winner validation that once hid 742 ms per decision at 50k vertices)
-// can no longer go unaccounted.
+// can no longer go unaccounted. The reference has no stage clock.
 //
 // The grid crosses Graph::kAdjacencyMatrixLimit (8192): the large-n cells
 // run without a dense adjacency matrix — sharded sparse rows feed the
@@ -46,6 +46,7 @@
 #include "mwis/distributed_ptas.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "reference/seed_ptas.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -60,15 +61,13 @@ struct Cell {
   int vertices = 0;
   int decisions = 0;
   double cache_build_ms = 0.0;   ///< One-time NeighborhoodCache cost.
-  double seed_ms = 0.0;          ///< Per-decision, seed path.
-  double cached_ms = 0.0;        ///< Per-decision, cached path.
+  double seed_ms = 0.0;          ///< Per-decision, seed reference.
+  double cached_ms = 0.0;        ///< Per-decision, engine.
   double speedup = 0.0;
   bool identical = true;         ///< Winners + weight match every decision.
-  DecisionStageTimes seed_stages;    ///< Per-decision averages.
-  DecisionStageTimes cached_stages;
-  double seed_coverage = 0.0;    ///< Best-rep Σ buckets / seed ms_per_decision.
+  DecisionStageTimes cached_stages;  ///< Per-decision averages.
   double cached_coverage = 0.0;  ///< Best-rep Σ buckets / cached ms_per_decision.
-  bool coverage_ok = true;       ///< Both coverages pass the ≥95% gate.
+  bool coverage_ok = true;       ///< Coverage passes the ≥95% gate.
   double nodes_per_decision = 0.0;   ///< B&B nodes (identical across paths).
   bool all_solves_exact = true;      ///< No local solve hit the node cap.
   // Cache-build worker sweep (large cells): wall-clock at pinned worker
@@ -78,13 +77,15 @@ struct Cell {
   double build_ms_w2 = 0.0;
   double build_ms_w4 = 0.0;
   bool build_identical = true;
-  // Observability overhead (representative cells): the cached path with the
+  // Observability overhead (representative cells): the engine with the
   // telemetry spine disabled (null recorder/registry — the default for
-  // every production run) vs enabled (spans + metrics recorded).
+  // every production run) vs enabled (spans + metrics recorded). Reported,
+  // not gated: the zero-work contract of the disabled path is a
+  // deterministic test (tests/obs_test.cc), not a timing comparison.
   bool obs_measured = false;
   double obs_off_ms = 0.0;
   double obs_on_ms = 0.0;
-  bool obs_overhead_ok = true;  ///< Disabled path within 2% of the headline.
+  double obs_overhead_pct = 0.0;  ///< Off vs the interleaved baseline.
   // Memory accounting for the cached path's NeighborhoodCache: the bytes it
   // actually keeps resident, what the same contents would cost in the
   // all-explicit (pre-tiered) layout, and the resulting reduction ratio.
@@ -153,7 +154,7 @@ double time_decisions_ms(F&& decide, int decisions) {
          static_cast<double>(decisions);
 }
 
-/// Best-of-`reps` timing, with the two paths interleaved so scheduler noise
+/// Best-of-`reps` timing, with the two sides interleaved so scheduler noise
 /// and frequency drift hit both sides equally. Minimum-of-repetitions is
 /// the standard variance killer for micro-benchmarks on shared machines.
 template <typename A, typename B>
@@ -196,20 +197,18 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   const auto weights = make_weight_sequence(
       h.size(), decisions, static_cast<std::uint64_t>(users) * 7 + 1);
 
-  // Stage collection stays on for both engines: four steady_clock reads per
-  // mini-round, far below measurement noise.
-  DistributedPtasConfig seed_cfg;
-  seed_cfg.r = r;
-  seed_cfg.use_decision_cache = false;
-  seed_cfg.collect_stage_times = true;
-  // Pin solves to one thread on BOTH paths: the speedup column isolates the
-  // caching infrastructure, not core count (the parallel fan-out is
-  // exercised by decision_parallel_determinism_test instead).
-  seed_cfg.local_solve_parallelism = 1;
-  DistributedPtasConfig cached_cfg = seed_cfg;
-  cached_cfg.use_decision_cache = true;
+  // Stage collection stays on: four steady_clock reads per mini-round, far
+  // below measurement noise.
+  DistributedPtasConfig cached_cfg;
+  cached_cfg.r = r;
+  cached_cfg.collect_stage_times = true;
+  // Pin solves to one thread (the reference is single-threaded): the
+  // speedup column isolates the caching infrastructure, not core count
+  // (the parallel fan-out is exercised by
+  // decision_parallel_determinism_test instead).
+  cached_cfg.local_solve_parallelism = 1;
 
-  DistributedRobustPtas seed_engine(h, seed_cfg);
+  reference::SeedPtas seed_engine(h, cached_cfg);
   const auto tc0 = Clock::now();
   DistributedRobustPtas cached_engine(h, cached_cfg);
   cell.cache_build_ms =
@@ -263,7 +262,7 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   cell.cached_ms = cached_ms;
   cell.speedup = cell.cached_ms > 0.0 ? cell.seed_ms / cell.cached_ms : 0.0;
 
-  // Stage breakdown: best-of-N instrumented passes per path, per-stage
+  // Stage breakdown: best-of-N instrumented passes of the engine, per-stage
   // minima — the same variance killer the headline timing uses, applied to
   // the breakdown so single-pass scheduler noise doesn't masquerade as a
   // stage regression (stages are an order of magnitude shorter than whole
@@ -279,24 +278,15 @@ Cell run_cell(int users, int r, int channels, int decisions) {
                               std::min(a.validate_ms, b.validate_ms),
                               std::min(a.other_ms, b.other_ms)};
   };
-  // Each path runs its decisions in a streak, exactly like the headline
-  // timing loops above — interleaving the engines per decision would let
-  // the seed path's full-graph sweeps evict the cached path's ball arrays
-  // between decisions and charge the misses to the wrong stage.
+  // The engine runs its decisions in a streak, exactly like the headline
+  // timing loop above.
   const int stage_reps = huge ? 1 : (users <= 800 ? 7 : 3);
   // Coverage pairs each rep's Σ buckets with an external wall clock around
   // that same rep's decision streak: the question "did run() spend time no
   // bucket saw?" only makes sense within one pass. Comparing against the
   // earlier headline loop instead re-measures warm-up drift, not accounting.
-  double seed_wall = 0.0, cached_wall = 0.0;
+  double cached_wall = 0.0;
   for (int rep = 0; rep < stage_reps; ++rep) {
-    seed_engine.reset_stage_times();
-    const auto ts0 = Clock::now();
-    for (int d = 0; d < decisions; ++d)
-      seed_engine.run(weights[static_cast<std::size_t>(d)]);
-    const double s_wall =
-        std::chrono::duration<double, std::milli>(Clock::now() - ts0).count() /
-        static_cast<double>(decisions);
     cached_engine.reset_stage_times();
     const auto tg0 = Clock::now();
     for (int d = 0; d < decisions; ++d)
@@ -304,16 +294,9 @@ Cell run_cell(int users, int r, int channels, int decisions) {
     const double c_wall =
         std::chrono::duration<double, std::milli>(Clock::now() - tg0).count() /
         static_cast<double>(decisions);
-    const DecisionStageTimes s =
-        per_decision(seed_engine.stage_times(), decisions);
     const DecisionStageTimes c =
         per_decision(cached_engine.stage_times(), decisions);
-    cell.seed_stages = rep == 0 ? s : min_stages(cell.seed_stages, s);
     cell.cached_stages = rep == 0 ? c : min_stages(cell.cached_stages, c);
-    if (rep == 0 || s_wall < seed_wall) {
-      seed_wall = s_wall;
-      cell.seed_coverage = s_wall > 0.0 ? s.total_ms() / s_wall : 1.0;
-    }
     if (rep == 0 || c_wall < cached_wall) {
       cached_wall = c_wall;
       cell.cached_coverage = c_wall > 0.0 ? c.total_ms() / c_wall : 1.0;
@@ -329,23 +312,19 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   constexpr double kCoverageRatio = 0.95;
   constexpr double kCoverageSlackMs = 0.05;
   cell.coverage_ok =
-      (cell.seed_coverage >= kCoverageRatio ||
-       (1.0 - cell.seed_coverage) * seed_wall <= kCoverageSlackMs) &&
-      (cell.cached_coverage >= kCoverageRatio ||
-       (1.0 - cell.cached_coverage) * cached_wall <= kCoverageSlackMs);
+      cell.cached_coverage >= kCoverageRatio ||
+      (1.0 - cell.cached_coverage) * cached_wall <= kCoverageSlackMs;
 
-  // Observability overhead on the gated cells (|H| = 3200 and 50000, the
-  // paper-scale points). The instrumentation is compiled into run()
-  // unconditionally — there is no obs-free build in this binary — so the
-  // gate re-measures the headline path (globals null) back-to-back with the
-  // "off" pass and requires the two to agree within 2%: a tripwire for
-  // instrumentation that is accidentally active, or does work, when
-  // disabled. The "off vs headline" column compares against the main stage
-  // loop's cached_ms for the longitudinal record only — minutes of
-  // frequency drift separate those passes, which the interleaved baseline
-  // exists to cancel (observed up to ~10% on shared hosts). "obs on"
-  // records the full span set and is reported, not gated: tracing a
-  // decision costs what it costs.
+  // Observability overhead on the paper-scale cells (|H| = 3200 and 50000).
+  // The instrumentation is compiled into run() unconditionally — there is
+  // no obs-free build in this binary — so the "off" pass is compared with
+  // the same path (globals null) measured back-to-back, and the difference
+  // is reported as obs_overhead_pct. Both are the same code, so the column
+  // is timer noise around zero (±5% seen on shared hosts); a wall-clock
+  // gate on it failed on noise alone. That the disabled sites do no work
+  // is pinned deterministically instead (tests/obs_test.cc: zero events,
+  // registry writes and allocations). "obs on" records the full span set:
+  // tracing a decision costs what it costs.
   if ((users == 800 && r == 2) || users == 12500) {
     cell.obs_measured = true;
     obs::TraceRecorder recorder;
@@ -382,10 +361,9 @@ Cell run_cell(int users, int r, int channels, int decisions) {
       if (rep == 0 || off < cell.obs_off_ms) cell.obs_off_ms = off;
       if (rep == 0 || on < cell.obs_on_ms) cell.obs_on_ms = on;
     }
-    constexpr double kObsOverheadRatio = 1.02;
-    constexpr double kObsSlackMs = 0.05;
-    cell.obs_overhead_ok =
-        cell.obs_off_ms <= baseline_ms * kObsOverheadRatio + kObsSlackMs;
+    cell.obs_overhead_pct =
+        baseline_ms > 0.0 ? 100.0 * (cell.obs_off_ms / baseline_ms - 1.0)
+                          : 0.0;
   }
 
   // Cache-build worker sweep on the cells where the build matters: pinned
@@ -447,12 +425,11 @@ std::string json_of(const std::vector<Cell>& cells, int channels) {
         "\"seed_ms_per_decision\": %.4f, \"cached_ms_per_decision\": %.4f, "
         "\"speedup\": %.2f, \"identical_results\": %s, "
         "\"solver_nodes_per_decision\": %.0f, \"all_solves_exact\": %s,\n"
-        "     \"stage_coverage_seed\": %.4f, "
-        "\"stage_coverage_cached\": %.4f, \"stage_coverage_ok\": %s,\n",
+        "     \"stage_coverage_cached\": %.4f, \"stage_coverage_ok\": %s,\n",
         c.users, c.r, c.vertices, c.decisions, c.cache_build_ms, c.seed_ms,
         c.cached_ms, c.speedup, c.identical ? "true" : "false",
         c.nodes_per_decision, c.all_solves_exact ? "true" : "false",
-        c.seed_coverage, c.cached_coverage, c.coverage_ok ? "true" : "false");
+        c.cached_coverage, c.coverage_ok ? "true" : "false");
     out += buf;
     std::snprintf(
         buf, sizeof(buf),
@@ -476,12 +453,10 @@ std::string json_of(const std::vector<Cell>& cells, int channels) {
       std::snprintf(buf, sizeof(buf),
                     "     \"obs_off_ms_per_decision\": %.4f, "
                     "\"obs_on_ms_per_decision\": %.4f, "
-                    "\"obs_overhead_ok\": %s,\n",
-                    c.obs_off_ms, c.obs_on_ms,
-                    c.obs_overhead_ok ? "true" : "false");
+                    "\"obs_overhead_pct\": %.2f,\n",
+                    c.obs_off_ms, c.obs_on_ms, c.obs_overhead_pct);
       out += buf;
     }
-    out += stages_json("seed_stages_ms", c.seed_stages) + ",\n";
     out += stages_json("cached_stages_ms", c.cached_stages) +
            (i + 1 < cells.size() ? "},\n" : "}\n");
   }
@@ -503,9 +478,9 @@ int main(int argc, char** argv) {
   }
   const int kChannels = 4;
 
-  std::cout << "=== Decision path: seed re-derivation vs cached "
+  std::cout << "=== Decision path: seed re-derivation reference vs engine "
                "(NeighborhoodCache + SolveScratch) ===\n"
-            << "    (identical enhanced local solver on both paths; "
+            << "    (identical enhanced local solver on both sides; "
                "speedup isolates the caching)\n\n";
 
   struct GridCell {
@@ -515,7 +490,7 @@ int main(int argc, char** argv) {
   };
   // Decision counts trade runtime for timing stability: the per-stage
   // numbers of a cell come from (reps x decisions) instrumented runs, and
-  // cached-path stages are fractions of a millisecond — too short a pass
+  // engine stages are fractions of a millisecond — too short a pass
   // gets dominated by scheduler ticks.
   std::vector<GridCell> grid;
   for (int users : {50, 200, 800})
@@ -577,7 +552,7 @@ int main(int argc, char** argv) {
 
   std::cout << "\n--- per-stage breakdown, ms/decision (setup / election / "
                "gather / solve / apply / validate / other) ---\n";
-  TablePrinter stages({"users", "r", "seed stages", "cached stages"});
+  TablePrinter stages({"users", "r", "engine stages"});
   char sbuf[192];
   const auto stage_str = [&](const DecisionStageTimes& s) {
     std::snprintf(sbuf, sizeof(sbuf),
@@ -588,7 +563,7 @@ int main(int argc, char** argv) {
   };
   for (const Cell& c : cells)
     stages.row(std::to_string(c.users), std::to_string(c.r),
-               stage_str(c.seed_stages), stage_str(c.cached_stages));
+               stage_str(c.cached_stages));
   stages.print(std::cout);
 
   bool any_swept = false;
@@ -611,28 +586,24 @@ int main(int argc, char** argv) {
   for (const Cell& c : cells) any_obs = any_obs || c.obs_measured;
   if (any_obs) {
     std::cout << "\n--- observability overhead (telemetry spine disabled vs "
-                 "recording; cached path) ---\n";
+                 "recording; engine; reported, not gated) ---\n";
     TablePrinter obs_table({"users", "r", "obs off ms", "obs on ms",
-                            "off vs headline"});
+                            "off overhead"});
     for (const Cell& c : cells) {
       if (!c.obs_measured) continue;
       obs_table.row(std::to_string(c.users), std::to_string(c.r),
                     fixed(c.obs_off_ms, 3), fixed(c.obs_on_ms, 3),
-                    fixed(100.0 * c.obs_off_ms /
-                              std::max(c.cached_ms, 1e-12),
-                          1) +
-                        "%" + (c.obs_overhead_ok ? "" : " REGRESSED"));
+                    fixed(c.obs_overhead_pct, 1) + "%");
     }
     obs_table.print(std::cout);
   }
 
   bool all_identical = true, all_covered = true, builds_identical = true,
-       obs_ok = true, bytes_ok = true;
+       bytes_ok = true;
   for (const Cell& c : cells) {
     all_identical = all_identical && c.identical;
     all_covered = all_covered && c.coverage_ok;
     builds_identical = builds_identical && c.build_identical;
-    obs_ok = obs_ok && c.obs_overhead_ok;
     bytes_ok = bytes_ok && c.cache_bytes_ok;
   }
   std::cout << "\nresults identical across paths: "
@@ -644,9 +615,6 @@ int main(int argc, char** argv) {
   if (any_swept)
     std::cout << "cache builds byte-identical at all worker counts: "
               << (builds_identical ? "yes" : "NO — BUG") << "\n";
-  if (any_obs)
-    std::cout << "disabled-observability path within 2% of headline: "
-              << (obs_ok ? "yes" : "NO — hot-path overhead") << "\n";
 
   const std::string json = json_of(cells, kChannels);
   std::ofstream out(json_path);
@@ -657,8 +625,6 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::cout << "wrote " << json_path << "\n";
-  return all_identical && all_covered && builds_identical && obs_ok &&
-                 bytes_ok
-             ? 0
-             : 1;
+  return all_identical && all_covered && builds_identical && bytes_ok ? 0
+                                                                       : 1;
 }

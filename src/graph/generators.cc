@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <numbers>
+#include <string>
 
 #include "util/assert.h"
 
@@ -19,8 +20,15 @@ ConflictGraph random_geometric(int n, double side, double radius, Rng& rng,
     ConflictGraph cg = ConflictGraph::from_positions(std::move(pts), radius);
     if (!force_connected || cg.graph().is_connected()) return cg;
   }
-  MHCA_ASSERT(false, "failed to sample a connected random geometric graph; "
-                     "increase radius or node count");
+  // Below the connectivity threshold (avg degree ~ ln n) almost no sample
+  // is connected, and more nodes at the same density make it worse: the
+  // fix is to stop rejecting, not to retry.
+  MHCA_ASSERT(false, "no connected random geometric graph in " +
+                         std::to_string(max_attempts) + " attempts (n = " +
+                         std::to_string(n) +
+                         "); large sparse geometric graphs are almost never "
+                         "connected — set topology.force_connected = false "
+                         "in the scenario, or raise avg_degree / radius");
 }
 
 ConflictGraph random_geometric_avg_degree(int n, double avg_degree, Rng& rng,

@@ -180,8 +180,8 @@ class NeighborhoodCache {
   /// opens a new one. Writes the clique id of ball[i] to clique_of[i]
   /// (resized) and returns the clique count. Weight-free and deterministic,
   /// so a memoized cover and a freshly built one are always identical —
-  /// the seed decision path rebuilds this per solve, the cached path reads
-  /// it back from the cache, and both reach byte-identical solver behavior.
+  /// the net runtime's agents build it per local view, the engine reads it
+  /// back from the cache, and both reach byte-identical solver behavior.
   static int build_ball_cover(const Graph& g, std::span<const int> ball,
                               std::vector<int>& clique_of);
 

@@ -14,7 +14,7 @@ namespace {
 /// conflict checks.
 ///
 /// Hosts both search modes (see branch_and_bound.h): `run_classic` is the
-/// seed algorithm, kept for solver-level baselines and equivalence tests;
+/// seed algorithm, kept as the exact oracle tests compare against;
 /// `run_enhanced` adds reductions, component decomposition, conflict
 /// counters and the refined bound stack.
 class Search {
@@ -44,9 +44,9 @@ class Search {
     }
     blocks_ = (n_ + 63) / 64;
     s_.adj.assign(n_ * blocks_, 0);
-    if (opts_.use_adjacency_rows && g.has_adjacency_matrix()) {
+    if (g.has_adjacency_matrix()) {
       build_adjacency_from_rows(g);
-    } else if (opts_.use_adjacency_rows && g.has_sparse_rows()) {
+    } else if (g.has_sparse_rows()) {
       build_adjacency_from_sparse_rows(g);
     } else {
       build_adjacency_from_lists(g);
@@ -69,8 +69,8 @@ class Search {
 
   // ---------------------------------------------------------------- build
 
-  /// Seed path: scan each candidate's (typically short) neighbor list
-  /// against the sorted candidate array.
+  /// Unfinalized graphs: scan each candidate's (typically short) neighbor
+  /// list against the sorted candidate array.
   void build_adjacency_from_lists(const Graph& g) {
     for (std::size_t i = 0; i < n_; ++i) {
       for (int u : g.neighbors(s_.cands[i])) {
@@ -342,12 +342,10 @@ class Search {
     s_.forced.clear();
     s_.folds.clear();
     base_weight_ = 0.0;
+    reduce();
     std::size_t removed = 0;
-    if (opts_.use_reductions) {
-      reduce();
-      for (std::size_t i = 0; i < n_; ++i)
-        if (s_.vstate[i] != kActive) ++removed;
-    }
+    for (std::size_t i = 0; i < n_; ++i)
+      if (s_.vstate[i] != kActive) ++removed;
 
     // First-mini-round balls rarely reduce at all; reuse the full order
     // (same contents, weights untouched by any fold) instead of re-sorting.
@@ -406,9 +404,8 @@ class Search {
     if (fallback_w > total) {  // only reachable after a node-cap abort
       s_.best_set = s_.fallback_set;
       total = fallback_w;
-      // Fallback weights are the originals: recompute from pre-fold values
-      // is unnecessary — folds only fire with use_reductions, and the
-      // fallback sum was taken before any fold mutated s_.w.
+      // Fallback weights are the originals: the fallback sum was taken
+      // before any fold mutated s_.w.
     }
 
     MwisResult res;
@@ -810,16 +807,6 @@ MwisResult BranchAndBoundMwisSolver::solve_with_scratch(
 MwisResult BranchAndBoundMwisSolver::solve(const Graph& g,
                                            std::span<const double> weights,
                                            std::span<const int> candidates) {
-  if (!reuse_scratch_) {
-    // Seed behavior: allocate per solve, list-scan adjacency build, classic
-    // greedy-cover search.
-    SolveScratch fresh;
-    BnbSolveOptions seed_opts;
-    seed_opts.use_adjacency_rows = false;
-    seed_opts.enhanced = false;
-    seed_opts.use_reductions = false;
-    return solve_with_scratch(g, weights, candidates, fresh, seed_opts);
-  }
   return solve_with_scratch(g, weights, candidates, scratch_);
 }
 

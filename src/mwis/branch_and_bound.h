@@ -15,9 +15,9 @@
 // Two search modes share the instance-build code (see BnbSolveOptions):
 //
 //   classic   The seed algorithm: one-shot greedy clique cover, DFS over
-//             cliques with the static suffix-max bound. Kept byte-for-byte
-//             for solver-level baseline comparisons (bench_solver_micro)
-//             and equivalence tests.
+//             cliques with the static suffix-max bound. Kept as the exact
+//             oracle above brute force's 24-vertex cap: tests cross-check
+//             the enhanced search against it on ball-sized instances.
 //
 //   enhanced  Preprocessing reductions (non-positive-weight drop, isolated
 //             take, degree-1 take/fold, adjacent weight-dominance removal),
@@ -37,12 +37,14 @@
 // hierarchy and the memoization contract.
 //
 // Repeated solves (one per leader per decision slot) dominate the decision
-// path, so the per-solve working set lives in a caller-owned `SolveScratch`
-// whose buffers are reused across solves, and local adjacency is gathered
-// from the graph's packed bitset rows (mask + remap) instead of per-neighbor
-// binary search when the matrix is available. Reuse contract: a scratch may
-// be shared by solves over *different* graphs and candidate sets (buffers
-// resize as needed) but never by two solves concurrently.
+// path, so the per-solve working set lives in a `SolveScratch` whose buffers
+// are reused across solves (the solver's own for `solve`, a caller-owned
+// one for `solve_with_scratch`). The graph decides where local adjacency
+// comes from: a finalized graph's packed rows (mask + remap), an
+// unfinalized graph's build-phase lists (per-neighbor binary search) — the
+// same bits either way. Reuse contract: a scratch may be shared by solves
+// over *different* graphs and candidate sets (buffers resize as needed) but
+// never by two solves concurrently.
 #pragma once
 
 #include <cstdint>
@@ -91,19 +93,12 @@ struct SolveScratch {
 };
 
 /// Per-solve feature selection for BranchAndBoundMwisSolver. The defaults
-/// are the fast path; all-false (plus use_adjacency_rows=false) reproduces
-/// the seed implementation exactly.
+/// are the production search.
 struct BnbSolveOptions {
-  /// Gather local adjacency from the graph's packed rows when available —
-  /// dense bitset rows for n <= Graph::kAdjacencyMatrixLimit, sharded
-  /// sparse-row blocks beyond it (false = per-neighbor binary search, the
-  /// seed build).
-  bool use_adjacency_rows = true;
-  /// Enhanced search: component decomposition + conflict counters +
-  /// residual-refined clique bound. False = classic (seed) search.
+  /// Enhanced search: reductions + component decomposition + conflict
+  /// counters + residual-refined clique bound. False = classic (seed)
+  /// search, the exact oracle tests compare against.
   bool enhanced = true;
-  /// Preprocessing reductions (requires `enhanced`; ignored otherwise).
-  bool use_reductions = true;
   /// Memoized clique cover: clique id per candidate, aligned with the
   /// *sorted* candidate span (callers pass candidates pre-sorted when using
   /// this). Ids must be < clique_id_bound; members of one id must be
@@ -115,17 +110,10 @@ struct BnbSolveOptions {
 
 class BranchAndBoundMwisSolver : public MwisSolver {
  public:
-  /// `reuse_scratch`: keep one SolveScratch inside the solver so repeated
-  /// `solve` calls reuse buffers, gather adjacency from bitset rows, and run
-  /// the enhanced search. With false, every solve allocates fresh, builds
-  /// adjacency by per-neighbor binary search and runs the classic search —
-  /// the seed implementation's behavior, kept for equivalence tests and
-  /// solver-level baselines. Both modes are exact when they complete
-  /// (`exact == true`), so they agree on every instance whose optimum is
-  /// unique; under a node-cap abort their anytime incumbents may differ.
-  explicit BranchAndBoundMwisSolver(std::int64_t node_cap = 5'000'000,
-                                    bool reuse_scratch = true)
-      : node_cap_(node_cap), reuse_scratch_(reuse_scratch) {}
+  /// `solve` runs the enhanced search over the solver's own SolveScratch,
+  /// so repeated calls reuse its buffers.
+  explicit BranchAndBoundMwisSolver(std::int64_t node_cap = 5'000'000)
+      : node_cap_(node_cap) {}
 
   std::string name() const override { return "branch-and-bound"; }
 
@@ -143,8 +131,7 @@ class BranchAndBoundMwisSolver : public MwisSolver {
 
  private:
   std::int64_t node_cap_;
-  bool reuse_scratch_;
-  SolveScratch scratch_;  ///< Used only when reuse_scratch_.
+  SolveScratch scratch_;  ///< Working memory of `solve`.
 };
 
 }  // namespace mhca

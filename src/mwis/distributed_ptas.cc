@@ -4,7 +4,6 @@
 #include <bit>
 #include <chrono>
 #include <cstdio>
-#include <limits>
 #include <thread>
 #include <utility>
 
@@ -16,17 +15,6 @@
 
 namespace mhca {
 namespace {
-
-/// Election key: (weight, -id) lexicographic, so higher weight wins and the
-/// lower id breaks exact ties deterministically.
-using Key = std::pair<double, int>;
-
-Key key_of(int v, std::span<const double> w) {
-  return {w[static_cast<std::size_t>(v)], -v};
-}
-
-constexpr Key kMinKey{-std::numeric_limits<double>::infinity(),
-                      std::numeric_limits<int>::min()};
 
 /// Order-preserving 64-bit encoding of a weight: for non-NaN doubles,
 /// enc(a) < enc(b) ⟺ a < b and enc(a) == enc(b) ⟺ a == b (-0.0 is
@@ -57,34 +45,27 @@ DistributedRobustPtas::DistributedRobustPtas(const Graph& h,
   MHCA_ASSERT(cfg_.max_mini_rounds >= 0, "negative mini-round budget");
   MHCA_ASSERT(cfg_.local_solve_parallelism >= 0, "negative parallelism");
   MHCA_ASSERT(cfg_.cache_build_parallelism >= 0, "negative parallelism");
-  if (cfg_.use_decision_cache) {
-    cache_ = NeighborhoodCache(h, cfg_.r, cfg_.use_memoized_covers,
-                               cfg_.cache_build_parallelism);
-    // SoA election state is allocated once here and epoch-reset per
-    // decision (see the header note); the graph's vertex count is fixed
-    // for the engine's lifetime.
-    const auto n = static_cast<std::size_t>(h.size());
-    election_keys_.assign(n, 0);
-    chain_head_.assign(n, -1);
-    chain_next_.assign(n, -1);
-    has_chain_.assign((n + 63) / 64, 0);
-    cursor_.assign(n, {});
-    soa_stamp_.assign(n, 0);
-  }
+  cache_ = NeighborhoodCache(h, cfg_.r, cfg_.use_memoized_covers,
+                             cfg_.cache_build_parallelism);
+  // SoA election state is allocated once here and epoch-reset per decision
+  // (see the header note); the graph's vertex count is fixed for the
+  // engine's lifetime.
+  const auto n = static_cast<std::size_t>(h.size());
+  election_keys_.assign(n, 0);
+  chain_head_.assign(n, -1);
+  chain_next_.assign(n, -1);
+  has_chain_.assign((n + 63) / 64, 0);
+  cursor_.assign(n, {});
+  soa_stamp_.assign(n, 0);
 }
 
-int DistributedRobustPtas::ball_size(int v, int radius) {
-  if (cache_.built()) {
-    if (radius == cfg_.r) return cache_.r_ball_size(v);
-    if (radius == 2 * cfg_.r + 1) return cache_.election_ball_size(v);
-  }
-  auto& sizes = ball_size_cache_[radius];
-  if (sizes.empty()) sizes.assign(static_cast<std::size_t>(h_.size()), -1);
-  int& s = sizes[static_cast<std::size_t>(v)];
+int DistributedRobustPtas::lb_ball_size(int v) {
+  if (lb_ball_size_.empty())
+    lb_ball_size_.assign(static_cast<std::size_t>(h_.size()), -1);
+  int& s = lb_ball_size_[static_cast<std::size_t>(v)];
   if (s < 0) {
-    std::vector<int> ball;
-    scratch_.k_hop_neighborhood(h_, v, radius, ball);
-    s = static_cast<int>(ball.size());
+    scratch_.k_hop_neighborhood(h_, v, 3 * cfg_.r + 2, ball_buf_);
+    s = static_cast<int>(ball_buf_.size());
   }
   return s;
 }
@@ -92,37 +73,8 @@ int DistributedRobustPtas::ball_size(int v, int radius) {
 std::int64_t DistributedRobustPtas::weight_broadcast_messages(
     std::span<const int> prev_winners) {
   std::int64_t msgs = 0;
-  for (int v : prev_winners) msgs += ball_size(v, 2 * cfg_.r + 1);
+  for (int v : prev_winners) msgs += cache_.election_ball_size(v);
   return msgs;
-}
-
-void DistributedRobustPtas::elect_by_relaxation(
-    std::span<const double> weights, const std::vector<VertexStatus>& status,
-    std::vector<int>& leaders) {
-  const int n = h_.size();
-  const int election_hops = 2 * cfg_.r + 1;
-  relax_.resize(static_cast<std::size_t>(n));
-  relax_next_.resize(static_cast<std::size_t>(n));
-  for (int v = 0; v < n; ++v)
-    relax_[static_cast<std::size_t>(v)] =
-        status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate
-            ? key_of(v, weights)
-            : kMinKey;
-  for (int step = 0; step < election_hops; ++step) {
-    for (int v = 0; v < n; ++v) {
-      Key best = relax_[static_cast<std::size_t>(v)];
-      for (int u : h_.neighbors(v))
-        best = std::max(best, relax_[static_cast<std::size_t>(u)]);
-      relax_next_[static_cast<std::size_t>(v)] = best;
-    }
-    std::swap(relax_, relax_next_);
-  }
-  for (int v = 0; v < n; ++v) {
-    if (status[static_cast<std::size_t>(v)] != VertexStatus::kCandidate)
-      continue;
-    if (relax_[static_cast<std::size_t>(v)] == key_of(v, weights))
-      leaders.push_back(v);
-  }
 }
 
 void DistributedRobustPtas::elect_by_cache(
@@ -354,8 +306,8 @@ void DistributedRobustPtas::elect_by_cache(
     }
     classify(rescan_buf_[i]);
   }
-  // Chain-walk order is arbitrary; the protocol (and the seed path) elect
-  // in ascending id order, and apply order is observable.
+  // Chain-walk order is arbitrary; the protocol elects in ascending id
+  // order, and apply order is observable.
   std::sort(leaders.begin(), leaders.end());
 }
 
@@ -369,24 +321,11 @@ void DistributedRobustPtas::gather_local_instances(
   gather_offsets_.push_back(0);
   for (std::size_t li = 0; li < leaders.size(); ++li) {
     const int leader = leaders[li];
-    std::span<const int> ball;
+    const std::span<const int> ball = cache_.r_ball(leader);
     std::span<const int> ball_cover;
-    if (cache_.built()) {
-      ball = cache_.r_ball(leader);
-      if (cfg_.use_memoized_covers) {
-        ball_cover = cache_.r_ball_cover(leader);
-        gather_cover_counts_[li] = cache_.r_ball_clique_count(leader);
-      }
-    } else {
-      scratch_.k_hop_neighborhood(h_, leader, cfg_.r, ball_buf_);
-      ball = ball_buf_;
-      if (cfg_.use_memoized_covers) {
-        // Seed path: rebuild the (weight-free, deterministic) ball cover the
-        // cache would have memoized — identical ids by construction.
-        gather_cover_counts_[li] =
-            NeighborhoodCache::build_ball_cover(h_, ball, cover_buf_);
-        ball_cover = cover_buf_;
-      }
+    if (cfg_.use_memoized_covers) {
+      ball_cover = cache_.r_ball_cover(leader);
+      gather_cover_counts_[li] = cache_.r_ball_clique_count(leader);
     }
     for (std::size_t i = 0; i < ball.size(); ++i) {
       const int v = ball[i];
@@ -414,10 +353,8 @@ void DistributedRobustPtas::solve_local_instances(
     return;
   }
 
-  const auto solve_one = [&](std::size_t li, SolveScratch& scratch,
-                             bool cached_path) {
+  const auto solve_one = [&](std::size_t li, SolveScratch& scratch) {
     BnbSolveOptions opts;
-    opts.use_adjacency_rows = cached_path;
     if (cfg_.use_memoized_covers) {
       opts.cand_clique_ids =
           std::span<const int>(gather_cover_ids_)
@@ -429,15 +366,6 @@ void DistributedRobustPtas::solve_local_instances(
         exact_.solve_with_scratch(h_, weights, instance(li), scratch, opts);
   };
 
-  if (!cache_.built()) {
-    // Seed path: allocate fresh working memory per solve, list-scan build.
-    for (std::size_t li = 0; li < leaders.size(); ++li) {
-      SolveScratch fresh;
-      solve_one(li, fresh, /*cached_path=*/false);
-    }
-    return;
-  }
-
   int workers = cfg_.local_solve_parallelism;
   if (workers == 0) {
     workers = static_cast<int>(std::thread::hardware_concurrency());
@@ -448,7 +376,7 @@ void DistributedRobustPtas::solve_local_instances(
     worker_scratch_.resize(static_cast<std::size_t>(workers));
   if (workers <= 1) {
     for (std::size_t li = 0; li < leaders.size(); ++li)
-      solve_one(li, worker_scratch_[0], /*cached_path=*/true);
+      solve_one(li, worker_scratch_[0]);
     return;
   }
   // Strided fan-out: worker j owns leaders j, j+W, ... with its own scratch.
@@ -458,27 +386,23 @@ void DistributedRobustPtas::solve_local_instances(
       [&](int j) {
         for (std::size_t li = static_cast<std::size_t>(j);
              li < leaders.size(); li += static_cast<std::size_t>(workers))
-          solve_one(li, worker_scratch_[static_cast<std::size_t>(j)],
-                    /*cached_path=*/true);
+          solve_one(li, worker_scratch_[static_cast<std::size_t>(j)]);
       },
       workers);
 }
 
 void DistributedRobustPtas::on_graph_delta(std::span<const int> touched) {
-  if (cache_.built()) cache_.apply_delta(h_, touched);
-  // Scoped invalidation of the memoized flood ball sizes, mirroring the
-  // cache's: |J_k(v)| can only change if v is within k hops of a touched
-  // vertex on the old or the new graph, and one BFS on the new graph
-  // covers both — `touched` contains both endpoints of every removed
+  cache_.apply_delta(h_, touched);
+  // Scoped invalidation of the memoized LB flood ball sizes, mirroring the
+  // cache's: |J_{3r+2}(v)| can only change if v is within 3r+2 hops of a
+  // touched vertex on the old or the new graph, and one BFS on the new
+  // graph covers both — `touched` contains both endpoints of every removed
   // edge, so an old-graph path from touched survives intact from its last
   // removed edge on (whose far endpoint is itself touched), making
-  // old-graph reach a subset of new-graph reach. The former wholesale
-  // clear() re-derived every memoized size after a single-edge delta —
-  // O(n · ball) BFS work on the uncached seed path.
-  for (auto& [radius, sizes] : ball_size_cache_) {
-    scratch_.multi_source_k_hop(h_, touched, radius, reach_buf_);
-    for (int v : reach_buf_) sizes[static_cast<std::size_t>(v)] = -1;
-  }
+  // old-graph reach a subset of new-graph reach.
+  if (lb_ball_size_.empty()) return;
+  scratch_.multi_source_k_hop(h_, touched, 3 * cfg_.r + 2, reach_buf_);
+  for (int v : reach_buf_) lb_ball_size_[static_cast<std::size_t>(v)] = -1;
 }
 
 DistributedPtasResult DistributedRobustPtas::run(
@@ -490,7 +414,6 @@ DistributedPtasResult DistributedRobustPtas::run(
   MHCA_ASSERT(active.empty() || static_cast<int>(active.size()) == n,
               "activity mask mismatch");
   const int r = cfg_.r;
-  const int election_hops = 2 * r + 1;
   const bool timed = cfg_.collect_stage_times;
 
   // Tracing (src/obs): one relaxed load per decision; every span below is
@@ -518,26 +441,23 @@ DistributedPtasResult DistributedRobustPtas::run(
   DistributedPtasResult res;
   std::vector<int> leaders;
 
-  // Cached path: materialize the SoA election keys for this decision;
-  // elect_by_cache maintains them incrementally across mini-rounds, fed by
-  // the status flips the apply phase records in changed_/died_. The
-  // blocker chains and scan cursors are *not* reassigned here — bumping
-  // soa_epoch_ invalidates them all, and each vertex's entries reset
-  // lazily on first touch (five O(n) array fills used to dominate decision
-  // setup at 50k vertices). election_keys_ needs no stamp: it is all-zero
-  // between decisions, so the fill below writes candidate keys only.
-  const bool cached = cache_.built();
-  if (cached) {
-    if (++soa_epoch_ == 0) {  // wrap: stale stamps could alias the new epoch
-      std::fill(soa_stamp_.begin(), soa_stamp_.end(), 0);
-      soa_epoch_ = 1;
-    }
-    died_.clear();
-    for (int v = 0; v < n; ++v) {
-      if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate)
-        election_keys_[static_cast<std::size_t>(v)] =
-            election_key(weights[static_cast<std::size_t>(v)]);
-    }
+  // Materialize the SoA election keys for this decision; elect_by_cache
+  // maintains them incrementally across mini-rounds, fed by the status
+  // flips the apply phase records in changed_/died_. The blocker chains
+  // and scan cursors are *not* reassigned here — bumping soa_epoch_
+  // invalidates them all, and each vertex's entries reset lazily on first
+  // touch (five O(n) array fills used to dominate decision setup at 50k
+  // vertices). election_keys_ needs no stamp: it is all-zero between
+  // decisions, so the fill below writes candidate keys only.
+  if (++soa_epoch_ == 0) {  // wrap: stale stamps could alias the new epoch
+    std::fill(soa_stamp_.begin(), soa_stamp_.end(), 0);
+    soa_epoch_ = 1;
+  }
+  died_.clear();
+  for (int v = 0; v < n; ++v) {
+    if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate)
+      election_keys_[static_cast<std::size_t>(v)] =
+          election_key(weights[static_cast<std::size_t>(v)]);
   }
   if (tr) tr->end(obs::kTidEngine);  // ptas.setup
   if (timed) acc.setup_ms = ms_since(t_entry);
@@ -557,11 +477,7 @@ DistributedPtasResult DistributedRobustPtas::run(
       tr->begin(obs::kTidEngine, "ptas.election", a);
     }
     leaders.clear();
-    if (cached) {
-      elect_by_cache(status, leaders, /*first_round=*/mini_round == 1);
-    } else {
-      elect_by_relaxation(weights, status, leaders);
-    }
+    elect_by_cache(status, leaders, /*first_round=*/mini_round == 1);
     MHCA_ASSERT(!leaders.empty(),
                 "a candidate of globally maximal weight must elect itself");
     rec.leaders = static_cast<int>(leaders.size());
@@ -604,7 +520,7 @@ DistributedPtasResult DistributedRobustPtas::run(
       // Winners first, then every remaining candidate in the ball loses.
       for (int v : local.vertices) {
         status[static_cast<std::size_t>(v)] = VertexStatus::kWinner;
-        if (cached) changed_.push_back(v);
+        changed_.push_back(v);
         res.winners.push_back(v);
         res.weight += weights[static_cast<std::size_t>(v)];
         --candidates;
@@ -616,7 +532,7 @@ DistributedPtasResult DistributedRobustPtas::run(
         const int v = gather_cands_[ci];
         if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate) {
           status[static_cast<std::size_t>(v)] = VertexStatus::kLoser;
-          if (cached) changed_.push_back(v);
+          changed_.push_back(v);
           --candidates;
           ++rec.new_losers;
         }
@@ -629,15 +545,15 @@ DistributedPtasResult DistributedRobustPtas::run(
         for (int u : h_.neighbors(w)) {
           if (status[static_cast<std::size_t>(u)] == VertexStatus::kCandidate) {
             status[static_cast<std::size_t>(u)] = VertexStatus::kLoser;
-            if (cached) changed_.push_back(u);
+            changed_.push_back(u);
             --candidates;
             ++rec.new_losers;
           }
         }
       }
       if (cfg_.count_messages) {
-        rec.messages += ball_size(leader, election_hops);  // LD flood
-        rec.messages += ball_size(leader, 3 * r + 2);      // LB flood
+        rec.messages += cache_.election_ball_size(leader);  // LD flood
+        rec.messages += lb_ball_size(leader);               // LB flood
       }
     }
     // Election maintenance, O(status flips): a vertex leaving candidacy
@@ -647,17 +563,15 @@ DistributedPtasResult DistributedRobustPtas::run(
     // next election runs immediately after this loop, so prefetching each
     // death's chain head here hides the misses the solve phase just
     // inflicted on the election arrays.
-    if (cached) {
-      for (int c : changed_) {
-        const auto ci = static_cast<std::size_t>(c);
-        election_keys_[ci] = 0;
+    for (int c : changed_) {
+      const auto ci = static_cast<std::size_t>(c);
+      election_keys_[ci] = 0;
 #if defined(__GNUC__)
-        __builtin_prefetch(&has_chain_[ci / 64]);
-        __builtin_prefetch(&chain_head_[ci]);
+      __builtin_prefetch(&has_chain_[ci / 64]);
+      __builtin_prefetch(&chain_head_[ci]);
 #endif
-      }
-      std::swap(died_, changed_);
     }
+    std::swap(died_, changed_);
     if (tr) tr->end(obs::kTidEngine);  // ptas.apply
     if (timed) acc.apply_ms += ms_since(t0);
 
@@ -673,7 +587,7 @@ DistributedPtasResult DistributedRobustPtas::run(
   // An early exit on the mini-round budget leaves unmarked candidates with
   // live keys; restore the all-zero invariant the next decision's key fill
   // relies on.
-  if (cached && candidates > 0) {
+  if (candidates > 0) {
     for (int v = 0; v < n; ++v) {
       if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate)
         election_keys_[static_cast<std::size_t>(v)] = 0;

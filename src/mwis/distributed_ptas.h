@@ -23,28 +23,25 @@
 // parallelism), then statuses/messages are updated.
 //
 // The graph never changes between decision slots — only the weights do — so
-// by default the constructor precomputes a NeighborhoodCache (per-vertex
-// r-hop and (2r+1)-hop balls) and `run()` walks those cached spans: leader
-// election checks each Candidate's election ball directly (equivalent to
-// the seed's (2r+1) rounds of max-relaxation, which compute exactly the
-// ball maxima a real flood would propagate), and local solves read cached
-// r-balls instead of re-running BFS. The cached election is additionally
-// structure-of-arrays and incremental: candidate weights live in a flat
-// array of order-preserving 64-bit keys scanned with a blockwise
-// branch-light max, and across mini-rounds only candidates whose election
-// ball saw a status flip are rescanned — an unchanged ball means an
-// unchanged maximum, so last round's "not a leader" verdict stands (see
-// elect_by_cache). Message *accounting* is unchanged: it still charges the
-// real flood sizes. `use_decision_cache = false` restores the seed
-// re-derivation path (kept for equivalence tests and benches); the
-// local-solve *algorithm* is shared by both paths, so their decisions are
-// byte-identical unconditionally — node-cap aborts and weight ties
-// included.
+// the constructor precomputes a NeighborhoodCache (per-vertex r-hop and
+// (2r+1)-hop balls) and `run()` walks those cached spans: leader election
+// checks each Candidate's election ball directly (equivalent to (2r+1)
+// rounds of max-relaxation, which compute exactly the ball maxima a real
+// flood would propagate), and local solves read cached r-balls instead of
+// re-running BFS. The election is additionally structure-of-arrays and
+// incremental: candidate weights live in a flat array of order-preserving
+// 64-bit keys scanned with a blockwise branch-light max, and across
+// mini-rounds only candidates whose election ball saw a status flip are
+// rescanned — an unchanged ball means an unchanged maximum, so last round's
+// "not a leader" verdict stands (see elect_by_cache). Message *accounting*
+// still charges the real flood sizes. The relaxation-and-BFS formulation
+// survives as a test-only oracle (tests/reference/seed_ptas.h); the
+// equivalence suites demand byte-identical decisions against it — node-cap
+// aborts and weight ties included.
 #pragma once
 
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/graph.h"
@@ -76,16 +73,11 @@ struct DistributedPtasConfig {
   /// β-approximate local oracle. Raise for offline/optimum-quality runs.
   std::int64_t bnb_node_cap = kDefaultBnbNodeCap;
   bool count_messages = false;          ///< Track flood sizes (costs BFS).
-  /// Precompute ball structure once and reuse solver scratch across local
-  /// solves. False = per-decision re-derivation exactly as the seed
-  /// implementation (same results either way, slower).
-  bool use_decision_cache = true;
   /// Fan independent per-leader local solves of one mini-round across
-  /// worker threads (cached path, exact solver only). 0 = one worker per
+  /// worker threads (exact solver only). 0 = one worker per
   /// hardware thread, 1 = inline. Deterministic at any setting.
   int local_solve_parallelism = 0;
-  /// Reuse the per-ball clique cover memoized in the NeighborhoodCache
-  /// (rebuilt per solve on the seed path — identical either way). Off by
+  /// Reuse the per-ball clique cover memoized in the NeighborhoodCache. Off by
   /// default: the weight-free partition is a measurably weaker bound than
   /// the per-solve weight-descending cover on hard balls (see
   /// src/mwis/README.md); enable where cover construction dominates.
@@ -148,14 +140,14 @@ struct DecisionStageTimes {
 
 class DistributedRobustPtas {
  public:
-  /// The graph reference must outlive this object. The graph must not be
-  /// mutated afterwards when the decision cache is enabled.
+  /// The graph reference must outlive this object. Mutations of the graph
+  /// must be reported through on_graph_delta before the next run().
   explicit DistributedRobustPtas(const Graph& h,
                                  DistributedPtasConfig cfg = {});
 
   const DistributedPtasConfig& config() const { return cfg_; }
 
-  /// The precomputed ball structure (unbuilt if use_decision_cache=false).
+  /// The precomputed ball structure.
   const NeighborhoodCache& neighborhood_cache() const { return cache_; }
 
   /// Run one full strategy decision over the given vertex weights.
@@ -170,8 +162,8 @@ class DistributedRobustPtas {
   /// the H vertices incident to an added/removed edge. Re-synchronizes the
   /// NeighborhoodCache by scoped invalidation (balls within 2r+1 hops of a
   /// touched vertex, old or new graph), and scope-invalidates the lazily
-  /// memoized flood ball sizes the same way: only vertices within radius-k
-  /// hops of `touched` on the *new* graph can have a changed |J_k| (the
+  /// memoized LB flood ball sizes the same way: only vertices within 3r+2
+  /// hops of `touched` on the *new* graph can have a changed |J_{3r+2}| (the
   /// touched set contains both endpoints of every removed edge, so any
   /// old-graph path from a touched vertex survives from its last removed
   /// edge on — old-graph reach is a subset of new-graph reach). Decisions
@@ -187,17 +179,12 @@ class DistributedRobustPtas {
   void reset_stage_times() { stage_times_ = {}; }
 
  private:
-  int ball_size(int v, int radius);
+  /// |J_{3r+2}(v)|, memoized lazily per vertex (BFS on first use).
+  int lb_ball_size(int v);
 
-  /// Seed election: (2r+1) rounds of max-relaxation over the adjacency
-  /// structure — exactly the information a real flood would propagate —
-  /// with ties broken by vertex id (the paper assumes distinct weights).
-  void elect_by_relaxation(std::span<const double> weights,
-                           const std::vector<VertexStatus>& status,
-                           std::vector<int>& leaders);
-
-  /// Cached election: a Candidate leads iff no Candidate in its cached
-  /// (2r+1)-hop ball has a larger key. Identical leader set by construction.
+  /// Election: a Candidate leads iff no Candidate in its cached (2r+1)-hop
+  /// ball has a larger key (ties broken by the lower vertex id — the paper
+  /// assumes distinct weights).
   ///
   /// Keys live in a structure-of-arrays `election_keys_` of order-preserving
   /// 64-bit encodings (0 = not a candidate), so the ball scan is a
@@ -223,8 +210,8 @@ class DistributedRobustPtas {
   void gather_local_instances(const std::vector<int>& leaders,
                               const std::vector<VertexStatus>& status);
 
-  /// Solve every gathered instance (exact solves fan out across workers on
-  /// the cached path), filling solve_results_ leader by leader.
+  /// Solve every gathered instance (exact solves fan out across workers),
+  /// filling solve_results_ leader by leader.
   void solve_local_instances(const std::vector<int>& leaders,
                              std::span<const double> weights);
 
@@ -233,14 +220,11 @@ class DistributedRobustPtas {
   BranchAndBoundMwisSolver exact_;
   GreedyMwisSolver greedy_;
   BfsScratch scratch_;
-  NeighborhoodCache cache_;  ///< Built once iff cfg_.use_decision_cache.
-  /// radius -> per-vertex |J_radius(v)| (-1 = not yet computed). Serves the
-  /// radii the cache does not store (the 3r+2 LB flood).
-  std::unordered_map<int, std::vector<int>> ball_size_cache_;
-  // run() working buffers, reused across decision slots.
-  std::vector<std::pair<double, int>> relax_;
-  std::vector<std::pair<double, int>> relax_next_;
-  // Incremental SoA election state (cached path; see elect_by_cache).
+  NeighborhoodCache cache_;
+  /// Per-vertex |J_{3r+2}(v)| of the LB flood, the one radius the cache
+  /// does not store (-1 = not yet computed).
+  std::vector<int> lb_ball_size_;
+  // Incremental SoA election state (see elect_by_cache).
   // Allocated once in the constructor and reset *lazily* per decision:
   // run() bumps `soa_epoch_` instead of reassigning the arrays, and the
   // first touch of a vertex in a decision (its classify() or its first
@@ -277,8 +261,7 @@ class DistributedRobustPtas {
   std::vector<int> gather_cover_counts_;
   std::vector<MwisResult> solve_results_;
   std::vector<SolveScratch> worker_scratch_;
-  std::vector<int> ball_buf_;            ///< Seed-path BFS ball.
-  std::vector<int> cover_buf_;           ///< Seed-path fresh ball cover.
+  std::vector<int> ball_buf_;            ///< lb_ball_size() BFS output.
   DecisionStageTimes stage_times_;
 };
 

@@ -1,11 +1,13 @@
-// Equivalence tests for the decision-path overhaul: the cached decision
-// path (CSR/bitset graph, NeighborhoodCache election, scratch-reuse B&B)
-// must produce byte-identical results to the seed re-derivation path on
-// every topology, and the reusable structures must survive repeated use —
-// including the node-cap abort path.
+// Equivalence tests for the decision path: the engine (CSR/bitset graph,
+// NeighborhoodCache election, scratch-reuse B&B) must produce
+// byte-identical results to the seed re-derivation reference
+// (tests/reference/seed_ptas.h) on every topology and configuration —
+// mini-round budgets and node-cap aborts included — and the reusable
+// structures must survive repeated use.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
 #include <vector>
 
 #include "graph/extended_graph.h"
@@ -13,6 +15,8 @@
 #include "graph/neighborhood_cache.h"
 #include "mwis/branch_and_bound.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/seed_ptas.h"
+#include "reference/unfinalized_copy.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -24,44 +28,64 @@ std::vector<double> random_weights(int n, Rng& rng) {
   return w;
 }
 
-/// Run both engine configurations over the same weight sequence and demand
-/// identical winners, weights, and protocol traces.
-void expect_paths_identical(const Graph& h, int r, int decisions,
-                            std::uint64_t weight_seed) {
-  DistributedPtasConfig cached_cfg;
-  cached_cfg.r = r;
-  cached_cfg.count_messages = true;
-  DistributedPtasConfig seed_cfg = cached_cfg;
-  seed_cfg.use_decision_cache = false;
-
-  DistributedRobustPtas cached(h, cached_cfg);
-  DistributedRobustPtas seed(h, seed_cfg);
-  ASSERT_TRUE(cached.neighborhood_cache().built());
-  ASSERT_FALSE(seed.neighborhood_cache().built());
+/// Run the engine and the reference over the same weight sequence — one
+/// engine instance across all decisions, so incremental state carries
+/// over — and demand identical winners, weights, and protocol traces.
+/// `active_prob` < 1 draws a fresh activity mask per decision. Returns how
+/// many decisions hit the node cap somewhere.
+int expect_paths_identical(const Graph& h, DistributedPtasConfig cfg,
+                           int decisions, std::uint64_t weight_seed,
+                           double active_prob = 1.0) {
+  cfg.count_messages = true;
+  DistributedRobustPtas engine(h, cfg);
+  reference::SeedPtas seed(h, cfg);
+  EXPECT_TRUE(engine.neighborhood_cache().built());
 
   Rng rng(weight_seed);
+  std::vector<char> active;
+  int capped = 0;
   for (int d = 0; d < decisions; ++d) {
+    SCOPED_TRACE("decision " + std::to_string(d));
     const auto w = random_weights(h.size(), rng);
-    const DistributedPtasResult a = cached.run(w);
-    const DistributedPtasResult b = seed.run(w);
-    ASSERT_EQ(a.winners, b.winners) << "decision " << d;
+    active.clear();
+    if (active_prob < 1.0)
+      for (int v = 0; v < h.size(); ++v)
+        active.push_back(rng.bernoulli(active_prob) ? 1 : 0);
+    const DistributedPtasResult a = engine.run(w, active);
+    const DistributedPtasResult b = seed.run(w, active);
+    EXPECT_EQ(a.winners, b.winners);
     EXPECT_DOUBLE_EQ(a.weight, b.weight);
     EXPECT_EQ(a.all_marked, b.all_marked);
     EXPECT_EQ(a.mini_rounds_used, b.mini_rounds_used);
     EXPECT_EQ(a.total_messages, b.total_messages);
     EXPECT_EQ(a.total_mini_timeslots, b.total_mini_timeslots);
     EXPECT_EQ(a.solver_nodes_explored, b.solver_nodes_explored);
-    ASSERT_EQ(a.mini_rounds.size(), b.mini_rounds.size());
-    for (std::size_t i = 0; i < a.mini_rounds.size(); ++i) {
+    EXPECT_EQ(a.all_local_solves_exact, b.all_local_solves_exact);
+    EXPECT_EQ(a.mini_rounds.size(), b.mini_rounds.size());
+    for (std::size_t i = 0;
+         i < std::min(a.mini_rounds.size(), b.mini_rounds.size()); ++i) {
       EXPECT_EQ(a.mini_rounds[i].leaders, b.mini_rounds[i].leaders);
       EXPECT_EQ(a.mini_rounds[i].new_winners, b.mini_rounds[i].new_winners);
       EXPECT_EQ(a.mini_rounds[i].new_losers, b.mini_rounds[i].new_losers);
+      EXPECT_EQ(a.mini_rounds[i].candidates_remaining,
+                b.mini_rounds[i].candidates_remaining);
+      EXPECT_EQ(a.mini_rounds[i].cumulative_weight,
+                b.mini_rounds[i].cumulative_weight);
       EXPECT_EQ(a.mini_rounds[i].messages, b.mini_rounds[i].messages);
     }
     // Weight-broadcast accounting agrees between cached and BFS sizes.
-    EXPECT_EQ(cached.weight_broadcast_messages(a.winners),
+    EXPECT_EQ(engine.weight_broadcast_messages(a.winners),
               seed.weight_broadcast_messages(b.winners));
+    if (!a.all_local_solves_exact) ++capped;
+    if (::testing::Test::HasFailure()) break;  // one report per input
   }
+  return capped;
+}
+
+DistributedPtasConfig with_r(int r) {
+  DistributedPtasConfig cfg;
+  cfg.r = r;
+  return cfg;
 }
 
 TEST(DecisionPathEquivalence, RandomGeometricGraphs) {
@@ -69,7 +93,7 @@ TEST(DecisionPathEquivalence, RandomGeometricGraphs) {
     Rng rng(static_cast<std::uint64_t>(r) * 101 + 7);
     ConflictGraph cg = random_geometric_avg_degree(40, 5.0, rng);
     ExtendedConflictGraph ecg(cg, 4);
-    expect_paths_identical(ecg.graph(), r, 3,
+    expect_paths_identical(ecg.graph(), with_r(r), 3,
                            static_cast<std::uint64_t>(r) * 997 + 3);
   }
 }
@@ -79,20 +103,78 @@ TEST(DecisionPathEquivalence, AdversarialGraphs) {
   {
     ConflictGraph cg = complete_network(12);
     ExtendedConflictGraph ecg(cg, 3);
-    expect_paths_identical(ecg.graph(), 2, 2, 11);
+    expect_paths_identical(ecg.graph(), with_r(2), 2, 11);
   }
   // Dense Erdős–Rényi: decidedly non-geometric, non-growth-bounded.
   {
     Rng rng(21);
     ConflictGraph cg = erdos_renyi(30, 0.3, rng);
     ExtendedConflictGraph ecg(cg, 3);
-    expect_paths_identical(ecg.graph(), 2, 2, 23);
+    expect_paths_identical(ecg.graph(), with_r(2), 2, 23);
   }
   // Fig. 5 linear worst case: maximal mini-round count, one leader each.
   {
     ConflictGraph cg = linear_network(40);
     ExtendedConflictGraph ecg(cg, 2);
-    expect_paths_identical(ecg.graph(), 2, 2, 31);
+    expect_paths_identical(ecg.graph(), with_r(2), 2, 31);
+  }
+}
+
+TEST(DecisionPathEquivalence, MiniRoundBudgetEarlyExit) {
+  // A budget of D mini-rounds stops the decision with candidates left; the
+  // engine then re-zeroes their SoA election keys. Every later decision on
+  // the same engine reads those keys, so a missed reset shows up as a
+  // wrong leader set in the next decision, not in this one. The linear
+  // network guarantees leftovers (one leader per mini-round).
+  for (const int budget : {1, 2}) {
+    SCOPED_TRACE("max_mini_rounds " + std::to_string(budget));
+    for (int r = 1; r <= 2; ++r) {
+      DistributedPtasConfig cfg = with_r(r);
+      cfg.max_mini_rounds = budget;
+      Rng rng(static_cast<std::uint64_t>(budget) * 31 + r);
+      ConflictGraph cg = random_geometric_avg_degree(
+          60, 5.0, rng, /*force_connected=*/false);
+      ExtendedConflictGraph ecg(cg, 3);
+      expect_paths_identical(ecg.graph(), cfg, 6,
+                             static_cast<std::uint64_t>(budget) * 577 + r,
+                             /*active_prob=*/0.8);
+    }
+    ConflictGraph line = linear_network(30);
+    ExtendedConflictGraph ecg(line, 2);
+    DistributedPtasConfig cfg = with_r(1);
+    cfg.max_mini_rounds = budget;
+    expect_paths_identical(ecg.graph(), cfg, 4, 4242 + budget);
+  }
+}
+
+TEST(DecisionPathEquivalence, NodeCapAborts) {
+  // A node cap far below what the r = 3 first-mini-round balls need: local
+  // solves abort with their anytime incumbents, which both paths must
+  // reproduce exactly (same search, same cap, same abort point).
+  DistributedPtasConfig cfg = with_r(3);
+  cfg.bnb_node_cap = 40;
+  Rng rng(3131);
+  ConflictGraph cg = random_geometric_avg_degree(50, 7.0, rng,
+                                                 /*force_connected=*/false);
+  ExtendedConflictGraph ecg(cg, 4);
+  const int capped =
+      expect_paths_identical(ecg.graph(), cfg, 4, 3132, /*active_prob=*/0.9);
+  EXPECT_GT(capped, 0) << "no decision hit the node cap; the abort path "
+                          "went untested";
+}
+
+TEST(DecisionPathEquivalence, RepeatedDecisionsWithActivityMasks) {
+  // Dynamics: a fresh activity mask every decision on one engine, so the
+  // lazily reset blocker chains and scan cursors see vertices flip between
+  // active and inactive.
+  for (int r = 1; r <= 2; ++r) {
+    Rng rng(static_cast<std::uint64_t>(r) * 71 + 5);
+    ConflictGraph cg = random_geometric_avg_degree(
+        80, 6.0, rng, /*force_connected=*/false);
+    ExtendedConflictGraph ecg(cg, 3);
+    expect_paths_identical(ecg.graph(), with_r(r), 8,
+                           static_cast<std::uint64_t>(r) * 89 + 1,
+                           /*active_prob=*/0.7);
   }
 }
 
@@ -101,10 +183,8 @@ TEST(DecisionPathEquivalence, EqualWeightTies) {
   ExtendedConflictGraph ecg(cg, 2);
   const Graph& h = ecg.graph();
   std::vector<double> w(static_cast<std::size_t>(h.size()), 0.5);
-  DistributedPtasConfig seed_cfg;
-  seed_cfg.use_decision_cache = false;
   DistributedRobustPtas cached(h, {});
-  DistributedRobustPtas seed(h, seed_cfg);
+  reference::SeedPtas seed(h, {});
   const auto a = cached.run(w);
   const auto b = seed.run(w);
   EXPECT_EQ(a.winners, b.winners);
@@ -112,8 +192,8 @@ TEST(DecisionPathEquivalence, EqualWeightTies) {
 }
 
 TEST(DecisionPathEquivalence, PathologicalElectionWeights) {
-  // The cached election encodes weights as order-preserving 64-bit keys;
-  // the seed path compares raw doubles. Exercise the encoding's edge
+  // The engine's election encodes weights as order-preserving 64-bit keys;
+  // the reference compares raw doubles. Exercise the encoding's edge
   // cases — negative weights, signed zeros (-0.0 must tie +0.0 exactly as
   // `==` does), dense ties — across repeated decisions and activity masks
   // on one engine, so incremental state (blocker chains, resume cursors)
@@ -123,10 +203,8 @@ TEST(DecisionPathEquivalence, PathologicalElectionWeights) {
                                                  /*force_connected=*/false);
   ExtendedConflictGraph ecg(cg, 3);
   const Graph& h = ecg.graph();
-  DistributedPtasConfig seed_cfg;
-  seed_cfg.use_decision_cache = false;
   DistributedRobustPtas cached(h, {});
-  DistributedRobustPtas seed(h, seed_cfg);
+  reference::SeedPtas seed(h, {});
   const double pool[] = {-1.5, -0.25, -0.0, 0.0, 0.25, 0.25, 0.5, 2.0};
   std::vector<double> w(static_cast<std::size_t>(h.size()));
   std::vector<char> active(static_cast<std::size_t>(h.size()), 1);
@@ -167,7 +245,7 @@ TEST(SolveScratch, ReusedScratchMatchesFreshAllocation) {
   const Graph& h = ecg.graph();
   ASSERT_TRUE(h.has_adjacency_matrix());
 
-  BranchAndBoundMwisSolver solver(200'000, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver solver(200'000);
   NeighborhoodCache cache(h, 2);
 
   // A series of solves over different candidate sets: the reused scratch
@@ -196,14 +274,16 @@ TEST(SolveScratch, EnhancedAndClassicAgreeOnExactInstances) {
   ExtendedConflictGraph ecg(cg, 4);
   const Graph& h = ecg.graph();
 
-  BranchAndBoundMwisSolver enhanced(5'000'000, /*reuse_scratch=*/true);
-  BranchAndBoundMwisSolver classic(5'000'000, /*reuse_scratch=*/false);
+  BranchAndBoundMwisSolver solver(5'000'000);
+  BnbSolveOptions classic;
+  classic.enhanced = false;
+  SolveScratch scratch;
   NeighborhoodCache cache(h, 2);
   for (int leader = 0; leader < h.size(); leader += 7) {
     const auto ball = cache.r_ball(leader);
     const auto w = random_weights(h.size(), rng);
-    const MwisResult a = enhanced.solve(h, w, ball);
-    const MwisResult b = classic.solve(h, w, ball);
+    const MwisResult a = solver.solve(h, w, ball);
+    const MwisResult b = solver.solve_with_scratch(h, w, ball, scratch, classic);
     ASSERT_TRUE(a.exact);
     ASSERT_TRUE(b.exact);
     ASSERT_EQ(a.vertices, b.vertices);
@@ -228,11 +308,11 @@ TEST(SolveScratch, ExternalScratchSharedAcrossGraphs) {
       std::vector<int> all(static_cast<std::size_t>(g->size()));
       for (int v = 0; v < g->size(); ++v) all[static_cast<std::size_t>(v)] = v;
       const MwisResult a = solver.solve_with_scratch(*g, w, all, scratch);
+      // The list-scan build: same instance on an unfinalized copy.
+      const Graph lists = reference::unfinalized_copy(*g);
       SolveScratch fresh_scratch;
-      BnbSolveOptions list_build;
-      list_build.use_adjacency_rows = false;
       const MwisResult b =
-          solver.solve_with_scratch(*g, w, all, fresh_scratch, list_build);
+          solver.solve_with_scratch(lists, w, all, fresh_scratch);
       ASSERT_EQ(a.vertices, b.vertices);
       EXPECT_DOUBLE_EQ(a.weight, b.weight);
       EXPECT_EQ(a.nodes_explored, b.nodes_explored);
@@ -249,7 +329,7 @@ TEST(SolveScratch, NodeCapAbortPathWithReusedScratch) {
   std::vector<int> all(static_cast<std::size_t>(h.size()));
   for (int v = 0; v < h.size(); ++v) all[static_cast<std::size_t>(v)] = v;
 
-  BranchAndBoundMwisSolver capped(50, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver capped(50);
   const MwisResult first = capped.solve(h, w, all);
   EXPECT_FALSE(first.exact);
   EXPECT_TRUE(h.is_independent_set(first.vertices));
@@ -265,7 +345,7 @@ TEST(SolveScratch, NodeCapAbortPathWithReusedScratch) {
 
   // And an uncapped solve on the *same scratch object* still finds at least
   // as much weight, exactly.
-  BranchAndBoundMwisSolver uncapped(5'000'000, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver uncapped(5'000'000);
   SolveScratch scratch;
   const MwisResult aborted =
       BranchAndBoundMwisSolver(50).solve_with_scratch(h, w, all, scratch);

@@ -5,7 +5,8 @@
 // bitset matrix. The claims: (1) the representation selection is what the
 // README's rule says, (2) the cached decision path (NeighborhoodCache +
 // sparse-row gather + incremental SoA election) takes byte-identical
-// decisions to the seed re-derivation path at n ≈ 10k, and (3) incremental
+// decisions to the seed re-derivation reference (tests/reference/) at
+// n ≈ 10k and 250k, and (3) incremental
 // apply_delta keeps the sharded structures exact.
 //
 // ctest label "large": runs in the Release CI job only (Debug/ASan jobs
@@ -24,6 +25,7 @@
 #include "graph/hop.h"
 #include "graph/neighborhood_cache.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/seed_ptas.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -115,7 +117,7 @@ TEST(LargeN, EballTierSelectionRule) {
 
 TEST(LargeN, CachedDecisionPathMatchesSeedPathAtTenThousandVertices) {
   // 2500 users x 4 channels = 10000 H vertices — past the matrix limit, so
-  // the cached path gathers from sparse rows and the seed path from lists.
+  // both paths' local solves gather adjacency from sparse rows.
   Rng rng(2026);
   ConflictGraph cg = random_geometric_avg_degree(
       2500, 6.0, rng, /*force_connected=*/false);
@@ -124,15 +126,11 @@ TEST(LargeN, CachedDecisionPathMatchesSeedPathAtTenThousandVertices) {
   ASSERT_GT(h.size(), Graph::kAdjacencyMatrixLimit);
   ASSERT_TRUE(h.has_sparse_rows());
 
-  DistributedPtasConfig seed_cfg;
-  seed_cfg.r = 2;
-  seed_cfg.use_decision_cache = false;
-  seed_cfg.local_solve_parallelism = 1;
-  DistributedPtasConfig cached_cfg = seed_cfg;
-  cached_cfg.use_decision_cache = true;
+  DistributedPtasConfig cached_cfg;
+  cached_cfg.r = 2;
   cached_cfg.local_solve_parallelism = 0;  // fan out; determinism is claimed
 
-  DistributedRobustPtas seed_engine(h, seed_cfg);
+  reference::SeedPtas seed_engine(h, cached_cfg);
   DistributedRobustPtas cached_engine(h, cached_cfg);
 
   std::vector<double> w(static_cast<std::size_t>(h.size()));
@@ -255,8 +253,8 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
 }
 
 TEST(LargeN, CachedDecisionMatchesSeedAtQuarterMillionVertices) {
-  // 62500 users x 4 channels = 250k H vertices. One decision, seed path
-  // (max-relaxation election + per-leader BFS) against the cached path
+  // 62500 users x 4 channels = 250k H vertices. One decision, seed
+  // reference (max-relaxation election + per-leader BFS) against the engine
   // (implicit-tier NeighborhoodCache + SoA election): byte-identical
   // winners and weight. This is the scale gate on the road to 1M — the
   // explicit e-ball spans would hold ~10^8 entries here; the implicit tier
@@ -268,15 +266,11 @@ TEST(LargeN, CachedDecisionMatchesSeedAtQuarterMillionVertices) {
   const Graph& h = ecg.graph();
   ASSERT_EQ(h.size(), 250000);
 
-  DistributedPtasConfig seed_cfg;
-  seed_cfg.r = 2;
-  seed_cfg.use_decision_cache = false;
-  seed_cfg.local_solve_parallelism = 1;
-  DistributedPtasConfig cached_cfg = seed_cfg;
-  cached_cfg.use_decision_cache = true;
+  DistributedPtasConfig cached_cfg;
+  cached_cfg.r = 2;
   cached_cfg.local_solve_parallelism = 0;
 
-  DistributedRobustPtas seed_engine(h, seed_cfg);
+  reference::SeedPtas seed_engine(h, cached_cfg);
   DistributedRobustPtas cached_engine(h, cached_cfg);
   ASSERT_EQ(cached_engine.neighborhood_cache().eball_tier(),
             NeighborhoodCache::EballTier::kImplicit);

@@ -7,9 +7,10 @@
 // Sweeps: graph density (Erdős–Rényi p in [0, 0.9] plus extended conflict
 // graphs with per-master clique structure), weight distributions (uniform,
 // exponential, heavy ties, mixed-sign), and candidate-subset shapes (full
-// vertex set, random subsets, BFS balls, singletons). Modes: reuse_scratch
-// on/off, enhanced search with and without reductions, and the memoized
-// clique cover path.
+// vertex set, random subsets, BFS balls, singletons). Modes: enhanced search
+// over the solver's own scratch, classic search (fresh scratch over the
+// list-scan build, and over a shared scratch), and the memoized clique
+// cover path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,6 +23,7 @@
 #include "mwis/branch_and_bound.h"
 #include "mwis/brute_force.h"
 #include "mwis/greedy.h"
+#include "reference/unfinalized_copy.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -122,8 +124,9 @@ void check_result(const Instance& inst, const MwisResult& got,
 TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
   Rng rng(20260728);
   BruteForceMwisSolver brute(24);
-  BranchAndBoundMwisSolver reusing(5'000'000, /*reuse_scratch=*/true);
-  BranchAndBoundMwisSolver fresh(5'000'000, /*reuse_scratch=*/false);
+  BranchAndBoundMwisSolver reusing(5'000'000);
+  BnbSolveOptions classic;
+  classic.enhanced = false;
   SolveScratch scratch;
   std::vector<int> cover_ids;
 
@@ -140,23 +143,20 @@ TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
     // enhanced modes only.
     const bool classic_applicable = trial % 4 != 3;
 
-    // Mode 1: reuse_scratch solver (enhanced search, internal scratch).
+    // Mode 1: enhanced search, the solver's own scratch.
     check_result(inst,
                  reusing.solve(inst.graph, inst.weights, inst.candidates),
                  ref, "reuse");
-    // Mode 2: fresh-allocation solver (classic seed search).
-    if (classic_applicable)
+    // Mode 2: classic seed search, fresh scratch, list-scan build.
+    if (classic_applicable) {
+      SolveScratch fresh;
       check_result(inst,
-                   fresh.solve(inst.graph, inst.weights, inst.candidates),
+                   reusing.solve_with_scratch(
+                       reference::unfinalized_copy(inst.graph), inst.weights,
+                       inst.candidates, fresh, classic),
                    ref, "fresh-classic");
-    // Mode 3: enhanced without reductions.
-    BnbSolveOptions no_red;
-    no_red.use_reductions = false;
-    check_result(inst,
-                 reusing.solve_with_scratch(inst.graph, inst.weights,
-                                            inst.candidates, scratch, no_red),
-                 ref, "enhanced-no-reductions");
-    // Mode 4: enhanced + reductions + memoized clique cover (ids built the
+    }
+    // Mode 3: enhanced + reductions + memoized clique cover (ids built the
     // same way NeighborhoodCache memoizes them).
     BnbSolveOptions memo;
     memo.clique_id_bound = NeighborhoodCache::build_ball_cover(
@@ -166,20 +166,18 @@ TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
                  reusing.solve_with_scratch(inst.graph, inst.weights,
                                             inst.candidates, scratch, memo),
                  ref, "enhanced-memo-cover");
-    // Mode 5: classic search through explicit options + shared scratch.
+    // Mode 4: classic search through explicit options + shared scratch.
     if (classic_applicable) {
-      BnbSolveOptions classic;
-      classic.enhanced = false;
       check_result(inst,
                    reusing.solve_with_scratch(inst.graph, inst.weights,
                                               inst.candidates, scratch,
                                               classic),
                    ref, "classic-scratch");
     }
-    solves += classic_applicable ? 5 : 3;
+    solves += classic_applicable ? 4 : 2;
   }
-  // ≥500 instances × 5 modes actually ran (a few singleton draws may skip).
-  EXPECT_GE(solves, 2500);
+  // ≥500 instances × 4 modes actually ran (a few singleton draws may skip).
+  EXPECT_GE(solves, 2000);
 }
 
 TEST(MwisDifferential, SparseRowGatherMatchesBruteForceBeyondMatrixLimit) {
@@ -235,10 +233,8 @@ TEST(MwisDifferential, SparseRowGatherMatchesBruteForceBeyondMatrixLimit) {
           << "trial " << trial;
     ASSERT_NEAR(got.weight, ref.weight, 1e-12) << "trial " << trial;
 
-    BnbSolveOptions list_build;
-    list_build.use_adjacency_rows = false;
-    const MwisResult via_lists =
-        solver.solve_with_scratch(big, w_big, cands_big, scratch, list_build);
+    const MwisResult via_lists = solver.solve_with_scratch(
+        reference::unfinalized_copy(big), w_big, cands_big, scratch);
     ASSERT_EQ(via_lists.vertices, got.vertices) << "trial " << trial;
     ASSERT_EQ(via_lists.nodes_explored, got.nodes_explored)
         << "trial " << trial;
@@ -252,7 +248,8 @@ TEST(MwisDifferential, TieWeightsExactDyadicEquality) {
   Rng rng(99);
   BruteForceMwisSolver brute(24);
   BranchAndBoundMwisSolver reusing;
-  BranchAndBoundMwisSolver fresh(5'000'000, /*reuse_scratch=*/false);
+  BnbSolveOptions classic;
+  classic.enhanced = false;
   for (int trial = 0; trial < 100; ++trial) {
     const int n = 4 + trial % 10;
     Graph g(n);
@@ -266,7 +263,9 @@ TEST(MwisDifferential, TieWeightsExactDyadicEquality) {
     for (int v = 0; v < n; ++v) all[static_cast<std::size_t>(v)] = v;
     const double ref = brute.solve(g, w, all).weight;
     EXPECT_EQ(reusing.solve(g, w, all).weight, ref);
-    EXPECT_EQ(fresh.solve(g, w, all).weight, ref);
+    SolveScratch fresh;
+    EXPECT_EQ(reusing.solve_with_scratch(g, w, all, fresh, classic).weight,
+              ref);
   }
 }
 
@@ -283,7 +282,7 @@ TEST(MwisDifferential, AnytimeContractUnderNodeCap) {
   std::vector<int> all(static_cast<std::size_t>(h.size()));
   for (int v = 0; v < h.size(); ++v) all[static_cast<std::size_t>(v)] = v;
 
-  BranchAndBoundMwisSolver capped(60, /*reuse_scratch=*/true);
+  BranchAndBoundMwisSolver capped(60);
   const MwisResult aborted = capped.solve(h, w, all);
   ASSERT_FALSE(aborted.exact);
   EXPECT_TRUE(h.is_independent_set(aborted.vertices));

@@ -16,6 +16,7 @@
 #include "graph/neighborhood_cache.h"
 #include "mwis/branch_and_bound.h"
 #include "mwis/brute_force.h"
+#include "reference/unfinalized_copy.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -64,17 +65,19 @@ TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondMatrixLimit) {
   EXPECT_TRUE(got.exact);
   EXPECT_EQ(got.vertices, ref.vertices);
   EXPECT_NEAR(got.weight, ref.weight, 1e-12);
-  // The explicit list-scan build must agree bit for bit (same search tree).
+  // The list-scan build (an unfinalized copy) must agree bit for bit (same
+  // search tree).
+  const Graph big_lists = reference::unfinalized_copy(big);
   SolveScratch scratch;
-  BnbSolveOptions list_build;
-  list_build.use_adjacency_rows = false;
   const MwisResult got_lists =
-      solver.solve_with_scratch(big, w_big, cands, scratch, list_build);
+      solver.solve_with_scratch(big_lists, w_big, cands, scratch);
   EXPECT_EQ(got_lists.vertices, got.vertices);
   EXPECT_EQ(got_lists.nodes_explored, got.nodes_explored);
-  // And the classic mode takes the list fallback.
-  BranchAndBoundMwisSolver classic(5'000'000, /*reuse_scratch=*/false);
-  const MwisResult got_classic = classic.solve(big, w_big, cands);
+  // And the classic search over the list build.
+  BnbSolveOptions classic;
+  classic.enhanced = false;
+  const MwisResult got_classic =
+      solver.solve_with_scratch(big_lists, w_big, cands, scratch, classic);
   EXPECT_EQ(got_classic.vertices, ref.vertices);
 }
 

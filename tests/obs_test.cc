@@ -3,18 +3,31 @@
 // installed (or not), every engine takes bit-identical decisions and
 // produces bit-identical trace hashes; the artifacts the spine then emits
 // must satisfy their own validators (the same ones the CI gate runs via
-// tools/mhca_obs_validate) and the checked-in metrics schema.
+// tools/mhca_obs_validate) and the checked-in metrics schema. Its twin is
+// the zero-work contract of the disabled path: with nothing installed,
+// instrumentation sites record no event, write no metric and allocate
+// nothing.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <memory>
+#include <new>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "channel/gaussian.h"
+#include "graph/extended_graph.h"
+#include "graph/generators.h"
+#include "mwis/distributed_ptas.h"
+#include "net/runtime.h"
 #include "net/transport.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -23,6 +36,40 @@
 #include "obs/validate.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
+#include "util/rng.h"
+
+// Every heap allocation of this binary is counted, so a test can pin the
+// allocations of a code window (single-threaded windows only). All
+// unaligned forms are replaced together so that no block crosses between
+// this allocator and another (a sanitizer's, say) on its way back.
+namespace {
+std::atomic<std::int64_t> g_allocations{0};
+
+void* counted_alloc(std::size_t n) noexcept {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept {
+  return counted_alloc(n);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
+  std::free(p);
+}
 
 namespace mhca {
 namespace {
@@ -424,6 +471,126 @@ TEST(ObsSchema, SimulationSnapshotCoversDecisionDomain) {
             static_cast<std::int64_t>(res.decisions));
   EXPECT_DOUBLE_EQ(reg.gauge_value("decision.total_observed"),
                    res.total_observed);
+}
+
+// ------------------------------------- the disabled path does no work
+
+/// Heap allocations made while running `f`.
+template <typename F>
+std::int64_t allocations_in(F&& f) {
+  const std::int64_t before = g_allocations.load(std::memory_order_relaxed);
+  f();
+  return g_allocations.load(std::memory_order_relaxed) - before;
+}
+
+/// A recorder and registry that are installed only while the objects under
+/// test are constructed. Construction is where a site could capture the
+/// global pointers and keep writing through them after observability is
+/// switched off; every check below runs with nothing installed.
+struct ExposedObs {
+  TraceRecorder rec;
+  MetricsRegistry reg;
+  template <typename F>
+  auto construct(F&& make) {
+    obs::set_trace(&rec);
+    obs::set_metrics(&reg);
+    auto made = make();
+    obs::set_trace(nullptr);
+    obs::set_metrics(nullptr);
+    rec.clear();
+    return made;
+  }
+};
+
+TEST(ObsDisabled, SiteIdiomsAllocateNothing) {
+  // The two shapes every site uses: a span over a null recorder, and span
+  // arguments rendered only when a recorder is present.
+  ObsGuard guard;
+  obs::TraceRecorder* const tr = obs::trace();
+  ASSERT_EQ(tr, nullptr);
+  const std::int64_t n = allocations_in([&] {
+    char targs[96];
+    if (tr)
+      std::snprintf(targs, sizeof(targs),
+                    "{\"a_long_argument_name\":%d,\"another\":%d}", 1, 2);
+    obs::ScopedSpan plain(tr, obs::kTidRuntime, "x");
+    obs::ScopedSpan with_args(tr, obs::kTidRuntime, "y",
+                              tr ? std::string(targs) : std::string());
+  });
+  EXPECT_EQ(n, 0);
+}
+
+TEST(ObsDisabled, LockstepDecisionDoesNoObservabilityWork) {
+  ObsGuard guard;
+  Rng rng(404);
+  ConflictGraph cg = random_geometric_avg_degree(60, 5.0, rng,
+                                                 /*force_connected=*/false);
+  ExtendedConflictGraph ecg(cg, 3);
+  const Graph& h = ecg.graph();
+  std::vector<double> w(static_cast<std::size_t>(h.size()));
+  for (auto& x : w) x = rng.uniform(0.05, 1.0);
+  DistributedPtasConfig cfg;
+  cfg.count_messages = true;
+  cfg.collect_stage_times = true;
+  cfg.local_solve_parallelism = 1;  // the counted window is single-threaded
+
+  ExposedObs exposed;
+  auto engine = exposed.construct(
+      [&] { return std::make_unique<DistributedRobustPtas>(h, cfg); });
+  auto clean = std::make_unique<DistributedRobustPtas>(h, cfg);
+  const std::string empty_registry = MetricsRegistry().to_json();
+
+  // Warm both engines (lazy buffers, the thread-local validation bitmap).
+  engine->run(w);
+  clean->run(w);
+  DistributedPtasResult a, b;
+  const std::int64_t exposed_allocs = allocations_in([&] { a = engine->run(w); });
+  const std::int64_t clean_allocs = allocations_in([&] { b = clean->run(w); });
+  EXPECT_EQ(a.winners, b.winners);
+  EXPECT_EQ(exposed.rec.event_count(), 0u);
+  EXPECT_EQ(exposed.reg.to_json(), empty_registry);
+  EXPECT_EQ(exposed_allocs, clean_allocs)
+      << "a decision allocates more after observability was once on";
+
+  // And the enabled path really does record: the contract above is not
+  // vacuous for this engine.
+  obs::set_trace(&exposed.rec);
+  engine->run(w);
+  obs::set_trace(nullptr);
+  EXPECT_GT(exposed.rec.event_count(), 0u);
+}
+
+TEST(ObsDisabled, NetRoundDoesNoObservabilityWork) {
+  ObsGuard guard;
+  Rng rng(405);
+  ConflictGraph cg = random_geometric_avg_degree(14, 4.0, rng);
+  ExtendedConflictGraph ecg(cg, 3);
+  GaussianChannelModel model(14, 3, rng);
+  net::NetConfig ncfg;
+  ncfg.drop_prob = 0.1;  // exercise the fault plane's sites too
+
+  ExposedObs exposed;
+  auto rt = exposed.construct([&] {
+    return std::make_unique<net::DistributedRuntime>(ecg, model, ncfg);
+  });
+  auto clean = std::make_unique<net::DistributedRuntime>(ecg, model, ncfg);
+  const std::string empty_registry = MetricsRegistry().to_json();
+
+  rt->step();
+  clean->step();
+  net::NetRoundResult a, b;
+  const std::int64_t exposed_allocs = allocations_in([&] { a = rt->step(); });
+  const std::int64_t clean_allocs = allocations_in([&] { b = clean->step(); });
+  EXPECT_EQ(a.strategy, b.strategy);
+  EXPECT_EQ(exposed.rec.event_count(), 0u);
+  EXPECT_EQ(exposed.reg.to_json(), empty_registry);
+  EXPECT_EQ(exposed_allocs, clean_allocs)
+      << "a round allocates more after observability was once on";
+
+  obs::set_trace(&exposed.rec);
+  rt->step();
+  obs::set_trace(nullptr);
+  EXPECT_GT(exposed.rec.event_count(), 0u);
 }
 
 }  // namespace

@@ -222,6 +222,29 @@ TEST(ScenarioErrors, MissingRequiredKeyCaughtAtValidateTime) {
   EXPECT_TRUE(message_contains(msg, "grid"));
 }
 
+TEST(ScenarioErrors, DisconnectedGeometricTopologyNamesTheScenarioFix) {
+  // Far below the connectivity threshold every sample is disconnected; more
+  // nodes would not help, so the error must name the scenario key that
+  // does. (The failure surfaces while the runner builds the topology.)
+  Scenario s = scenario::parse_scenario(kFullScenario);
+  s.topology.params = ParamMap{};
+  s.topology.params.set("nodes", "300");
+  s.topology.params.set("side", "100");
+  s.topology.params.set("radius", "1");
+  s.topology.params.set("max_attempts", "3");
+  std::string msg;
+  try {
+    const ScenarioRunner runner(s);
+  } catch (const std::exception& e) {
+    msg = e.what();
+  }
+  EXPECT_TRUE(message_contains(msg, "topology.force_connected = false"));
+  EXPECT_TRUE(message_contains(msg, "3 attempts"));
+  EXPECT_TRUE(message_contains(msg, "n = 300"));
+  s.topology.params.set("force_connected", "false");
+  EXPECT_NO_THROW(ScenarioRunner{s});
+}
+
 TEST(ScenarioErrors, OutOfRangeIntegersAreRejectedNotTruncated) {
   Scenario s;
   // Would truncate to 2 through a bare static_cast<int>.

@@ -10,8 +10,8 @@
 //     kernels are pure block filters re-inspected scalar, so blocker
 //     positions and the winner-validation verdict cannot differ.
 //
-// Every (tier x level) combination must reproduce the seed path's decision
-// bit for bit, and apply_delta must stay identical to a fresh rebuild on
+// Every (tier x level) combination must reproduce the seed reference's
+// decision (tests/reference/seed_ptas.h) bit for bit, and apply_delta must stay identical to a fresh rebuild on
 // both tiers. ctest label "fuzz" (name matches *differential*); the CI
 // Release job also runs the whole suite once under MHCA_FORCE_SCALAR=1.
 #include <gtest/gtest.h>
@@ -28,6 +28,7 @@
 #include "graph/hop.h"
 #include "graph/neighborhood_cache.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/seed_ptas.h"
 #include "util/cpufeatures.h"
 #include "util/rng.h"
 #include "util/simd_scan.h"
@@ -156,13 +157,10 @@ TEST(TieredSimdDifferential, DecisionsByteIdenticalAcrossTiersAndSimdLevels) {
     ExtendedConflictGraph ecg(cg, channels);
     const Graph& h = ecg.graph();
 
-    DistributedPtasConfig seed_cfg;
-    seed_cfg.r = r;
-    seed_cfg.use_decision_cache = false;
-    seed_cfg.local_solve_parallelism = 1;
-    DistributedPtasConfig cached_cfg = seed_cfg;
-    cached_cfg.use_decision_cache = true;
-    DistributedRobustPtas seed_engine(h, seed_cfg);
+    DistributedPtasConfig cached_cfg;
+    cached_cfg.r = r;
+    cached_cfg.local_solve_parallelism = 1;
+    reference::SeedPtas seed_engine(h, cached_cfg);
 
     // One cached engine per tier; the SIMD level is swept per decision
     // (simd_level() is re-read every election and every validation).
