@@ -2,13 +2,12 @@
 //
 // The primary entry point is the declarative Scenario API: describe the
 // whole experiment (topology x channel x policy x solver x run) as data,
-// and let ScenarioRunner build and drive it. The step-by-step facade
-// (ChannelAccessScheme) remains for callers that own the radio environment.
+// and let ScenarioRunner build and drive it. Callers that own the radio
+// environment step the same scenario by hand through make_scheme().
 #include <iostream>
 
 #include "channel/gaussian.h"
 #include "core/channel_access.h"
-#include "graph/generators.h"
 #include "scenario/runner.h"
 #include "sim/optimum.h"
 #include "util/rng.h"
@@ -53,14 +52,13 @@ seed = 7
             fixed(res.total_expected / 500.0 / opt.weight, 3));
   table.print(std::cout);
 
-  // --- Step-by-step mode: you own the radio environment. ---
-  Rng rng(7);
-  ConflictGraph network = random_geometric_avg_degree(20, 5.0, rng);
-  GaussianChannelModel environment(20, 8, rng);
-
-  ChannelAccessConfig cfg;  // compatibility shim over scenario::SolverSpec
-  cfg.num_channels = 8;
-  ChannelAccessScheme scheme(network, cfg);
+  // --- Step-by-step mode: you own the radio environment. The scenario
+  // still names the network, policy and solver; make_scheme() hands back a
+  // decide()/report() handle over the runner's network. ---
+  ChannelAccessScheme scheme = runner.make_scheme();
+  const ConflictGraph& network = scheme.network();
+  Rng rng(11);
+  GaussianChannelModel environment(network.num_nodes(), 8, rng);
   for (std::int64_t t = 1; t <= 50; ++t) {
     const Strategy& st = scheme.decide();
     for (int node = 0; node < network.num_nodes(); ++node) {

@@ -1,27 +1,21 @@
-// Public facade: the paper's channel-access scheme behind one class.
+// The paper's channel-access scheme as a step API, for callers that own the
+// radio environment: decide() a strategy, report() what each transmitter
+// observed, repeat (Algorithm 2, one round per decide()).
 //
-// Typical use (see examples/quickstart.cc):
+// Build it from a scenario (see examples/quickstart.cc):
 //
-//   ConflictGraph net = random_geometric_avg_degree(20, 6.0, rng);
-//   ChannelAccessConfig cfg;
-//   cfg.num_channels = 8;
-//   ChannelAccessScheme scheme(net, cfg);
+//   scenario::ScenarioRunner runner(scenario::parse_scenario_file(path));
+//   ChannelAccessScheme scheme = runner.make_scheme();
+//   for (;;) {
+//     const Strategy& s = scheme.decide();
+//     ... node i transmits on s.channel_of_node[i] ...
+//     scheme.report(i, observed_rate);  // once per node that transmitted
+//   }
 //
-//   // Either drive it step by step against your own radio environment:
-//   const Strategy& s = scheme.decide();
-//   ... transmit on s.channel_of_node[i] ...
-//   scheme.report(i, observed_rate);  // for every node that transmitted
-//
-//   // Or run the built-in simulator against a channel model:
-//   GaussianChannelModel model(20, 8, rng);
-//   SimulationResult res = scheme.run(model, 1000);
-//
-// ChannelAccessConfig is a compatibility shim over the declarative Scenario
-// API: batch runs derive their SimulationConfig from a scenario::SolverSpec/
-// RunSpec (the single source of truth) while reusing the scheme's own graph
-// and policy. New code should describe experiments as a scenario::Scenario
-// directly (see src/scenario/README.md for the old-field -> scenario-key
-// migration table).
+// Batch simulation against a channel model is ScenarioRunner::run() /
+// run_with(). Both paths decide through the same DecisionOracle
+// (sim/decision_oracle.h): reporting a model's samples for
+// current_vertices() in order reproduces the simulation exactly.
 #pragma once
 
 #include <cstdint>
@@ -29,46 +23,25 @@
 #include <vector>
 
 #include "bandit/policy.h"
-#include "channel/channel_model.h"
 #include "graph/conflict_graph.h"
 #include "graph/extended_graph.h"
-#include "mwis/distributed_ptas.h"
-#include "mwis/mwis.h"
 #include "sim/config.h"
-#include "sim/simulator.h"
+#include "sim/decision_oracle.h"
+#include "util/rng.h"
 
 namespace mhca {
 
-struct ChannelAccessConfig {
-  int num_channels = 8;
-
-  PolicyKind policy = PolicyKind::kCab;
-  PolicyParams policy_params{};  ///< LLR's L defaults to N if unset.
-
-  SolverKind solver = SolverKind::kDistributedPtas;
-  int r = 2;
-  int D = 4;
-  LocalSolverKind local_solver = LocalSolverKind::kExact;
-  std::int64_t bnb_node_cap = kDefaultBnbNodeCap;
-  double ptas_epsilon = 1.0;
-  /// Threads for per-leader local solves within one decision (0 = one per
-  /// hardware thread, 1 = inline). Deterministic at any setting. Defaults
-  /// to inline like scenario::SolverSpec (static_assert-pinned); raise it
-  /// for big single-scheme deployments on idle cores.
-  int local_solve_parallelism = 1;
-  /// Reuse memoized per-ball clique covers (see src/mwis/README.md).
-  bool use_memoized_covers = false;
-
-  RoundTiming timing{};
-  int update_period = 1;
-  std::uint64_t seed = 1;
-  bool count_messages = false;
-  int series_stride = 1;
-};
-
 class ChannelAccessScheme {
  public:
-  ChannelAccessScheme(ConflictGraph network, ChannelAccessConfig cfg);
+  /// The scheme over `network` with `num_channels` channels, learning with
+  /// `policy` and deciding with the oracle `cfg` selects (`cfg.seed` drives
+  /// the policy's randomized rounds; the horizon fields are unused).
+  ChannelAccessScheme(ConflictGraph network, int num_channels,
+                      std::unique_ptr<IndexPolicy> policy,
+                      const SimulationConfig& cfg);
+  // The oracle holds a reference into ecg_, so the scheme stays put.
+  ChannelAccessScheme(const ChannelAccessScheme&) = delete;
+  ChannelAccessScheme& operator=(const ChannelAccessScheme&) = delete;
 
   const ExtendedConflictGraph& extended_graph() const { return ecg_; }
   const ConflictGraph& network() const { return network_; }
@@ -82,6 +55,7 @@ class ChannelAccessScheme {
 
   /// Report the data rate `node` observed on its current channel
   /// (normalized to [0,1]); updates the node's arm statistics (eqs. 5-6).
+  /// At most once per node per round.
   void report(int node, double reward);
 
   /// The current strategy as vertices of H.
@@ -89,24 +63,19 @@ class ChannelAccessScheme {
     return current_vertices_;
   }
 
-  /// Batch simulation against a channel model (fresh learning state,
-  /// independent of the step API's state).
-  SimulationResult run(const ChannelModel& model, std::int64_t slots) const;
-
  private:
   ConflictGraph network_;
-  ChannelAccessConfig cfg_;
   ExtendedConflictGraph ecg_;
   std::unique_ptr<IndexPolicy> policy_;
   ArmEstimates est_;
-  DistributedRobustPtas engine_;
-  std::unique_ptr<MwisSolver> central_;
+  DecisionOracle oracle_;
   Rng rng_;
 
   std::int64_t t_ = 0;
   std::vector<double> weights_;
   std::vector<int> current_vertices_;
   Strategy current_;
+  std::vector<std::int64_t> reported_round_;  ///< Per node; 0 = never.
 };
 
 }  // namespace mhca

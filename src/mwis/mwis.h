@@ -17,11 +17,11 @@
 namespace mhca {
 
 /// Default per-solve branch-and-bound effort cap shared by every decision
-/// path (lockstep engine, message-level runtime, simulator, facade). This is
-/// the ONLY place the default lives: DistributedPtasConfig, SimulationConfig,
-/// net::NetConfig, ChannelAccessConfig and scenario::SolverSpec all
-/// initialize from it, and scenario.cc static_asserts they stay in sync —
-/// the PR-2 drift (facade still at 200'000 while the solver moved to 2'000)
+/// path (lockstep engine, message-level runtime, simulator, step API). This
+/// is the ONLY place the default lives: DistributedPtasConfig,
+/// SimulationConfig, net::NetConfig and scenario::SolverSpec all initialize
+/// from it, and scenario.cc static_asserts they stay in sync — the PR-2
+/// drift (a config shim still at 200'000 while the solver moved to 2'000)
 /// cannot recur. Tuned for the enhanced search; see
 /// DistributedPtasConfig::bnb_node_cap for the rationale.
 inline constexpr std::int64_t kDefaultBnbNodeCap = 2'000;

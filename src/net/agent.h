@@ -40,13 +40,6 @@
 
 namespace mhca::net {
 
-/// Liveness knobs of the view-synchronous membership layer.
-struct LivenessParams {
-  int hello_timeout_slots = 4;  ///< Silence (slots) before suspicion.
-  int hello_max_retries = 3;    ///< Probes before eviction.
-  int backoff_base = 2;         ///< Probe k waits backoff_base^k slots.
-};
-
 /// Per-agent robustness counters (runtime stats; aggregated per run).
 struct AgentCounters {
   std::int64_t retries = 0;         ///< Liveness probes flooded.

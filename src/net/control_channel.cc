@@ -55,11 +55,6 @@ ControlChannel::ControlChannel(const Graph& topology,
   faults_.validate();
 }
 
-ControlChannel::ControlChannel(const Graph& topology, double drop_prob,
-                               std::uint64_t drop_seed)
-    : ControlChannel(topology, FaultProfile{.drop_prob = drop_prob,
-                                            .seed = drop_seed}) {}
-
 void ControlChannel::set_mtu(int mtu) {
   MHCA_ASSERT(mtu >= wire::kMinMtu && mtu <= wire::kMaxMtu,
               "mtu = " + std::to_string(mtu) + " is outside the supported [" +

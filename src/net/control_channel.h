@@ -71,11 +71,8 @@ class ControlChannel {
   /// paper's control plane shares the conflict structure of the data plane).
   /// The profile is validated with actionable errors (offending knob and
   /// value) before anything else runs.
-  ControlChannel(const Graph& topology, const FaultProfile& faults);
-
-  /// Drop-only compatibility form (PR-4 signature).
-  explicit ControlChannel(const Graph& topology, double drop_prob = 0.0,
-                          std::uint64_t drop_seed = 0);
+  explicit ControlChannel(const Graph& topology,
+                          const FaultProfile& faults = {});
 
   /// Flood `msg` within `ttl` hops of msg.origin; `deliver(v, msg)` is
   /// invoked once per delivery for every reached vertex except the origin
@@ -123,7 +120,6 @@ class ControlChannel {
   void set_mtu(int mtu);
   int mtu() const { return mtu_; }
 
-  double drop_prob() const { return faults_.drop_prob; }
   const FaultProfile& faults() const { return faults_; }
   const ChannelStats& stats() const { return stats_; }
   void reset_stats() { stats_ = ChannelStats{}; }

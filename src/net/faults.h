@@ -36,6 +36,8 @@ struct FaultProfile {
   int delay_slots_max = 0;    ///< Max deferral in slots (0 = same flood).
   std::uint64_t seed = 0;     ///< Seeds every fault decision.
 
+  bool operator==(const FaultProfile&) const = default;
+
   bool any() const {
     return drop_prob > 0.0 || dup_prob > 0.0 || reorder_prob > 0.0;
   }

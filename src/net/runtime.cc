@@ -9,20 +9,6 @@
 
 namespace mhca::net {
 
-namespace {
-
-FaultProfile profile_of(const NetConfig& cfg) {
-  FaultProfile f;
-  f.drop_prob = cfg.drop_prob;
-  f.dup_prob = cfg.dup_prob;
-  f.reorder_prob = cfg.reorder_prob;
-  f.delay_slots_max = cfg.delay_slots_max;
-  f.seed = cfg.drop_seed;
-  return f;
-}
-
-}  // namespace
-
 DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
                                        const ChannelModel& model,
                                        NetConfig cfg)
@@ -39,7 +25,7 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
     : ecg_(ecg),
       model_(model),
       cfg_(cfg),
-      channel_(ecg.graph(), profile_of(cfg)),
+      channel_(ecg.graph()),
       exact_(cfg.bnb_node_cap),
       transport_(transport) {
   MHCA_ASSERT(ecg.num_nodes() == model.num_nodes() &&
@@ -56,43 +42,35 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
                   cfg_.membership == MembershipMode::kOmniscient,
               "sharded runs require membership = omniscient (the view-sync "
               "membership phase interleaves same-pass hello responses)");
-  // Omniscient discovery finalizes each agent's table exactly once per
-  // change; a hello the wire re-delivers out of order would arrive after
-  // the finalize. Only view-sync membership absorbs late hellos.
-  MHCA_ASSERT(cfg_.membership == MembershipMode::kViewSync ||
-                  (cfg_.reorder_prob == 0.0 && cfg_.delay_slots_max == 0),
-              "reorder_prob/delay_slots_max require membership = view_sync "
-              "(omniscient discovery cannot absorb a late hello)");
+  set_fault_profile(cfg_.faults);
   // Tag this thread's trace events with the shard index so a multi-process
   // (or multi-thread mesh) run merges into one Perfetto timeline with one
   // process track per shard. Purely observational.
   obs::set_current_shard(transport_ != nullptr ? transport_->shard_index()
                                                : 0);
-  keepalive_interval_ = std::max(1, cfg_.hello_timeout_slots - 1);
+  keepalive_interval_ = std::max(1, cfg_.liveness.hello_timeout_slots - 1);
   PolicyParams params = cfg_.policy_params;
   if (cfg_.policy == PolicyKind::kLlr && params.llr_max_strategy_len <= 1)
     params.llr_max_strategy_len = ecg.num_nodes();
   policy_ = make_policy(cfg_.policy, params);
 
-  const LivenessParams liveness{cfg_.hello_timeout_slots,
-                                cfg_.hello_max_retries, cfg_.backoff_base};
   agents_.reserve(static_cast<std::size_t>(ecg.num_vertices()));
   for (int v = 0; v < ecg.num_vertices(); ++v)
     agents_.emplace_back(v, cfg_.r, cfg_.use_memoized_covers,
-                         cfg_.membership, liveness);
+                         cfg_.membership, cfg_.liveness);
   discover();
 }
 
 void DistributedRuntime::set_fault_profile(const FaultProfile& faults) {
+  // Omniscient discovery finalizes each agent's table exactly once per
+  // change; a hello the wire re-delivers out of order would arrive after
+  // the finalize. Only view-sync membership absorbs late hellos.
   MHCA_ASSERT(cfg_.membership == MembershipMode::kViewSync ||
                   (faults.reorder_prob == 0.0 && faults.delay_slots_max == 0),
-              "reorder_prob/delay_slots_max require membership = view_sync");
+              "reorder_prob/delay_slots_max require membership = view_sync "
+              "(omniscient discovery cannot absorb a late hello)");
   channel_.set_fault_profile(faults);
-  cfg_.drop_prob = faults.drop_prob;
-  cfg_.dup_prob = faults.dup_prob;
-  cfg_.reorder_prob = faults.reorder_prob;
-  cfg_.delay_slots_max = faults.delay_slots_max;
-  cfg_.drop_seed = faults.seed;
+  cfg_.faults = faults;
 }
 
 Message DistributedRuntime::make_hello(int v) const {

@@ -59,23 +59,18 @@ struct NetConfig {
   /// (net/wire.h). Every flood's airtime is billed in encoded bytes and in
   /// the MTU fragments a socket transport would actually send.
   int mtu = wire::kDefaultMtu;
-  // --- Fault-injection plane (net/faults.h; all seeded by drop_seed) ---
-  /// Control-channel reception failure probability (the protocol's
-  /// independence guarantee assumes 0 — see ControlChannel).
-  double drop_prob = 0.0;
-  std::uint64_t drop_seed = 0;
-  double dup_prob = 0.0;      ///< Duplicate-delivery probability.
-  double reorder_prob = 0.0;  ///< Deferred-delivery probability.
-  int delay_slots_max = 0;    ///< Max deferral in slots (0 = same flood).
+  /// Control-channel fault injection (net/faults.h). The protocol's
+  /// independence guarantee assumes a fault-free channel — see
+  /// ControlChannel.
+  FaultProfile faults;
   // --- Membership (net/view.h) ---
   /// kViewSync: no omniscient delta feed — liveness from stat-carrying
   /// hellos with timeout + bounded retry + exponential backoff, membership
-  /// epochs as gossiped ViewIds. Required when reorder_prob > 0 or
-  /// delay_slots_max > 0 (omniscient discovery cannot absorb a late hello).
+  /// epochs as gossiped ViewIds. Required when faults.reorder_prob > 0 or
+  /// faults.delay_slots_max > 0 (omniscient discovery cannot absorb a late
+  /// hello).
   MembershipMode membership = MembershipMode::kOmniscient;
-  int hello_timeout_slots = 4;  ///< Silence (slots) before suspicion.
-  int hello_max_retries = 3;    ///< Probes before eviction.
-  int backoff_base = 2;         ///< Probe k waits backoff_base^k slots.
+  LivenessParams liveness;  ///< View-sync timeouts, retries and backoff.
 };
 
 struct NetRoundResult {

@@ -43,4 +43,13 @@ enum class MembershipMode : std::uint8_t {
   kViewSync,
 };
 
+/// Liveness knobs of the view-synchronous membership layer.
+struct LivenessParams {
+  int hello_timeout_slots = 4;  ///< Silence (slots) before suspicion.
+  int hello_max_retries = 3;    ///< Probes before eviction.
+  int backoff_base = 2;         ///< Probe k waits backoff_base^k slots.
+
+  bool operator==(const LivenessParams&) const = default;
+};
+
 }  // namespace mhca::net

@@ -26,13 +26,22 @@ int require_int(const ParamMap& p, const std::string& key,
 
 // ------------------------------------------------- topology generators
 
+/// Up to this many nodes, a geometric topology that leaves force_connected
+/// unset is rejection-sampled until connected; above it the first sample is
+/// kept. A sparse random geometric graph is connected with a probability
+/// that decays exponentially in n, so the default rejection sampling works
+/// for small networks (every committed scenario has <= 100 nodes) and would
+/// exhaust max_attempts on large ones.
+constexpr int kGeometricConnectedMaxNodes = 500;
+
 void register_builtin_topologies(TopologyRegistry& reg) {
   reg.add("geometric",
           {"nodes", "avg_degree", "side", "radius", "force_connected",
            "max_attempts"},
           [](const ParamMap& p, Rng& rng) {
             const int n = require_int(p, "nodes", "topology 'geometric'");
-            const bool fc = p.get_bool("force_connected", true);
+            const bool fc = p.get_bool("force_connected",
+                                       n <= kGeometricConnectedMaxNodes);
             if (p.has("side") || p.has("radius")) {
               if (!(p.has("side") && p.has("radius")))
                 throw ScenarioError(

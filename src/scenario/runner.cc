@@ -31,38 +31,10 @@ net::NetConfig to_net_config(const Scenario& s, int num_nodes) {
   cfg.local_solver = s.solver.local_solver;
   cfg.bnb_node_cap = s.solver.node_cap;
   cfg.use_memoized_covers = s.solver.memoized_covers;
-  cfg.drop_prob = s.net.drop_prob;
-  cfg.drop_seed = s.net.drop_seed;
-  cfg.dup_prob = s.net.dup_prob;
-  cfg.reorder_prob = s.net.reorder_prob;
-  cfg.delay_slots_max = s.net.delay_slots_max;
+  cfg.faults = s.net.faults;
   cfg.membership = membership_mode_from_string(s.net.membership);
-  cfg.hello_timeout_slots = s.net.hello_timeout_slots;
-  cfg.hello_max_retries = s.net.hello_max_retries;
-  cfg.backoff_base = s.net.backoff_base;
+  cfg.liveness = s.net.liveness;
   cfg.mtu = s.net.mtu;
-  return cfg;
-}
-
-ChannelAccessConfig to_channel_access_config(const Scenario& s,
-                                             int num_nodes) {
-  ChannelAccessConfig cfg;
-  cfg.num_channels = s.num_channels;
-  cfg.policy = policy_kind_from_string(s.policy.kind);
-  cfg.policy_params = builtin_policy_params(s.policy.params, num_nodes);
-  cfg.solver = s.solver.kind;
-  cfg.r = s.solver.r;
-  cfg.D = s.solver.D;
-  cfg.local_solver = s.solver.local_solver;
-  cfg.bnb_node_cap = s.solver.node_cap;
-  cfg.ptas_epsilon = s.solver.epsilon;
-  cfg.local_solve_parallelism = s.solver.parallelism;
-  cfg.use_memoized_covers = s.solver.memoized_covers;
-  cfg.timing = s.timing;
-  cfg.update_period = s.run.update_period;
-  cfg.seed = s.run.seed;
-  cfg.count_messages = s.run.count_messages;
-  cfg.series_stride = to_simulation_config(s).series_stride;
   return cfg;
 }
 
@@ -155,7 +127,10 @@ ChannelAccessScheme ScenarioRunner::make_scheme() const {
         "make_scheme() drives the static step API; dynamic scenarios run "
         "through run()/run_net() (set dynamics.kind=static to step by hand)");
   return ChannelAccessScheme(
-      network_, to_channel_access_config(s_, network_.num_nodes()));
+      network_, s_.num_channels,
+      policy_registry().create(s_.policy.kind, s_.policy.params,
+                               PolicyBuildContext{network_.num_nodes()}),
+      to_simulation_config(s_));
 }
 
 SimulationResult ScenarioRunner::run_with(const ChannelModel& model) const {

@@ -6,9 +6,7 @@
 // execution engines over those components:
 //
 //   run()        lockstep Simulator (Algorithm 2, the benchmarks' engine)
-//   run_with(m)  same, against an externally owned ChannelModel (the facade
-//                runs its batch mode through the identical scenario-derived
-//                SimulationConfig over its own graph/policy)
+//   run_with(m)  same, against an externally owned ChannelModel
 //   replicate()  multi-seed replication harness (fresh channel realization
 //                per seed, seed-order-deterministic thread pool)
 //   run_net()    message-level protocol runtime (src/net), one Algorithm-2
@@ -30,6 +28,7 @@
 #include "graph/extended_graph.h"
 #include "net/runtime.h"
 #include "scenario/scenario.h"
+#include "sim/decision_oracle.h"
 #include "sim/replication.h"
 #include "sim/simulator.h"
 
@@ -74,16 +73,10 @@ struct NetRunSummary {
 
 /// The net::NetConfig a scenario denotes (policy must be a built-in kind;
 /// `num_nodes` backs LLR's L-defaults-to-N rule). The runtime implements the
-/// distributed protocol, so solver.kind is not consulted. [net] drop_prob /
-/// drop_seed ride along, so message-loss runs are declarative.
+/// distributed protocol, so solver.kind is not consulted. The [net] fault
+/// and liveness knobs ride along, so lossy and view-sync runs are
+/// declarative.
 net::NetConfig to_net_config(const Scenario& s, int num_nodes);
-
-/// The ChannelAccessConfig a scenario denotes — the compat-shim face of the
-/// same SolverSpec/RunSpec single source of truth, for callers on the
-/// facade's step API (decide()/report() against a user-owned radio
-/// environment). The policy must be a built-in kind.
-ChannelAccessConfig to_channel_access_config(const Scenario& s,
-                                             int num_nodes);
 
 /// The dynamics seed a run derives from `base_seed` (the run seed, or one
 /// replication's seed): dynamics.seed when pinned, else a fixed mix of
@@ -114,7 +107,7 @@ class ScenarioRunner {
     return to_simulation_config(s_);
   }
   DistributedPtasConfig engine_config() const {
-    return s_.solver.engine_config(s_.run.count_messages);
+    return to_engine_config(simulation_config());
   }
 
   /// One full simulation of the scenario (its channel model, its seed).
@@ -144,9 +137,10 @@ class ScenarioRunner {
   NetRunSummary run_net_sharded(net::Transport& transport) const;
 
   /// The step-API handle this scenario denotes: a ChannelAccessScheme over
-  /// this runner's network, configured from the same SolverSpec — for
-  /// user-owned radio environments that call decide()/report() themselves
-  /// while describing everything else declaratively. Static scenarios only.
+  /// this runner's network, with a fresh policy from the registry and the
+  /// same SimulationConfig run() uses — for user-owned radio environments
+  /// that call decide()/report() themselves while describing everything
+  /// else declaratively. Static scenarios only.
   ChannelAccessScheme make_scheme() const;
 
   /// Build this scenario's dynamic topology driver seeded from `base_seed`

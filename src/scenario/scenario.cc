@@ -5,7 +5,6 @@
 #include <functional>
 #include <sstream>
 
-#include "core/channel_access.h"
 #include "dynamics/registries.h"
 #include "net/runtime.h"
 #include "scenario/registries.h"
@@ -13,54 +12,30 @@
 namespace mhca::scenario {
 
 // The drift guard: every config struct that carries a B&B node cap defaults
-// it from the one constant in mwis/mwis.h, and the high-level specs agree on
-// the shared solver knobs. A default edited in one place and not the others
-// now fails to compile instead of silently diverging (as
-// ChannelAccessConfig did after PR 2).
+// it from the one constant in mwis/mwis.h, and the structs that still
+// mirror SolverSpec's knobs agree with it. A default edited in one place and
+// not the others now fails to compile instead of silently diverging (as a
+// config shim's node cap did after PR 2). NetSpec embeds net::FaultProfile
+// and net::LivenessParams, so the fault and liveness defaults need no pin.
 static_assert(SolverSpec{}.node_cap == kDefaultBnbNodeCap);
 static_assert(DistributedPtasConfig{}.bnb_node_cap == kDefaultBnbNodeCap);
 static_assert(SimulationConfig{}.bnb_node_cap == kDefaultBnbNodeCap);
 static_assert(net::NetConfig{}.bnb_node_cap == kDefaultBnbNodeCap);
-static_assert(ChannelAccessConfig{}.bnb_node_cap == kDefaultBnbNodeCap);
 static_assert(SolverSpec{}.r == SimulationConfig{}.r &&
-              SolverSpec{}.r == ChannelAccessConfig{}.r &&
               SolverSpec{}.r == net::NetConfig{}.r &&
               SolverSpec{}.r == DistributedPtasConfig{}.r);
 static_assert(SolverSpec{}.D == SimulationConfig{}.D &&
-              SolverSpec{}.D == ChannelAccessConfig{}.D &&
               SolverSpec{}.D == net::NetConfig{}.D);
 static_assert(SolverSpec{}.parallelism ==
-                  SimulationConfig{}.local_solve_parallelism &&
-              SolverSpec{}.parallelism ==
-                  ChannelAccessConfig{}.local_solve_parallelism);
+              SimulationConfig{}.local_solve_parallelism);
 static_assert(SolverSpec{}.memoized_covers ==
                   SimulationConfig{}.use_memoized_covers &&
               SolverSpec{}.memoized_covers ==
-                  net::NetConfig{}.use_memoized_covers &&
-              SolverSpec{}.memoized_covers ==
-                  ChannelAccessConfig{}.use_memoized_covers);
-static_assert(NetSpec{}.drop_prob == net::NetConfig{}.drop_prob &&
-              NetSpec{}.drop_seed == net::NetConfig{}.drop_seed);
-static_assert(NetSpec{}.dup_prob == net::NetConfig{}.dup_prob &&
-              NetSpec{}.reorder_prob == net::NetConfig{}.reorder_prob &&
-              NetSpec{}.delay_slots_max == net::NetConfig{}.delay_slots_max);
-static_assert(NetSpec{}.hello_timeout_slots ==
-                  net::NetConfig{}.hello_timeout_slots &&
-              NetSpec{}.hello_max_retries ==
-                  net::NetConfig{}.hello_max_retries &&
-              NetSpec{}.backoff_base == net::NetConfig{}.backoff_base);
+                  net::NetConfig{}.use_memoized_covers);
 static_assert(net::NetConfig{}.membership ==
               net::MembershipMode::kOmniscient);
 static_assert(NetSpec{}.mtu == net::NetConfig{}.mtu &&
               NetSpec{}.mtu == net::wire::kDefaultMtu);
-// The agent-side liveness defaults must agree with the runtime config's
-// (the runtime stamps NetConfig into LivenessParams agent by agent).
-static_assert(net::LivenessParams{}.hello_timeout_slots ==
-                  net::NetConfig{}.hello_timeout_slots &&
-              net::LivenessParams{}.hello_max_retries ==
-                  net::NetConfig{}.hello_max_retries &&
-              net::LivenessParams{}.backoff_base ==
-                  net::NetConfig{}.backoff_base);
 
 namespace {
 
@@ -142,21 +117,21 @@ const std::vector<FieldDef>& run_fields() {
 const std::vector<FieldDef>& net_fields() {
   static const std::vector<FieldDef> fields{
       {"drop_prob", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.drop_prob = parse_double_value(v, w);
+         s.net.faults.drop_prob = parse_double_value(v, w);
        }},
       {"drop_seed", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.drop_seed = parse_uint_value(v, w);
+         s.net.faults.seed = parse_uint_value(v, w);
        }},
       {"dup_prob", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.dup_prob = parse_double_value(v, w);
+         s.net.faults.dup_prob = parse_double_value(v, w);
        }},
       {"reorder_prob",
        [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.reorder_prob = parse_double_value(v, w);
+         s.net.faults.reorder_prob = parse_double_value(v, w);
        }},
       {"delay_slots_max",
        [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.delay_slots_max = int32_field(v, w);
+         s.net.faults.delay_slots_max = int32_field(v, w);
        }},
       {"membership",
        [](Scenario& s, const std::string& v, const std::string&) {
@@ -165,15 +140,15 @@ const std::vector<FieldDef>& net_fields() {
        }},
       {"hello_timeout_slots",
        [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.hello_timeout_slots = int32_field(v, w);
+         s.net.liveness.hello_timeout_slots = int32_field(v, w);
        }},
       {"hello_max_retries",
        [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.hello_max_retries = int32_field(v, w);
+         s.net.liveness.hello_max_retries = int32_field(v, w);
        }},
       {"backoff_base",
        [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.backoff_base = int32_field(v, w);
+         s.net.liveness.backoff_base = int32_field(v, w);
        }},
       {"transport",
        [](Scenario& s, const std::string& v, const std::string&) {
@@ -430,15 +405,15 @@ std::string serialize_scenario(const Scenario& s) {
      << "count_messages = " << (s.run.count_messages ? "true" : "false")
      << "\n";
   os << "\n[net]\n"
-     << "drop_prob = " << format_double(s.net.drop_prob) << "\n"
-     << "drop_seed = " << s.net.drop_seed << "\n"
-     << "dup_prob = " << format_double(s.net.dup_prob) << "\n"
-     << "reorder_prob = " << format_double(s.net.reorder_prob) << "\n"
-     << "delay_slots_max = " << s.net.delay_slots_max << "\n"
+     << "drop_prob = " << format_double(s.net.faults.drop_prob) << "\n"
+     << "drop_seed = " << s.net.faults.seed << "\n"
+     << "dup_prob = " << format_double(s.net.faults.dup_prob) << "\n"
+     << "reorder_prob = " << format_double(s.net.faults.reorder_prob) << "\n"
+     << "delay_slots_max = " << s.net.faults.delay_slots_max << "\n"
      << "membership = " << s.net.membership << "\n"
-     << "hello_timeout_slots = " << s.net.hello_timeout_slots << "\n"
-     << "hello_max_retries = " << s.net.hello_max_retries << "\n"
-     << "backoff_base = " << s.net.backoff_base << "\n"
+     << "hello_timeout_slots = " << s.net.liveness.hello_timeout_slots << "\n"
+     << "hello_max_retries = " << s.net.liveness.hello_max_retries << "\n"
+     << "backoff_base = " << s.net.liveness.backoff_base << "\n"
      << "transport = " << s.net.transport << "\n"
      << "mtu = " << s.net.mtu << "\n"
      << "shard = " << s.net.shard << "\n";
@@ -506,31 +481,31 @@ void validate_fields(const Scenario& s) {
                           format_double(p) + " is outside the supported "
                           "[0, 1) range");
   };
-  check_prob(s.net.drop_prob, "drop_prob");
-  check_prob(s.net.dup_prob, "dup_prob");
-  check_prob(s.net.reorder_prob, "reorder_prob");
-  if (s.net.delay_slots_max < 0)
+  check_prob(s.net.faults.drop_prob, "drop_prob");
+  check_prob(s.net.faults.dup_prob, "dup_prob");
+  check_prob(s.net.faults.reorder_prob, "reorder_prob");
+  if (s.net.faults.delay_slots_max < 0)
     throw ScenarioError("net.delay_slots_max must be >= 0 (got " +
-                        std::to_string(s.net.delay_slots_max) + ")");
+                        std::to_string(s.net.faults.delay_slots_max) + ")");
   const net::MembershipMode mode =
       membership_mode_from_string(s.net.membership);
   if (mode != net::MembershipMode::kViewSync &&
-      (s.net.reorder_prob > 0.0 || s.net.delay_slots_max > 0))
+      (s.net.faults.reorder_prob > 0.0 || s.net.faults.delay_slots_max > 0))
     throw ScenarioError(
         "net.reorder_prob / net.delay_slots_max require net.membership = "
         "view_sync: omniscient discovery finalizes tables once per change "
         "and cannot absorb a late hello");
-  if (s.net.hello_timeout_slots < 2)
+  if (s.net.liveness.hello_timeout_slots < 2)
     throw ScenarioError(
         "net.hello_timeout_slots must be >= 2 (keep-alives go out every "
         "hello_timeout_slots - 1 rounds; got " +
-        std::to_string(s.net.hello_timeout_slots) + ")");
-  if (s.net.hello_max_retries < 0)
+        std::to_string(s.net.liveness.hello_timeout_slots) + ")");
+  if (s.net.liveness.hello_max_retries < 0)
     throw ScenarioError("net.hello_max_retries must be >= 0 (got " +
-                        std::to_string(s.net.hello_max_retries) + ")");
-  if (s.net.backoff_base < 1)
+                        std::to_string(s.net.liveness.hello_max_retries) + ")");
+  if (s.net.liveness.backoff_base < 1)
     throw ScenarioError("net.backoff_base must be >= 1 (got " +
-                        std::to_string(s.net.backoff_base) + ")");
+                        std::to_string(s.net.liveness.backoff_base) + ")");
   if (s.net.mtu < net::wire::kMinMtu || s.net.mtu > net::wire::kMaxMtu)
     throw ScenarioError(
         "net.mtu = " + std::to_string(s.net.mtu) + " is outside the "
@@ -578,18 +553,6 @@ bool is_dynamic(const Scenario& s) {
 }
 
 // ----------------------------------------------------------- conversions
-
-DistributedPtasConfig SolverSpec::engine_config(bool count_messages) const {
-  DistributedPtasConfig cfg;
-  cfg.r = r;
-  cfg.max_mini_rounds = D;
-  cfg.local_solver = local_solver;
-  cfg.bnb_node_cap = node_cap;
-  cfg.count_messages = count_messages;
-  cfg.local_solve_parallelism = parallelism;
-  cfg.use_memoized_covers = memoized_covers;
-  return cfg;
-}
 
 SimulationConfig to_simulation_config(const Scenario& s) {
   SimulationConfig cfg;

@@ -6,7 +6,7 @@
 // by registry string keys (scenario/registries.h), so the full evaluation
 // grid of the paper — channels x policies x topologies x r/D ablations — is
 // data, not code: ScenarioRunner (scenario/runner.h) turns any Scenario into
-// a running experiment, and every engine in the repo (facade, simulator,
+// a running experiment, and every engine in the repo (simulator, step API,
 // replication harness, message-level net runtime) is expressed through it.
 //
 // Scenarios round-trip through a flat `key = value` text format with
@@ -21,6 +21,7 @@
 #include "bandit/policy.h"
 #include "mwis/distributed_ptas.h"
 #include "mwis/mwis.h"
+#include "net/faults.h"
 #include "net/view.h"
 #include "scenario/params.h"
 #include "sim/config.h"
@@ -37,9 +38,10 @@ struct ComponentSpec {
 };
 
 /// The strategy-decision oracle, fully specified. Single source of truth
-/// for solver knobs across every decision path: conversions below stamp it
-/// into SimulationConfig / DistributedPtasConfig / net::NetConfig, and
-/// scenario.cc static_asserts that all default values agree with
+/// for solver knobs across every decision path: to_simulation_config stamps
+/// it into SimulationConfig (and sim/decision_oracle.h from there into
+/// DistributedPtasConfig), runner.h's to_net_config into net::NetConfig,
+/// and scenario.cc static_asserts that all default values agree with
 /// kDefaultBnbNodeCap and with each other (the PR-2 drift guard).
 struct SolverSpec {
   SolverKind kind = SolverKind::kDistributedPtas;
@@ -52,9 +54,6 @@ struct SolverSpec {
   int parallelism = 1;
   bool memoized_covers = false;  ///< See src/mwis/README.md.
   double epsilon = 1.0;          ///< ε for the centralized robust PTAS.
-
-  /// The lockstep-engine configuration this spec denotes.
-  DistributedPtasConfig engine_config(bool count_messages = false) const;
 
   bool operator==(const SolverSpec&) const = default;
 };
@@ -99,19 +98,15 @@ struct DynamicsSpec {
 
 /// Message-level runtime knobs ([net] section): the control-channel
 /// fault-injection plane and the view-synchronous membership layer,
-/// declarative at last. Numeric defaults are static_assert-pinned to
-/// net::NetConfig in scenario.cc (the PR-2 drift guard); membership is the
-/// string form of net::MembershipMode ("omniscient" | "view_sync").
+/// declarative at last. The fault and liveness knobs are the runtime's own
+/// structs, so their defaults live once (net/faults.h, net/view.h); the
+/// scenario keys stay flat (net.drop_prob, net.drop_seed = faults.seed,
+/// net.hello_timeout_slots, ...). membership is the string form of
+/// net::MembershipMode ("omniscient" | "view_sync").
 struct NetSpec {
-  double drop_prob = 0.0;     ///< Per-flood reception failure probability.
-  std::uint64_t drop_seed = 0;
-  double dup_prob = 0.0;      ///< Duplicate-delivery probability.
-  double reorder_prob = 0.0;  ///< Deferred-delivery probability.
-  int delay_slots_max = 0;    ///< Max deferral in slots (0 = same flood).
+  net::FaultProfile faults;
   std::string membership = "omniscient";
-  int hello_timeout_slots = 4;  ///< Silence (slots) before suspicion.
-  int hello_max_retries = 3;    ///< Liveness probes before eviction.
-  int backoff_base = 2;         ///< Probe k waits backoff_base^k slots.
+  net::LivenessParams liveness;
   /// How the --net runtime moves encoded floods: "inprocess" (every flood
   /// still round-trips through wire bytes) or "udp" (one real process per
   /// shard on loopback sockets; see net/transport.h). String form of

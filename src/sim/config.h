@@ -1,4 +1,4 @@
-// Simulation configuration shared by the simulator and the core facade.
+// Simulation configuration shared by the simulator and the step API.
 #pragma once
 
 #include <cstdint>

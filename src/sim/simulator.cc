@@ -3,10 +3,7 @@
 #include <chrono>
 
 #include "dynamics/dynamic_network.h"
-#include "mwis/branch_and_bound.h"
-#include "mwis/distributed_ptas.h"
-#include "mwis/greedy.h"
-#include "mwis/robust_ptas.h"
+#include "sim/decision_oracle.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -44,41 +41,13 @@ SimulationResult Simulator::run() {
   ArmEstimates est(k_arms);
   Rng rng(cfg_.seed);
 
-  // Strategy-decision oracle. The distributed engine precomputes its
-  // NeighborhoodCache at construction, so only build it when selected.
-  std::unique_ptr<DistributedRobustPtas> engine;
-  std::unique_ptr<MwisSolver> central;
-  DistributedPtasConfig dcfg;  // kept: dynamic full-rebuild re-uses it
-  switch (cfg_.solver) {
-    case SolverKind::kDistributedPtas: {
-      dcfg.r = cfg_.r;
-      dcfg.max_mini_rounds = cfg_.D;
-      dcfg.local_solver = cfg_.local_solver;
-      dcfg.bnb_node_cap = cfg_.bnb_node_cap;
-      dcfg.count_messages = cfg_.count_messages;
-      dcfg.local_solve_parallelism = cfg_.local_solve_parallelism;
-      dcfg.use_memoized_covers = cfg_.use_memoized_covers;
-      engine = std::make_unique<DistributedRobustPtas>(h, dcfg);
-      break;
-    }
-    case SolverKind::kCentralizedPtas:
-      central = std::make_unique<RobustPtasSolver>(cfg_.ptas_epsilon, 4,
-                                                   cfg_.bnb_node_cap);
-      break;
-    case SolverKind::kGreedy:
-      central = std::make_unique<GreedyMwisSolver>();
-      break;
-    case SolverKind::kExact:
-      central = std::make_unique<BranchAndBoundMwisSolver>(cfg_.bnb_node_cap);
-      break;
-  }
+  DecisionOracle oracle(h, cfg_);
 
   SimulationResult out;
   out.theta = cfg_.timing.theta();
 
   std::vector<double> weights;
   std::vector<int> strategy;
-  std::vector<int> active_list;  // central-solver candidates when masked
   double estimated_sum = 0.0;  // index-sum W_x of the current strategy
   double sum_observed = 0.0, sum_effective = 0.0, sum_estimated = 0.0;
   double sum_expected = 0.0, sum_strategy_size = 0.0;
@@ -88,12 +57,7 @@ SimulationResult Simulator::run() {
     if (is_dynamic && t > 1) {
       const dynamics::SlotChange& ch = dyn_->advance(t);
       if (ch.changed) {
-        if (engine) {
-          if (dyn_->incremental())
-            engine->on_graph_delta(ch.touched_vertices);
-          else
-            engine = std::make_unique<DistributedRobustPtas>(h, dcfg);
-        }
+        oracle.on_graph_delta(ch.touched_vertices, dyn_->incremental());
         // A strategy carried across non-decision slots must stay feasible
         // on the new graph: drop members that went inactive, then members
         // that now conflict with an earlier (lower-id) kept member. Purely
@@ -127,22 +91,12 @@ SimulationResult Simulator::run() {
       }
       const std::span<const char> mask =
           is_dynamic ? dyn_->active_vertex_mask() : std::span<const char>{};
-      if (cfg_.solver == SolverKind::kDistributedPtas) {
-        if (cfg_.count_messages && !strategy.empty())
-          out.total_messages += engine->weight_broadcast_messages(strategy);
-        DistributedPtasResult dres = engine->run(weights, mask);
-        strategy = std::move(dres.winners);
-        out.total_messages += dres.total_messages;
-        out.total_mini_timeslots += dres.total_mini_timeslots;
-      } else if (mask.empty()) {
-        strategy = central->solve_all(h, weights).vertices;
-      } else {
-        // Centralized oracles see only the live part of H.
-        active_list.clear();
-        for (int v = 0; v < k_arms; ++v)
-          if (mask[static_cast<std::size_t>(v)]) active_list.push_back(v);
-        strategy = central->solve(h, weights, active_list).vertices;
-      }
+      if (cfg_.count_messages && !strategy.empty())
+        out.total_messages += oracle.weight_broadcast_messages(strategy);
+      DistributedPtasResult dres = oracle.decide(weights, mask);
+      strategy = std::move(dres.winners);
+      out.total_messages += dres.total_messages;
+      out.total_mini_timeslots += dres.total_mini_timeslots;
       estimated_sum = 0.0;
       for (int v : strategy)
         estimated_sum += weights[static_cast<std::size_t>(v)];

@@ -353,7 +353,7 @@ TEST(DynamicsScenario, ParseSerializeOverrideRoundTrip) {
   EXPECT_FALSE(s.dynamics.incremental);
   EXPECT_TRUE(s.dynamics.batch);
   EXPECT_EQ(s.dynamics.seed, 77u);
-  EXPECT_DOUBLE_EQ(s.net.drop_prob, 0.25);
+  EXPECT_DOUBLE_EQ(s.net.faults.drop_prob, 0.25);
   const Scenario back =
       scenario::parse_scenario(scenario::serialize_scenario(s));
   EXPECT_EQ(s, back);
@@ -378,8 +378,8 @@ TEST(DynamicsScenario, DropProbReachesNetConfig) {
   scenario::apply_override(s, "net.drop_prob=0.125");
   scenario::apply_override(s, "net.drop_seed=9");
   const net::NetConfig cfg = scenario::to_net_config(s, 14);
-  EXPECT_DOUBLE_EQ(cfg.drop_prob, 0.125);
-  EXPECT_EQ(cfg.drop_seed, 9u);
+  EXPECT_DOUBLE_EQ(cfg.faults.drop_prob, 0.125);
+  EXPECT_EQ(cfg.faults.seed, 9u);
 }
 
 TEST(DynamicsScenario, RunsAreDeterministicAndReplicable) {

@@ -234,7 +234,7 @@ TEST(LossyChannel, ZeroLossMatchesReliable) {
   GaussianChannelModel model(10, 2, rng);
   net::NetConfig reliable;
   net::NetConfig lossy0;
-  lossy0.drop_prob = 0.0;
+  lossy0.faults.drop_prob = 0.0;
   net::DistributedRuntime a(ecg, model, reliable);
   net::DistributedRuntime b(ecg, model, lossy0);
   for (int t = 0; t < 5; ++t) {
@@ -251,8 +251,8 @@ TEST(LossyChannel, DropsAreCountedAndDegradeTheProtocol) {
   ExtendedConflictGraph ecg(cg, 3);
   GaussianChannelModel model(12, 3, rng);
   net::NetConfig cfg;
-  cfg.drop_prob = 0.4;
-  cfg.drop_seed = 99;
+  cfg.faults.drop_prob = 0.4;
+  cfg.faults.seed = 99;
   net::DistributedRuntime rt(ecg, model, cfg);
   int conflicts = 0;
   for (int t = 0; t < 12; ++t)
@@ -269,8 +269,8 @@ TEST(LossyChannel, MildLossKeepsMostOfTheStrategyConflictFree) {
   ExtendedConflictGraph ecg(cg, 2);
   GaussianChannelModel model(10, 2, rng);
   net::NetConfig cfg;
-  cfg.drop_prob = 0.02;
-  cfg.drop_seed = 7;
+  cfg.faults.drop_prob = 0.02;
+  cfg.faults.seed = 7;
   net::DistributedRuntime rt(ecg, model, cfg);
   std::int64_t conflicting_pairs = 0, winners = 0;
   for (int t = 0; t < 10; ++t) {
@@ -291,8 +291,8 @@ TEST(LossyChannel, MildLossKeepsMostOfTheStrategyConflictFree) {
 
 TEST(LossyChannel, RejectsInvalidProbability) {
   Graph g(3);
-  EXPECT_THROW(net::ControlChannel(g, 1.0), std::logic_error);
-  EXPECT_THROW(net::ControlChannel(g, -0.1), std::logic_error);
+  EXPECT_THROW(net::ControlChannel(g, {.drop_prob = 1.0}), std::logic_error);
+  EXPECT_THROW(net::ControlChannel(g, {.drop_prob = -0.1}), std::logic_error);
 }
 
 }  // namespace

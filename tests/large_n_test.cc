@@ -6,8 +6,9 @@
 // README's rule says, (2) the cached decision path (NeighborhoodCache +
 // sparse-row gather + incremental SoA election) takes byte-identical
 // decisions to the seed re-derivation reference (tests/reference/) at
-// n ≈ 10k and 250k, and (3) incremental
-// apply_delta keeps the sharded structures exact.
+// n ≈ 10k and 250k, (3) incremental
+// apply_delta keeps the sharded structures exact, and (4) a default
+// geometric scenario scaled to 50k vertices builds and runs.
 //
 // ctest label "large": runs in the Release CI job only (Debug/ASan jobs
 // filter it out with -LE large — an unoptimized 10k-vertex decision is
@@ -26,6 +27,7 @@
 #include "graph/neighborhood_cache.h"
 #include "mwis/distributed_ptas.h"
 #include "reference/seed_ptas.h"
+#include "scenario/runner.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -39,6 +41,22 @@ class EballTierOverride {
   }
   ~EballTierOverride() { ::unsetenv("MHCA_EBALL_TIER"); }
 };
+
+TEST(LargeN, DefaultGeometricScenarioRunsAtFiftyThousandVertices) {
+  // quickstart.ini leaves topology.force_connected unset. Rejection-sampling
+  // a connected 6,250-node geometric graph would exhaust max_attempts, so
+  // above the registry's node threshold the default keeps the first sample.
+  scenario::Scenario s = scenario::parse_scenario_file(
+      std::string(MHCA_SOURCE_DIR) + "/examples/scenarios/quickstart.ini");
+  ASSERT_FALSE(s.topology.params.has("force_connected"));
+  scenario::apply_override(s, "topology.nodes=6250");
+  scenario::apply_override(s, "run.slots=2");
+  const scenario::ScenarioRunner runner(s);
+  EXPECT_EQ(runner.extended_graph().num_vertices(), 50'000);
+  const SimulationResult res = runner.run();
+  EXPECT_EQ(res.total_slots, 2);
+  EXPECT_FALSE(res.last_strategy.empty());
+}
 
 TEST(LargeN, RepresentationSelectionRule) {
   Rng rng(5);

@@ -448,8 +448,8 @@ TEST_F(NetFixture, ConvergenceOracleAcceptsFaultFreeViewSyncRun) {
 TEST_F(NetFixture, LivenessProbesAndViewChangesAreBilled) {
   NetConfig clean = view_sync_config();
   NetConfig lossy = view_sync_config();
-  lossy.drop_prob = 0.4;
-  lossy.drop_seed = 21;
+  lossy.faults.drop_prob = 0.4;
+  lossy.faults.seed = 21;
   DistributedRuntime rt_clean(ecg_, model_, clean);
   DistributedRuntime rt_lossy(ecg_, model_, lossy);
   for (int t = 1; t <= 20; ++t) {

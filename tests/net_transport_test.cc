@@ -148,9 +148,9 @@ TEST(MemoryMesh, ThreeShardsMatchClassicUnderDropAndDupFaults) {
   NetConfig cfg;
   cfg.r = 2;
   cfg.D = 4;
-  cfg.drop_prob = 0.12;
-  cfg.dup_prob = 0.08;
-  cfg.drop_seed = 0xFA17;
+  cfg.faults.drop_prob = 0.12;
+  cfg.faults.dup_prob = 0.08;
+  cfg.faults.seed = 0xFA17;
   mesh_matches_classic(3, cfg, 12, 0x5EED02);
 }
 
@@ -197,8 +197,8 @@ TEST(UdpTransportTest, TwoShardsOverRealSocketsMatchClassic) {
   NetConfig cfg;
   cfg.r = 2;
   cfg.D = 4;
-  cfg.dup_prob = 0.05;  // exercise the fault plane over the real wire too
-  cfg.drop_seed = 7;
+  cfg.faults.dup_prob = 0.05;  // exercise the fault plane over the real wire too
+  cfg.faults.seed = 7;
   const RunLog classic = drive(nullptr, cfg, 10, 0x5EED05);
 
   UdpOptions opts;

@@ -567,7 +567,7 @@ TEST(ObsDisabled, NetRoundDoesNoObservabilityWork) {
   ExtendedConflictGraph ecg(cg, 3);
   GaussianChannelModel model(14, 3, rng);
   net::NetConfig ncfg;
-  ncfg.drop_prob = 0.1;  // exercise the fault plane's sites too
+  ncfg.faults.drop_prob = 0.1;  // exercise the fault plane's sites too
 
   ExposedObs exposed;
   auto rt = exposed.construct([&] {

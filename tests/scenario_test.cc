@@ -2,7 +2,7 @@
 // registry completeness (every component constructible by string key), the
 // single-source-of-truth solver defaults, and — the core redesign claim —
 // byte-identical results between ScenarioRunner and the legacy hand-wired
-// paths (direct Simulator, ChannelAccessScheme::run, net runtime).
+// paths (direct Simulator, the step API, net runtime).
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -106,15 +106,15 @@ TEST(ScenarioFormat, ParseReadsEveryField) {
   EXPECT_FALSE(s.dynamics.incremental);
   EXPECT_EQ(s.dynamics.seed, 21u);
   EXPECT_DOUBLE_EQ(s.dynamics.model.params.get_double("leave_prob", 0), 0.05);
-  EXPECT_DOUBLE_EQ(s.net.drop_prob, 0.1);
-  EXPECT_EQ(s.net.drop_seed, 3u);
-  EXPECT_DOUBLE_EQ(s.net.dup_prob, 0.05);
-  EXPECT_DOUBLE_EQ(s.net.reorder_prob, 0.2);
-  EXPECT_EQ(s.net.delay_slots_max, 2);
+  EXPECT_DOUBLE_EQ(s.net.faults.drop_prob, 0.1);
+  EXPECT_EQ(s.net.faults.seed, 3u);
+  EXPECT_DOUBLE_EQ(s.net.faults.dup_prob, 0.05);
+  EXPECT_DOUBLE_EQ(s.net.faults.reorder_prob, 0.2);
+  EXPECT_EQ(s.net.faults.delay_slots_max, 2);
   EXPECT_EQ(s.net.membership, "view_sync");
-  EXPECT_EQ(s.net.hello_timeout_slots, 6);
-  EXPECT_EQ(s.net.hello_max_retries, 2);
-  EXPECT_EQ(s.net.backoff_base, 3);
+  EXPECT_EQ(s.net.liveness.hello_timeout_slots, 6);
+  EXPECT_EQ(s.net.liveness.hello_max_retries, 2);
+  EXPECT_EQ(s.net.liveness.backoff_base, 3);
   EXPECT_EQ(s.solver.kind, SolverKind::kDistributedPtas);
   EXPECT_EQ(s.solver.r, 3);
   EXPECT_EQ(s.solver.D, 6);
@@ -317,18 +317,19 @@ TEST(SolverSpec, DefaultsPinnedToOneConstant) {
   EXPECT_EQ(DistributedPtasConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
   EXPECT_EQ(SimulationConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
   EXPECT_EQ(net::NetConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
-  EXPECT_EQ(ChannelAccessConfig{}.bnb_node_cap, kDefaultBnbNodeCap);
 }
 
 TEST(SolverSpec, EngineConfigMapsEveryKnob) {
-  scenario::SolverSpec spec;
-  spec.r = 3;
-  spec.D = 7;
-  spec.local_solver = LocalSolverKind::kGreedy;
-  spec.node_cap = 555;
-  spec.parallelism = 4;
-  spec.memoized_covers = true;
-  const DistributedPtasConfig cfg = spec.engine_config(/*count_messages=*/true);
+  Scenario s;
+  s.solver.r = 3;
+  s.solver.D = 7;
+  s.solver.local_solver = LocalSolverKind::kGreedy;
+  s.solver.node_cap = 555;
+  s.solver.parallelism = 4;
+  s.solver.memoized_covers = true;
+  s.run.count_messages = true;
+  const DistributedPtasConfig cfg =
+      to_engine_config(scenario::to_simulation_config(s));
   EXPECT_EQ(cfg.r, 3);
   EXPECT_EQ(cfg.max_mini_rounds, 7);
   EXPECT_EQ(cfg.local_solver, LocalSolverKind::kGreedy);
@@ -466,21 +467,36 @@ TEST(ScenarioRunnerDeterminism, ByteIdenticalToHandWiredSimulator) {
   expect_identical(via_scenario, legacy);
 }
 
-TEST(ScenarioRunnerDeterminism, ByteIdenticalToFacadeRun) {
-  const Scenario s = scenario::parse_scenario(kDeterminismScenario);
-  const SimulationResult via_scenario = ScenarioRunner(s).run();
+TEST(ScenarioRunnerDeterminism, StepApiReproducesRunForEverySolverKind) {
+  // Driving decide()/report() with the scenario model's samples, reported
+  // in current_vertices() order, is the simulation: the same decisions, the
+  // same learning state and the same observed total, for every oracle.
+  for (const std::string& kind : scenario::solver_kind_keys()) {
+    Scenario s = scenario::parse_scenario(kDeterminismScenario);
+    scenario::apply_override(s, "solver.kind=" + kind);
+    const ScenarioRunner runner(s);
+    const SimulationResult sim = runner.run();
 
-  Rng rng(5);
-  ConflictGraph network = random_geometric_avg_degree(14, 4.5, rng);
-  GaussianChannelModel model(14, 3, rng);
-  ChannelAccessConfig cfg;
-  cfg.num_channels = 3;
-  cfg.seed = 5;
-  cfg.series_stride = 10;
-  const ChannelAccessScheme scheme(network, cfg);
-  const SimulationResult via_facade = scheme.run(model, 120);
-
-  expect_identical(via_scenario, via_facade);
+    ChannelAccessScheme scheme = runner.make_scheme();
+    const ExtendedConflictGraph& ecg = scheme.extended_graph();
+    const ChannelModel& model = runner.model();
+    double observed = 0.0;
+    for (std::int64_t t = 1; t <= s.run.slots; ++t) {
+      scheme.decide();
+      double slot_observed = 0.0;
+      for (int v : scheme.current_vertices()) {
+        const int node = ecg.master_of(v);
+        const double x = model.sample(node, ecg.channel_of(v), t);
+        scheme.report(node, x);
+        slot_observed += x;
+      }
+      observed += slot_observed;
+    }
+    EXPECT_EQ(scheme.current_vertices(), sim.last_strategy) << kind;
+    EXPECT_EQ(scheme.estimates().means(), sim.final_means) << kind;
+    EXPECT_EQ(scheme.estimates().counts(), sim.final_counts) << kind;
+    EXPECT_EQ(observed, sim.total_observed) << kind;
+  }
 }
 
 TEST(ScenarioRunnerDeterminism, RepeatedRunsAndReplicationsAreStable) {

@@ -14,6 +14,7 @@
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
 #include "graph/independence.h"
+#include "scenario/runner.h"
 #include "sim/optimum.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
@@ -36,9 +37,9 @@ TEST(SingleHop, IndependenceNumberIsMinNM) {
 TEST(SingleHop, StrategyNeverReusesAChannel) {
   Rng rng(5);
   ConflictGraph cg = complete_network(6);
-  ChannelAccessConfig cfg;
-  cfg.num_channels = 4;
-  ChannelAccessScheme scheme(cg, cfg);
+  scenario::Scenario sc;
+  sc.num_channels = 4;
+  ChannelAccessScheme scheme = scenario::ScenarioRunner(sc, cg).make_scheme();
   GaussianChannelModel model(6, 4, rng);
   for (std::int64_t t = 1; t <= 30; ++t) {
     const Strategy& s = scheme.decide();

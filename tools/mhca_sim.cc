@@ -501,9 +501,7 @@ void print_net(const scenario::Scenario& s, const scenario::NetRunSummary& n,
   }
   // Robustness telemetry is only meaningful when the wire is unreliable or
   // membership is inferred from it; keep the clean-run table compact.
-  const bool faulty = s.net.drop_prob > 0.0 || s.net.dup_prob > 0.0 ||
-                      s.net.reorder_prob > 0.0;
-  if (faulty || s.net.membership == "view_sync") {
+  if (s.net.faults.any() || s.net.membership == "view_sync") {
     table.row("dropped deliveries", n.drops);
     table.row("duplicate deliveries", n.duplicates);
     table.row("reordered/delayed deliveries", n.deferred);
