@@ -1,6 +1,7 @@
 #include "graph/hop.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "util/assert.h"
 
@@ -96,6 +97,13 @@ void BfsScratch::two_radius_sizes(const Graph& g, int v, int k_inner,
 void BfsScratch::multi_source_k_hop(const Graph& g,
                                     std::span<const int> sources, int k,
                                     std::vector<int>& out) {
+  multi_source_k_hop_unsorted(g, sources, k, out);
+  std::sort(out.begin(), out.end());
+}
+
+void BfsScratch::multi_source_k_hop_unsorted(const Graph& g,
+                                             std::span<const int> sources,
+                                             int k, std::vector<int>& out) {
   MHCA_ASSERT(k >= 0, "hop count must be non-negative");
   if (static_cast<int>(stamp_.size()) != g.size()) resize(g.size());
   ++epoch_;
@@ -124,7 +132,59 @@ void BfsScratch::multi_source_k_hop(const Graph& g,
       }
     }
   }
-  std::sort(out.begin(), out.end());
+}
+
+void BfsScratch::k_hop_sizes(const Graph& g, std::span<const int> sources,
+                             int k, std::span<int> sizes) {
+  MHCA_ASSERT(k >= 0, "hop count must be non-negative");
+  MHCA_ASSERT(sources.size() <= kMaxSizeSources &&
+                  sizes.size() >= sources.size(),
+              "k_hop_sizes takes at most 64 sources, one size slot each");
+  const auto n = static_cast<std::size_t>(g.size());
+  if (reached_by_.size() != n) {
+    reached_by_.assign(n, 0);
+    arriving_.assign(n, 0);
+  }
+  // reached_by_[u] = sources whose ball holds u so far; frontier_ pairs a
+  // vertex with the sources that reached it at the current depth only.
+  reached_.clear();
+  frontier_.clear();
+  for (std::size_t i = 0; i < sources.size(); ++i) {
+    const int v = sources[i];
+    MHCA_ASSERT(v >= 0 && v < g.size(), "vertex out of range");
+    auto& bits = reached_by_[static_cast<std::size_t>(v)];
+    if (bits == 0) reached_.push_back(v);
+    bits |= std::uint64_t{1} << i;
+  }
+  for (int v : reached_)
+    frontier_.emplace_back(v, reached_by_[static_cast<std::size_t>(v)]);
+  for (int depth = 0; depth < k && !frontier_.empty(); ++depth) {
+    arrived_.clear();
+    for (const auto& [x, bits] : frontier_) {
+      for (int u : g.neighbors(x)) {
+        const auto ui = static_cast<std::size_t>(u);
+        const std::uint64_t fresh = bits & ~reached_by_[ui];
+        if (fresh == 0) continue;
+        if (reached_by_[ui] == 0) reached_.push_back(u);
+        if (arriving_[ui] == 0) arrived_.push_back(u);
+        arriving_[ui] |= fresh;
+        reached_by_[ui] |= fresh;
+      }
+    }
+    frontier_.clear();
+    for (int u : arrived_) {
+      auto& bits = arriving_[static_cast<std::size_t>(u)];
+      frontier_.emplace_back(u, bits);
+      bits = 0;
+    }
+  }
+  std::fill_n(sizes.begin(), sources.size(), 0);
+  for (int u : reached_) {
+    auto& bits = reached_by_[static_cast<std::size_t>(u)];
+    for (std::uint64_t m = bits; m != 0; m &= m - 1)
+      ++sizes[static_cast<std::size_t>(std::countr_zero(m))];
+    bits = 0;
+  }
 }
 
 int BfsScratch::hop_distance(const Graph& g, int u, int v, int cap) {

@@ -5,8 +5,10 @@
 // result broadcast reaches (3r+1) hops (paper §IV-C).
 #pragma once
 
+#include <cstdint>
 #include <limits>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.h"
@@ -48,6 +50,25 @@ class BfsScratch {
   /// can differ (see NeighborhoodCache::apply_delta).
   void multi_source_k_hop(const Graph& g, std::span<const int> sources, int k,
                           std::vector<int>& out);
+
+  /// As above, in BFS discovery order instead of sorted: vertices that are
+  /// close in the graph are close in the list.
+  void multi_source_k_hop_unsorted(const Graph& g,
+                                   std::span<const int> sources, int k,
+                                   std::vector<int>& out);
+
+  static constexpr std::size_t kMaxSizeSources = 64;
+
+  /// |J_k(s)| for each of up to kMaxSizeSources `sources` (into sizes[i]
+  /// for sources[i]) in one bit-parallel BFS: every reached vertex carries
+  /// a 64-bit mask of the sources whose ball holds it, so the edge scans
+  /// follow the *union* of the balls rather than their sum — a several-fold
+  /// saving when the sources are close together, as consecutive entries of
+  /// a BFS order are. Size-only, like two_radius_sizes;
+  /// NeighborhoodCache::apply_delta refreshes the implicit tier's e-ball
+  /// sizes with it. Allocates 16 bytes per vertex on first use.
+  void k_hop_sizes(const Graph& g, std::span<const int> sources, int k,
+                   std::span<int> sizes);
 
   /// Early-exit bounded BFS: visit the vertices of J_k(v) (v included) in
   /// BFS order and return the first one satisfying `pred`, or -1 when none
@@ -98,6 +119,11 @@ class BfsScratch {
   std::vector<int> dist_;
   std::vector<int> queue_;
   std::uint32_t epoch_ = 0;
+  // k_hop_sizes state (all zero between calls).
+  std::vector<std::uint64_t> reached_by_;
+  std::vector<std::uint64_t> arriving_;
+  std::vector<int> reached_, arrived_;
+  std::vector<std::pair<int, std::uint64_t>> frontier_;
 };
 
 /// Convenience wrapper allocating a scratch internally.

@@ -1,6 +1,7 @@
 #include "graph/neighborhood_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -185,143 +186,124 @@ void NeighborhoodCache::apply_delta(const Graph& g,
                                     std::span<const int> touched) {
   MHCA_ASSERT(built(), "apply_delta on an unbuilt cache");
   MHCA_ASSERT(g.size() == size_, "graph size changed under the cache");
+  for (int t : touched)
+    MHCA_ASSERT(t >= 0 && t < size_, "touched vertex out of range");
   if (touched.empty()) {
     last_invalidated_ = 0;
     return;
   }
 
-  // Affected = within 2r+1 hops of a touched vertex on the already-patched
-  // graph — one multi-source BFS. Complete per the argument in the header:
-  // a ball gained a member only through an added (touched-endpoint) edge,
-  // and lost one only through a removed edge whose surviving old-path
-  // prefix ends at a touched vertex; either way the owner is within 2r+1
-  // *new-graph* hops of `touched`.
-  std::vector<char> affected(static_cast<std::size_t>(size_), 0);
-  for (int t : touched)
-    MHCA_ASSERT(t >= 0 && t < size_, "touched vertex out of range");
-  BfsScratch scratch(size_);
-  std::vector<int> reach;
-  scratch.multi_source_k_hop(g, touched, 2 * r_ + 1, reach);
-  for (int v : reach) affected[static_cast<std::size_t>(v)] = 1;
-
-  // Recompute only the affected balls, buffered flat (the buffers hold the
-  // blast radius, not the whole cache). Everything below is about writing
-  // them back without the old whole-array rewrite: a span whose size did
-  // not change — and every span before the first size change — keeps its
-  // offset, so it is patched in place (zero copy for unaffected spans);
-  // only the suffix from the first size-changing vertex on shifts and gets
-  // rewritten. A single touched vertex used to cost a full ~O(total
-  // entries) copy (~120 MB at 50k vertices, r=2); now it costs the
-  // recomputed balls plus whatever suffix actually moved. On the implicit
-  // tier the e-ball side degenerates to overwriting the affected sizes.
-  const auto n = static_cast<std::size_t>(size_);
+  // The two reaches (see the header): r-balls and covers within r hops of
+  // `touched`, election balls within 2r+1. The (2r+1)-reach stays in BFS
+  // order on the implicit tier, so each 64-source batch of k_hop_sizes
+  // holds nearby vertices whose balls mostly overlap.
   const bool covers = has_covers();
   const bool implicit = tier_ == EballTier::kImplicit;
-  std::vector<int> aff;                      // affected ids, ascending
-  std::vector<std::int64_t> ar_off{0}, ae_off{0};  // per-affected offsets
-  std::vector<int> ar_data, ae_data, acov_data;
-  std::vector<int> r_ball_buf, e_ball_buf, clique_of;
-  for (int v = 0; v < size_; ++v) {
-    if (!affected[static_cast<std::size_t>(v)]) continue;
-    aff.push_back(v);
-    scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball_buf,
-                                    e_ball_buf);
-    ar_data.insert(ar_data.end(), r_ball_buf.begin(), r_ball_buf.end());
-    ar_off.push_back(static_cast<std::int64_t>(ar_data.size()));
-    if (implicit) {
-      e_sizes_[static_cast<std::size_t>(v)] =
-          static_cast<int>(e_ball_buf.size());
-    } else {
-      ae_data.insert(ae_data.end(), e_ball_buf.begin(), e_ball_buf.end());
-      ae_off.push_back(static_cast<std::int64_t>(ae_data.size()));
+  scratch_.multi_source_k_hop_unsorted(g, touched, 2 * r_ + 1, e_reach_);
+  if (!implicit) std::sort(e_reach_.begin(), e_reach_.end());
+  scratch_.multi_source_k_hop(g, touched, r_, r_reach_);
+
+  // Recompute the reach's balls into flat buffers (they hold the blast
+  // radius, not the whole cache), then patch them in.
+  r_new_.clear();
+  e_new_.clear();
+  const auto add_r_ball = [&](int v) {
+    r_new_.append(r_ball_);
+    if (!covers) return;
+    cover_counts_[static_cast<std::size_t>(v)] =
+        build_ball_cover(g, r_ball_, clique_of_);
+    r_new_.cov.insert(r_new_.cov.end(), clique_of_.begin(), clique_of_.end());
+  };
+  if (implicit) {
+    constexpr std::size_t kBatch = BfsScratch::kMaxSizeSources;
+    const std::span<const int> order = e_reach_;
+    std::array<int, kBatch> sizes{};
+    for (std::size_t b = 0; b < order.size(); b += kBatch) {
+      const auto batch = order.subspan(b, std::min(kBatch, order.size() - b));
+      scratch_.k_hop_sizes(g, batch, 2 * r_ + 1, sizes);
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        e_sizes_[static_cast<std::size_t>(batch[i])] = sizes[i];
     }
-    if (covers) {
-      cover_counts_[static_cast<std::size_t>(v)] =
-          build_ball_cover(g, r_ball_buf, clique_of);
-      acov_data.insert(acov_data.end(), clique_of.begin(), clique_of.end());
+    for (const int v : r_reach_) {
+      scratch_.k_hop_neighborhood(g, v, r_, r_ball_);
+      add_r_ball(v);
+    }
+  } else {
+    auto next_r = r_reach_.begin();
+    for (const int v : e_reach_) {
+      scratch_.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball_, e_ball_);
+      e_new_.append(e_ball_);
+      if (next_r != r_reach_.end() && *next_r == v) {
+        ++next_r;
+        add_r_ball(v);
+      }
     }
   }
+  patch(r_offsets_, r_data_, covers ? &cover_data_ : nullptr, r_reach_,
+        r_new_);
+  if (!implicit) patch(e_offsets_, e_data_, nullptr, e_reach_, e_new_);
+  last_invalidated_ = static_cast<int>(e_reach_.size());
+}
 
-  const auto new_size = [&](const std::vector<std::int64_t>& off,
-                            std::size_t i) {
-    return off[i + 1] - off[i];
+void NeighborhoodCache::patch(std::vector<std::int64_t>& offsets,
+                              std::vector<int>& data,
+                              std::vector<int>* cov_data,
+                              std::span<const int> ids, const Balls& balls) {
+  // A span whose size did not change — and every span before the first
+  // size change — keeps its offset and is overwritten in place; only the
+  // suffix from the first size-changing vertex on is rebuilt in tail_
+  // (recomputed spans from `balls`, the others from their still intact old
+  // position) and copied back.
+  const auto at = [](auto& vec, std::int64_t i) {
+    return vec.begin() + static_cast<std::ptrdiff_t>(i);
   };
-  const auto old_size = [&](const std::vector<std::int64_t>& off, int v) {
-    return off[static_cast<std::size_t>(v) + 1] -
-           off[static_cast<std::size_t>(v)];
+  const auto new_size = [&](std::size_t k) {
+    return balls.off[k + 1] - balls.off[k];
   };
-  // First vertex whose span offset moves = first affected vertex whose ball
-  // changed size; everything before it is patched in place.
-  const auto patch = [&](std::vector<std::int64_t>& offsets,
-                         std::vector<int>& data,
-                         const std::vector<std::int64_t>& a_off,
-                         const std::vector<int>& a_data,
-                         std::vector<int>* cov_data) {
-    int first_shift = size_;
-    for (std::size_t i = 0; i < aff.size(); ++i) {
-      if (new_size(a_off, i) != old_size(offsets, aff[i])) {
-        first_shift = aff[i];
-        break;
-      }
-    }
-    std::size_t i = 0;
-    for (; i < aff.size() && aff[i] < first_shift; ++i) {
-      const auto dst = static_cast<std::ptrdiff_t>(
-          offsets[static_cast<std::size_t>(aff[i])]);
-      const auto src = static_cast<std::ptrdiff_t>(a_off[i]);
-      const auto len = static_cast<std::ptrdiff_t>(new_size(a_off, i));
-      std::copy(a_data.begin() + src, a_data.begin() + src + len,
-                data.begin() + dst);
-      if (cov_data)
-        std::copy(acov_data.begin() + src, acov_data.begin() + src + len,
-                  cov_data->begin() + dst);
-    }
-    if (first_shift == size_) return;
-    // Rebuild the shifted suffix: affected spans from the buffers,
-    // unaffected ones copied over from their (still intact) old position.
-    std::vector<int> tail, cov_tail;
-    std::vector<std::int64_t> sizes;
-    sizes.reserve(n - static_cast<std::size_t>(first_shift));
-    for (int v = first_shift; v < size_; ++v) {
-      if (i < aff.size() && aff[i] == v) {
-        const auto src = static_cast<std::ptrdiff_t>(a_off[i]);
-        const auto len = static_cast<std::ptrdiff_t>(new_size(a_off, i));
-        tail.insert(tail.end(), a_data.begin() + src,
-                    a_data.begin() + src + len);
-        if (cov_data)
-          cov_tail.insert(cov_tail.end(), acov_data.begin() + src,
-                          acov_data.begin() + src + len);
-        sizes.push_back(len);
-        ++i;
-      } else {
-        const auto b = static_cast<std::ptrdiff_t>(
-            offsets[static_cast<std::size_t>(v)]);
-        const auto len = static_cast<std::ptrdiff_t>(old_size(offsets, v));
-        tail.insert(tail.end(), data.begin() + b, data.begin() + b + len);
-        if (cov_data)
-          cov_tail.insert(cov_tail.end(), cov_data->begin() + b,
-                          cov_data->begin() + b + len);
-        sizes.push_back(len);
-      }
-    }
-    const auto keep = static_cast<std::size_t>(
-        offsets[static_cast<std::size_t>(first_shift)]);
-    data.resize(keep + tail.size());
-    std::copy(tail.begin(), tail.end(),
-              data.begin() + static_cast<std::ptrdiff_t>(keep));
-    if (cov_data) {
-      cov_data->resize(keep + cov_tail.size());
-      std::copy(cov_tail.begin(), cov_tail.end(),
-                cov_data->begin() + static_cast<std::ptrdiff_t>(keep));
-    }
-    for (int v = first_shift; v < size_; ++v)
-      offsets[static_cast<std::size_t>(v) + 1] =
-          offsets[static_cast<std::size_t>(v)] +
-          sizes[static_cast<std::size_t>(v - first_shift)];
+  const auto old_size = [&](std::size_t v) {
+    return offsets[v + 1] - offsets[v];
   };
-  patch(r_offsets_, r_data_, ar_off, ar_data, covers ? &cover_data_ : nullptr);
-  if (!implicit) patch(e_offsets_, e_data_, ae_off, ae_data, nullptr);
-  last_invalidated_ = static_cast<int>(aff.size());
+  std::size_t k = 0;
+  for (; k < ids.size(); ++k) {
+    const auto v = static_cast<std::size_t>(ids[k]);
+    if (new_size(k) != old_size(v)) break;
+    std::copy_n(at(balls.data, balls.off[k]), new_size(k),
+                at(data, offsets[v]));
+    if (cov_data)
+      std::copy_n(at(balls.cov, balls.off[k]), new_size(k),
+                  at(*cov_data, offsets[v]));
+  }
+  if (k == ids.size()) return;
+  const auto lo = static_cast<std::size_t>(ids[k]);
+  const auto n = static_cast<std::size_t>(size_);
+  tail_.clear();
+  cov_tail_.clear();
+  tail_sizes_.clear();
+  const auto take = [&](const std::vector<int>& src,
+                        const std::vector<int>* cov_src, std::int64_t b,
+                        std::int64_t len) {
+    tail_.insert(tail_.end(), at(src, b), at(src, b + len));
+    if (cov_data)
+      cov_tail_.insert(cov_tail_.end(), at(*cov_src, b), at(*cov_src, b + len));
+    tail_sizes_.push_back(len);
+  };
+  for (std::size_t v = lo; v < n; ++v) {
+    if (k < ids.size() && static_cast<std::size_t>(ids[k]) == v) {
+      take(balls.data, &balls.cov, balls.off[k], new_size(k));
+      ++k;
+    } else {
+      take(data, cov_data, offsets[v], old_size(v));
+    }
+  }
+  const std::int64_t base = offsets[lo];
+  data.resize(static_cast<std::size_t>(base) + tail_.size());
+  std::copy(tail_.begin(), tail_.end(), at(data, base));
+  if (cov_data) {
+    cov_data->resize(data.size());
+    std::copy(cov_tail_.begin(), cov_tail_.end(), at(*cov_data, base));
+  }
+  for (std::size_t v = lo; v < n; ++v)
+    offsets[v + 1] = offsets[v] + tail_sizes_[v - lo];
 }
 
 int NeighborhoodCache::build_ball_cover(const Graph& g,

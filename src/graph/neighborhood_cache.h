@@ -40,8 +40,8 @@
 // Reuse contract: the cache borrows the graph; the graph must be finalized
 // first. When the graph *does* change (dynamics, src/dynamics/README.md),
 // `apply_delta` re-synchronizes the cache by recomputing only the balls
-// that can have moved — vertices within 2r+1 hops of a touched vertex —
-// instead of re-running one BFS per vertex.
+// that can have moved — r-balls within r hops of a touched vertex, election
+// balls within 2r+1 — instead of re-running one BFS per vertex.
 #pragma once
 
 #include <cstdint>
@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/hop.h"
 #include "util/assert.h"
 
 namespace mhca {
@@ -151,28 +152,38 @@ class NeighborhoodCache {
 
   /// Re-synchronize with a graph that just changed. `touched` are the
   /// vertices incident to an added/removed edge (the graph must already be
-  /// patched). Affected = one multi-source BFS to 2r+1 hops from `touched`
-  /// on the new graph. That single new-graph sweep is complete: touched
-  /// holds both endpoints of every changed edge, so (a) a vertex entering
-  /// some ball got there via an added edge whose endpoints are touched,
-  /// and (b) a vertex leaving one had an old path through a removed edge —
-  /// the prefix of that path up to the *first* removed edge survives in
-  /// the new graph and ends at a touched vertex. Either way the ball's
-  /// owner is within 2r+1 new-graph hops of `touched`. (Earlier revisions
-  /// also unioned the stored old election balls of the touched vertices;
-  /// that added only vertices whose balls hadn't changed — and the
-  /// implicit tier has no stored balls to read.)
+  /// patched). A ball of radius k can have moved only if its owner is
+  /// within k new-graph hops of `touched`: touched holds both endpoints of
+  /// every changed edge, so (a) a vertex entering some ball got there via
+  /// an added edge whose endpoints are touched, and (b) a vertex leaving one
+  /// had an old path through a removed edge — the prefix of that path up to
+  /// the *first* removed edge survives in the new graph and ends at a
+  /// touched vertex. So the reach is split, one multi-source BFS each:
   ///
-  /// Only affected vertices re-run BFS (and cover construction), and only
-  /// moved bytes are written: spans whose size is unchanged — and every
-  /// span before the first size change — keep their offsets and are
-  /// patched in place; the suffix from the first size-changing vertex on
-  /// is rewritten once. On the implicit tier the e-ball update is just the
-  /// affected sizes. The result is byte-identical to a from-scratch
-  /// rebuild (tests/dynamics_differential_test.cc fuzzes this claim).
+  ///   - r-balls (and their covers) are recomputed only within r hops;
+  ///   - election balls within 2r+1 hops. The explicit tier rebuilds both
+  ///     balls of such a vertex from one BFS; the implicit tier stores only
+  ///     sizes, so it counts the (2r+1)-balls without building or sorting
+  ///     them — 64 at a time with the bit-parallel `BfsScratch::k_hop_sizes`,
+  ///     batched in BFS order so each batch's balls mostly overlap — and runs
+  ///     the short r-hop BFS for the r-reach alone.
+  ///
+  /// Runs on the calling thread. The BFS workspace and buffers are kept
+  /// across calls: ~12 bytes per vertex (plus 16 on the implicit tier), and
+  /// the largest suffix the patch has had to rebuild.
+  ///
+  /// Only moved bytes are written: spans whose size is unchanged — and
+  /// every span before the first size change — keep their offsets and are
+  /// patched in place; the suffix from the first size-changing vertex on is
+  /// rewritten once. The result is byte-identical to a from-scratch rebuild
+  /// (tests/cache_delta_differential_test.cc checks every vertex on both
+  /// tiers; tests/dynamics_differential_test.cc fuzzes it end to end).
   void apply_delta(const Graph& g, std::span<const int> touched);
 
-  /// Affected vertices of the last apply_delta (introspection for benches).
+  /// Election balls the last apply_delta refreshed: the size of the
+  /// (2r+1)-hop reach of `touched`, as before the reach was split (the
+  /// r-hop reach is a subset), so BENCH_dynamics.json's
+  /// avg_invalidated_balls stays comparable across revisions.
   int last_invalidated() const { return last_invalidated_; }
 
   /// Greedy clique cover of `ball` (sorted vertex ids of g) in id-ascending
@@ -194,6 +205,27 @@ class NeighborhoodCache {
     return {data.data() + b, e - b};
   }
 
+  /// Recomputed spans of an apply_delta, concatenated in vertex order.
+  struct Balls {
+    std::vector<std::int64_t> off{0};
+    std::vector<int> data;
+    std::vector<int> cov;  ///< Aligned with data when covers are built.
+    void clear() {
+      off.assign(1, 0);
+      data.clear();
+      cov.clear();
+    }
+    void append(std::span<const int> ball) {
+      data.insert(data.end(), ball.begin(), ball.end());
+      off.push_back(static_cast<std::int64_t>(data.size()));
+    }
+  };
+  /// Write the recomputed spans `balls` of the ascending vertices `ids`
+  /// into (offsets, data[, cov_data]).
+  void patch(std::vector<std::int64_t>& offsets, std::vector<int>& data,
+             std::vector<int>* cov_data, std::span<const int> ids,
+             const Balls& balls);
+
   int r_ = 0;
   int size_ = 0;
   EballTier tier_ = EballTier::kExplicit;
@@ -205,6 +237,14 @@ class NeighborhoodCache {
   std::vector<int> cover_data_;          ///< Aligned with r_data_ when built.
   std::vector<int> cover_counts_;        ///< Cliques per r-ball when built.
   int last_invalidated_ = 0;
+
+  // apply_delta scratch, sized on first use (not counted as resident cache).
+  BfsScratch scratch_;
+  std::vector<int> e_reach_, r_reach_;
+  Balls r_new_, e_new_;  ///< Recomputed spans of the r- and e-reach.
+  std::vector<int> r_ball_, e_ball_, clique_of_;
+  std::vector<int> tail_, cov_tail_;  ///< patch()'s rebuilt suffix.
+  std::vector<std::int64_t> tail_sizes_;
 };
 
 }  // namespace mhca

@@ -4,6 +4,7 @@
 
 #include "dynamics/dynamic_network.h"
 #include "sim/decision_oracle.h"
+#include "sim/prune.h"
 #include "util/assert.h"
 #include "util/rng.h"
 
@@ -59,25 +60,9 @@ SimulationResult Simulator::run() {
       if (ch.changed) {
         oracle.on_graph_delta(ch.touched_vertices, dyn_->incremental());
         // A strategy carried across non-decision slots must stay feasible
-        // on the new graph: drop members that went inactive, then members
-        // that now conflict with an earlier (lower-id) kept member. Purely
-        // deterministic, so both maintenance modes prune identically.
-        if (!strategy.empty()) {
-          const std::span<const char> mask = dyn_->active_vertex_mask();
-          std::vector<int> kept;
-          kept.reserve(strategy.size());
-          for (int v : strategy) {
-            bool ok =
-                mask.empty() || mask[static_cast<std::size_t>(v)] != 0;
-            for (std::size_t i = 0; ok && i < kept.size(); ++i)
-              ok = !h.has_edge(v, kept[i]);
-            if (ok)
-              kept.push_back(v);
-            else
-              estimated_sum -= weights[static_cast<std::size_t>(v)];
-          }
-          strategy = std::move(kept);
-        }
+        // on the new graph (sim/prune.h).
+        prune_carried_strategy(h, dyn_->active_vertex_mask(), weights,
+                               strategy, estimated_sum);
       }
     }
     const bool decision_slot = ((t - 1) % cfg_.update_period) == 0;

@@ -166,6 +166,41 @@ TEST(GraphDeltaTest, MultiSourceKHopMatchesUnionOfBalls) {
       want.insert(ball.begin(), ball.end());
     }
     EXPECT_EQ(got, std::vector<int>(want.begin(), want.end())) << "k=" << k;
+    // The unsorted variant: the same vertices, in BFS discovery order
+    // (hop distance to the nearest source never decreases along the list).
+    std::vector<int> order;
+    scratch.multi_source_k_hop_unsorted(g, sources, k, order);
+    int prev = 0;
+    for (int v : order) {
+      int d = BfsScratch::unreachable();
+      for (int s : sources) d = std::min(d, hop_distance(g, s, v));
+      EXPECT_GE(d, prev) << "k=" << k << " v=" << v;
+      prev = d;
+    }
+    std::sort(order.begin(), order.end());
+    EXPECT_EQ(order, got) << "k=" << k;
+  }
+}
+
+TEST(GraphDeltaTest, BitParallelSizesMatchPerSourceBalls) {
+  Rng rng(21);
+  ConflictGraph cg = random_geometric_avg_degree(300, 5.0, rng,
+                                                 /*force_connected=*/false);
+  const Graph& g = cg.graph();
+  BfsScratch scratch;  // one scratch across calls: state must reset
+  std::vector<int> sizes(BfsScratch::kMaxSizeSources);
+  for (int c = 0; c < 12; ++c) {
+    // Full and partial batches, duplicates allowed.
+    const int count = c % 3 == 0 ? 64 : rng.uniform_int(1, 64);
+    std::vector<int> sources;
+    for (int i = 0; i < count; ++i)
+      sources.push_back(rng.uniform_int(0, g.size() - 1));
+    const int k = c % 6;
+    scratch.k_hop_sizes(g, sources, k, sizes);
+    for (int i = 0; i < count; ++i)
+      ASSERT_EQ(sizes[static_cast<std::size_t>(i)],
+                static_cast<int>(k_hop_neighborhood(g, sources[i], k).size()))
+          << "case " << c << " source " << i << " k=" << k;
   }
 }
 

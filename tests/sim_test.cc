@@ -3,15 +3,19 @@
 // update accounting, determinism).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "bandit/policy.h"
 #include "channel/gaussian.h"
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
+#include "reference/quadratic_prune.h"
 #include "sim/config.h"
 #include "sim/metrics.h"
 #include "sim/optimum.h"
+#include "sim/prune.h"
 #include "sim/simulator.h"
 #include "sim/timing.h"
 #include "util/rng.h"
@@ -282,6 +286,66 @@ TEST(Simulator, RejectsBadConfig) {
   GaussianChannelModel wrong(5, 2, rng);
   SimulationConfig ok;
   EXPECT_THROW(Simulator(ecg, wrong, *policy, ok), std::logic_error);
+}
+
+// The O(Σ deg) carried-strategy prune keeps exactly what the quadratic
+// has_edge loop (tests/reference/quadratic_prune.h) keeps, and subtracts the
+// dropped weights from the index sum in the same order, on dense-matrix and
+// sparse-row graphs, with and without an activity mask.
+TEST(CarriedPrune, MatchesQuadraticOracleOnRandomStrategies) {
+  const int sizes[] = {40, 300, Graph::kAdjacencyMatrixLimit + 200};
+  for (const int n : sizes) {
+    Rng rng(9000 + static_cast<std::uint64_t>(n));
+    Graph h(n);
+    for (int e = 0; e < 3 * n; ++e) {
+      const int u = rng.uniform_int(0, n - 1), v = rng.uniform_int(0, n - 1);
+      if (u != v && !h.has_edge(u, v)) h.add_edge(u, v);
+    }
+    h.finalize();
+    ASSERT_EQ(h.has_adjacency_matrix(), n <= Graph::kAdjacencyMatrixLimit);
+    std::vector<double> weights(static_cast<std::size_t>(n));
+    for (auto& w : weights) w = rng.uniform(0.05, 1.0);
+    std::size_t dropped = 0;
+    for (int c = 0; c < 60; ++c) {
+      SCOPED_TRACE("n " + std::to_string(n) + " case " + std::to_string(c));
+      // An independent core (what a decision leaves behind) plus random
+      // extras that conflict with it; every third case shuffles the order.
+      std::vector<int> strategy;
+      std::vector<char> blocked(static_cast<std::size_t>(n), 0);
+      const double take = std::min(1.0, 600.0 / n);
+      for (int v = 0; v < n; ++v) {
+        if (!rng.bernoulli(take)) continue;
+        const bool core = !blocked[static_cast<std::size_t>(v)] &&
+                          rng.bernoulli(0.8);
+        if (!core && !rng.bernoulli(0.1)) continue;
+        strategy.push_back(v);
+        if (core)
+          for (int u : h.neighbors(v)) blocked[static_cast<std::size_t>(u)] = 1;
+      }
+      if (c % 3 == 2)
+        for (std::size_t i = strategy.size(); i > 1; --i)
+          std::swap(strategy[i - 1],
+                    strategy[static_cast<std::size_t>(
+                        rng.uniform_int(0, static_cast<int>(i) - 1))]);
+      std::vector<char> mask;
+      if (c % 2 == 1) {
+        mask.assign(static_cast<std::size_t>(n), 1);
+        for (auto& m : mask) m = rng.bernoulli(0.2) ? 0 : 1;
+      }
+      double sum = 0.0;
+      for (int v : strategy) sum += weights[static_cast<std::size_t>(v)];
+
+      const std::size_t before = strategy.size();
+      std::vector<int> expect = strategy;
+      double expect_sum = sum;
+      reference::quadratic_prune(h, mask, weights, expect, expect_sum);
+      prune_carried_strategy(h, mask, weights, strategy, sum);
+      ASSERT_EQ(strategy, expect);
+      ASSERT_EQ(sum, expect_sum);  // same subtractions, same order
+      dropped += before - strategy.size();
+    }
+    EXPECT_GT(dropped, 0u);
+  }
 }
 
 }  // namespace
