@@ -378,7 +378,7 @@ Cell run_cell(int users, int r, int channels, int decisions) {
     NeighborhoodCache prev;  // only two caches alive at a time
     for (std::size_t i = 0; i < 3; ++i) {
       const auto t0 = Clock::now();
-      NeighborhoodCache cur(h, r, /*build_covers=*/false, counts[i]);
+      NeighborhoodCache cur(h, r, counts[i]);
       *build_ms[i] =
           std::chrono::duration<double, std::milli>(Clock::now() - t0)
               .count();

@@ -27,14 +27,17 @@ int NeighborhoodCache::build_workers(int parallelism, int n) {
 NeighborhoodCache::EballTier NeighborhoodCache::select_eball_tier(int n) {
   if (const char* env = std::getenv("MHCA_EBALL_TIER")) {
     if (std::strcmp(env, "explicit") == 0) return EballTier::kExplicit;
-    if (std::strcmp(env, "implicit") == 0) return EballTier::kImplicit;
+    MHCA_ASSERT(std::strcmp(env, "implicit") == 0,
+                std::string("MHCA_EBALL_TIER='") + env +
+                    "' is not a tier; valid values: explicit, implicit "
+                    "(unset = by size)");
+    return EballTier::kImplicit;
   }
   return n <= Graph::kAdjacencyMatrixLimit ? EballTier::kExplicit
                                            : EballTier::kImplicit;
 }
 
-NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
-                                     int parallelism)
+NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
     : r_(r), size_(g.size()), tier_(select_eball_tier(g.size())) {
   MHCA_ASSERT(r >= 1, "r must be at least 1");
   const auto n = static_cast<std::size_t>(size_);
@@ -44,7 +47,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
     e_sizes_.assign(n, 0);
   else
     e_offsets_.assign(n + 1, 0);
-  if (build_covers) cover_counts_.assign(n, 0);
 
   const int workers = build_workers(parallelism, size_);
   if (workers <= 1) {
@@ -55,7 +57,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
     BfsScratch scratch(size_);
     std::vector<int> r_ball;
     std::vector<int> e_ball;
-    std::vector<int> clique_of;
     for (int v = 0; v < size_; ++v) {
       scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball, e_ball);
       if (implicit) {
@@ -71,12 +72,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
           r_offsets_[static_cast<std::size_t>(v)] +
           static_cast<std::int64_t>(r_ball.size());
       r_data_.insert(r_data_.end(), r_ball.begin(), r_ball.end());
-      if (build_covers) {
-        cover_counts_[static_cast<std::size_t>(v)] =
-            build_ball_cover(g, r_ball, clique_of);
-        cover_data_.insert(cover_data_.end(), clique_of.begin(),
-                           clique_of.end());
-      }
     }
     return;
   }
@@ -122,14 +117,12 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
   }
   r_data_.resize(static_cast<std::size_t>(r_offsets_[n]));
   if (!implicit) e_data_.resize(static_cast<std::size_t>(e_offsets_[n]));
-  if (build_covers) cover_data_.resize(r_data_.size());
   parallel_run(
       workers,
       [&](int j) {
         auto& scratch = scratches[static_cast<std::size_t>(j)];
         std::vector<int> r_ball;
         std::vector<int> e_ball;
-        std::vector<int> clique_of;
         const auto [lo, hi] = slice(j);
         for (int v = lo; v < hi; ++v) {
           const auto vi = static_cast<std::size_t>(v);
@@ -149,12 +142,6 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, bool build_covers,
             std::copy(e_ball.begin(), e_ball.end(),
                       e_data_.begin() +
                           static_cast<std::ptrdiff_t>(e_offsets_[vi]));
-          if (build_covers) {
-            cover_counts_[vi] = build_ball_cover(g, r_ball, clique_of);
-            std::copy(clique_of.begin(), clique_of.end(),
-                      cover_data_.begin() +
-                          static_cast<std::ptrdiff_t>(r_offsets_[vi]));
-          }
         }
       },
       workers);
@@ -165,8 +152,7 @@ std::int64_t NeighborhoodCache::resident_bytes() const {
     return static_cast<std::int64_t>(vec.size() * sizeof(vec[0]));
   };
   return bytes(r_offsets_) + bytes(r_data_) + bytes(e_offsets_) +
-         bytes(e_data_) + bytes(e_sizes_) + bytes(cover_data_) +
-         bytes(cover_counts_);
+         bytes(e_data_) + bytes(e_sizes_);
 }
 
 std::int64_t NeighborhoodCache::explicit_layout_bytes() const {
@@ -193,11 +179,10 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     return;
   }
 
-  // The two reaches (see the header): r-balls and covers within r hops of
+  // The two reaches (see the header): r-balls within r hops of
   // `touched`, election balls within 2r+1. The (2r+1)-reach stays in BFS
   // order on the implicit tier, so each 64-source batch of k_hop_sizes
   // holds nearby vertices whose balls mostly overlap.
-  const bool covers = has_covers();
   const bool implicit = tier_ == EballTier::kImplicit;
   scratch_.multi_source_k_hop_unsorted(g, touched, 2 * r_ + 1, e_reach_);
   if (!implicit) std::sort(e_reach_.begin(), e_reach_.end());
@@ -207,13 +192,6 @@ void NeighborhoodCache::apply_delta(const Graph& g,
   // radius, not the whole cache), then patch them in.
   r_new_.clear();
   e_new_.clear();
-  const auto add_r_ball = [&](int v) {
-    r_new_.append(r_ball_);
-    if (!covers) return;
-    cover_counts_[static_cast<std::size_t>(v)] =
-        build_ball_cover(g, r_ball_, clique_of_);
-    r_new_.cov.insert(r_new_.cov.end(), clique_of_.begin(), clique_of_.end());
-  };
   if (implicit) {
     constexpr std::size_t kBatch = BfsScratch::kMaxSizeSources;
     const std::span<const int> order = e_reach_;
@@ -226,7 +204,7 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     }
     for (const int v : r_reach_) {
       scratch_.k_hop_neighborhood(g, v, r_, r_ball_);
-      add_r_ball(v);
+      r_new_.append(r_ball_);
     }
   } else {
     auto next_r = r_reach_.begin();
@@ -235,19 +213,17 @@ void NeighborhoodCache::apply_delta(const Graph& g,
       e_new_.append(e_ball_);
       if (next_r != r_reach_.end() && *next_r == v) {
         ++next_r;
-        add_r_ball(v);
+        r_new_.append(r_ball_);
       }
     }
   }
-  patch(r_offsets_, r_data_, covers ? &cover_data_ : nullptr, r_reach_,
-        r_new_);
-  if (!implicit) patch(e_offsets_, e_data_, nullptr, e_reach_, e_new_);
+  patch(r_offsets_, r_data_, r_reach_, r_new_);
+  if (!implicit) patch(e_offsets_, e_data_, e_reach_, e_new_);
   last_invalidated_ = static_cast<int>(e_reach_.size());
 }
 
 void NeighborhoodCache::patch(std::vector<std::int64_t>& offsets,
                               std::vector<int>& data,
-                              std::vector<int>* cov_data,
                               std::span<const int> ids, const Balls& balls) {
   // A span whose size did not change — and every span before the first
   // size change — keeps its offset and is overwritten in place; only the
@@ -269,74 +245,30 @@ void NeighborhoodCache::patch(std::vector<std::int64_t>& offsets,
     if (new_size(k) != old_size(v)) break;
     std::copy_n(at(balls.data, balls.off[k]), new_size(k),
                 at(data, offsets[v]));
-    if (cov_data)
-      std::copy_n(at(balls.cov, balls.off[k]), new_size(k),
-                  at(*cov_data, offsets[v]));
   }
   if (k == ids.size()) return;
   const auto lo = static_cast<std::size_t>(ids[k]);
   const auto n = static_cast<std::size_t>(size_);
   tail_.clear();
-  cov_tail_.clear();
   tail_sizes_.clear();
-  const auto take = [&](const std::vector<int>& src,
-                        const std::vector<int>* cov_src, std::int64_t b,
+  const auto take = [&](const std::vector<int>& src, std::int64_t b,
                         std::int64_t len) {
     tail_.insert(tail_.end(), at(src, b), at(src, b + len));
-    if (cov_data)
-      cov_tail_.insert(cov_tail_.end(), at(*cov_src, b), at(*cov_src, b + len));
     tail_sizes_.push_back(len);
   };
   for (std::size_t v = lo; v < n; ++v) {
     if (k < ids.size() && static_cast<std::size_t>(ids[k]) == v) {
-      take(balls.data, &balls.cov, balls.off[k], new_size(k));
+      take(balls.data, balls.off[k], new_size(k));
       ++k;
     } else {
-      take(data, cov_data, offsets[v], old_size(v));
+      take(data, offsets[v], old_size(v));
     }
   }
   const std::int64_t base = offsets[lo];
   data.resize(static_cast<std::size_t>(base) + tail_.size());
   std::copy(tail_.begin(), tail_.end(), at(data, base));
-  if (cov_data) {
-    cov_data->resize(data.size());
-    std::copy(cov_tail_.begin(), cov_tail_.end(), at(*cov_data, base));
-  }
   for (std::size_t v = lo; v < n; ++v)
     offsets[v + 1] = offsets[v] + tail_sizes_[v - lo];
-}
-
-int NeighborhoodCache::build_ball_cover(const Graph& g,
-                                        std::span<const int> ball,
-                                        std::vector<int>& clique_of) {
-  clique_of.assign(ball.size(), -1);
-  // Cliques as (first-member-index, id) chains would save memory, but balls
-  // are small; plain member lists keep the placement check obvious.
-  std::vector<std::vector<int>> cliques;
-  for (std::size_t i = 0; i < ball.size(); ++i) {
-    const int v = ball[i];
-    bool placed = false;
-    for (std::size_t q = 0; q < cliques.size(); ++q) {
-      bool all_adjacent = true;
-      for (int u : cliques[q]) {
-        if (!g.has_edge(v, u)) {
-          all_adjacent = false;
-          break;
-        }
-      }
-      if (all_adjacent) {
-        cliques[q].push_back(v);
-        clique_of[i] = static_cast<int>(q);
-        placed = true;
-        break;
-      }
-    }
-    if (!placed) {
-      clique_of[i] = static_cast<int>(cliques.size());
-      cliques.push_back({v});
-    }
-  }
-  return static_cast<int>(cliques.size());
 }
 
 }  // namespace mhca

@@ -27,16 +27,6 @@
 // `MHCA_EBALL_TIER=explicit|implicit` overrides the size rule (read per
 // construction — tests force both tiers on the same graph).
 //
-// Optionally (`build_covers`) the cache also memoizes, per vertex, a greedy
-// clique cover of its r-ball computed in the weight-free id-ascending order
-// (`build_ball_cover`): the ball's clique *structure* never changes between
-// slots, only the weights do, so the partition can be reused by restricting
-// it to the current candidate subset (a subset of a clique is a clique).
-// Covers are opt-in because the weight-free partition is measurably weaker
-// as a bound than the per-solve weight-descending cover on hard instances
-// (see src/mwis/README.md for the measurement); they pay off only where
-// cover construction, not tree search, dominates.
-//
 // Reuse contract: the cache borrows the graph; the graph must be finalized
 // first. When the graph *does* change (dynamics, src/dynamics/README.md),
 // `apply_delta` re-synchronizes the cache by recomputing only the balls
@@ -63,8 +53,7 @@ class NeighborhoodCache {
   /// Precompute, for every vertex v of g, the sorted r-hop ball J_r(v)
   /// (always an explicit CSR span) and the (2r+1)-hop election ball
   /// J_{2r+1}(v) — stored per the selected tier (see file comment). Both
-  /// include v. With `build_covers`, also memoize each r-ball's clique
-  /// cover.
+  /// include v.
   ///
   /// `parallelism` fans the per-vertex BFS across worker threads with a
   /// two-pass count-then-fill layout into the CSR arrays (pass 1 sizes
@@ -76,11 +65,9 @@ class NeighborhoodCache {
   /// 1 = the serial single-pass build; 0 = the MHCA_CACHE_BUILD_WORKERS
   /// environment variable if set (CI uses it to pin determinism across
   /// worker counts), else one worker per hardware thread.
-  NeighborhoodCache(const Graph& g, int r, bool build_covers = false,
-                    int parallelism = 0);
+  NeighborhoodCache(const Graph& g, int r, int parallelism = 0);
 
   bool built() const { return !r_offsets_.empty(); }
-  bool has_covers() const { return !cover_counts_.empty(); }
   int r() const { return r_; }
   int size() const { return size_; }
   EballTier eball_tier() const { return tier_; }
@@ -88,7 +75,8 @@ class NeighborhoodCache {
   /// Tier the constructor will pick for an n-vertex graph: the
   /// MHCA_EBALL_TIER override if set, else explicit iff
   /// n <= Graph::kAdjacencyMatrixLimit (the same threshold that selects the
-  /// dense adjacency representation).
+  /// dense adjacency representation). Throws std::logic_error naming the
+  /// valid values if the override is set to anything else.
   static EballTier select_eball_tier(int n);
 
   /// Effective worker count the build will use for `parallelism` on an
@@ -111,16 +99,6 @@ class NeighborhoodCache {
     return span_of(e_offsets_, e_data_, v);
   }
 
-  /// Clique id per member of r_ball(v), aligned with that span. Ids are
-  /// dense in [0, r_ball_clique_count(v)).
-  std::span<const int> r_ball_cover(int v) const {
-    return span_of(r_offsets_, cover_data_, v);
-  }
-
-  int r_ball_clique_count(int v) const {
-    return cover_counts_[static_cast<std::size_t>(v)];
-  }
-
   int r_ball_size(int v) const {
     return static_cast<int>(r_ball(v).size());
   }
@@ -137,8 +115,7 @@ class NeighborhoodCache {
   /// Total stored ball entries (memory introspection; the implicit tier
   /// contributes no e-ball entries).
   std::int64_t total_entries() const {
-    return static_cast<std::int64_t>(r_data_.size() + e_data_.size() +
-                                     cover_data_.size());
+    return static_cast<std::int64_t>(r_data_.size() + e_data_.size());
   }
 
   /// Bytes actually held by the cache's arrays.
@@ -160,7 +137,7 @@ class NeighborhoodCache {
   /// the *first* removed edge survives in the new graph and ends at a
   /// touched vertex. So the reach is split, one multi-source BFS each:
   ///
-  ///   - r-balls (and their covers) are recomputed only within r hops;
+  ///   - r-balls are recomputed only within r hops;
   ///   - election balls within 2r+1 hops. The explicit tier rebuilds both
   ///     balls of such a vertex from one BFS; the implicit tier stores only
   ///     sizes, so it counts the (2r+1)-balls without building or sorting
@@ -186,16 +163,6 @@ class NeighborhoodCache {
   /// avg_invalidated_balls stays comparable across revisions.
   int last_invalidated() const { return last_invalidated_; }
 
-  /// Greedy clique cover of `ball` (sorted vertex ids of g) in id-ascending
-  /// order: each vertex joins the first clique it is fully adjacent to, else
-  /// opens a new one. Writes the clique id of ball[i] to clique_of[i]
-  /// (resized) and returns the clique count. Weight-free and deterministic,
-  /// so a memoized cover and a freshly built one are always identical —
-  /// the net runtime's agents build it per local view, the engine reads it
-  /// back from the cache, and both reach byte-identical solver behavior.
-  static int build_ball_cover(const Graph& g, std::span<const int> ball,
-                              std::vector<int>& clique_of);
-
  private:
   static std::span<const int> span_of(const std::vector<std::int64_t>& off,
                                       const std::vector<int>& data, int v) {
@@ -209,11 +176,9 @@ class NeighborhoodCache {
   struct Balls {
     std::vector<std::int64_t> off{0};
     std::vector<int> data;
-    std::vector<int> cov;  ///< Aligned with data when covers are built.
     void clear() {
       off.assign(1, 0);
       data.clear();
-      cov.clear();
     }
     void append(std::span<const int> ball) {
       data.insert(data.end(), ball.begin(), ball.end());
@@ -221,10 +186,9 @@ class NeighborhoodCache {
     }
   };
   /// Write the recomputed spans `balls` of the ascending vertices `ids`
-  /// into (offsets, data[, cov_data]).
+  /// into (offsets, data).
   void patch(std::vector<std::int64_t>& offsets, std::vector<int>& data,
-             std::vector<int>* cov_data, std::span<const int> ids,
-             const Balls& balls);
+             std::span<const int> ids, const Balls& balls);
 
   int r_ = 0;
   int size_ = 0;
@@ -234,16 +198,14 @@ class NeighborhoodCache {
   std::vector<std::int64_t> e_offsets_;  ///< size_+1; explicit tier only.
   std::vector<int> e_data_;              ///< Explicit tier only.
   std::vector<int> e_sizes_;             ///< size_; implicit tier only.
-  std::vector<int> cover_data_;          ///< Aligned with r_data_ when built.
-  std::vector<int> cover_counts_;        ///< Cliques per r-ball when built.
   int last_invalidated_ = 0;
 
   // apply_delta scratch, sized on first use (not counted as resident cache).
   BfsScratch scratch_;
   std::vector<int> e_reach_, r_reach_;
   Balls r_new_, e_new_;  ///< Recomputed spans of the r- and e-reach.
-  std::vector<int> r_ball_, e_ball_, clique_of_;
-  std::vector<int> tail_, cov_tail_;  ///< patch()'s rebuilt suffix.
+  std::vector<int> r_ball_, e_ball_;
+  std::vector<int> tail_;  ///< patch()'s rebuilt suffix.
   std::vector<std::int64_t> tail_sizes_;
 };
 

@@ -23,13 +23,6 @@ class Search {
          std::span<const int> candidates, std::int64_t cap, SolveScratch& s,
          const BnbSolveOptions& opts)
       : s_(s), opts_(opts), cap_(cap) {
-    if (!opts_.cand_clique_ids.empty()) {
-      MHCA_ASSERT(opts_.enhanced, "memoized covers require the enhanced search");
-      MHCA_ASSERT(opts_.cand_clique_ids.size() == candidates.size(),
-                  "clique-id span must align with candidates");
-      MHCA_ASSERT(std::is_sorted(candidates.begin(), candidates.end()),
-                  "memoized covers require sorted candidates");
-    }
     s_.cands.assign(candidates.begin(), candidates.end());
     std::sort(s_.cands.begin(), s_.cands.end());
     MHCA_ASSERT(std::adjacent_find(s_.cands.begin(), s_.cands.end()) ==
@@ -351,11 +344,7 @@ class Search {
     // (same contents, weights untouched by any fold) instead of re-sorting.
     if (removed != 0) build_order(/*active_only=*/true);
     label_components();
-    if (!opts_.cand_clique_ids.empty()) {
-      build_clique_cover_memoized();
-    } else {
-      build_clique_cover_greedy();  // order is active-only here
-    }
+    build_clique_cover_greedy();  // order is active-only here
     group_cliques_by_component();
     seed_groups_with_greedy();
 
@@ -572,36 +561,6 @@ class Search {
         }
       }
     }
-  }
-
-  /// Rebuild the memoized cover restricted to live vertices: bucket by the
-  /// caller-provided clique id, then weight-sort members. Restriction
-  /// preserves validity (a subset of a clique is a clique) so the bound
-  /// stays sound for any weights — only the partition is reused.
-  void build_clique_cover_memoized() {
-    num_cliques_ = 0;
-    s_.qid_bucket.assign(static_cast<std::size_t>(opts_.clique_id_bound), -1);
-    auto& cliques = s_.cliques;
-    for (std::size_t i = 0; i < n_; ++i) {
-      if (s_.vstate[i] != kActive) continue;
-      const int qid = opts_.cand_clique_ids[i];
-      MHCA_ASSERT(qid >= 0 && qid < opts_.clique_id_bound,
-                  "clique id out of range");
-      int& bucket = s_.qid_bucket[static_cast<std::size_t>(qid)];
-      if (bucket < 0) {
-        bucket = static_cast<int>(num_cliques_);
-        if (num_cliques_ == cliques.size()) cliques.emplace_back();
-        cliques[num_cliques_].clear();
-        ++num_cliques_;
-      }
-      cliques[static_cast<std::size_t>(bucket)].push_back(i);
-    }
-    for (std::size_t qi = 0; qi < num_cliques_; ++qi)
-      std::sort(cliques[qi].begin(), cliques[qi].end(),
-                [&](std::size_t a, std::size_t b) {
-                  if (s_.w[a] != s_.w[b]) return s_.w[a] > s_.w[b];
-                  return a < b;
-                });
   }
 
   /// Partition cliques into contiguous per-component ranges (a clique's

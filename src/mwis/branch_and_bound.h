@@ -26,15 +26,13 @@
 //             conflict tests via an incremental conflict counter, pairwise
 //             clique-bound corrections, and a residual refinement that
 //             replaces each remaining clique's static max by its best
-//             member not in conflict with the chosen set. Optionally
-//             consumes a memoized clique cover (see NeighborhoodCache)
-//             instead of rebuilding one greedily per solve.
+//             member not in conflict with the chosen set.
 //
 // Both modes are exact when they complete: on instances with a unique
 // optimum they return identical results. Under a node-cap abort the two
 // modes may return *different* (equally valid) anytime incumbents, because
 // their search trees differ. See src/mwis/README.md for the bound
-// hierarchy and the memoization contract.
+// hierarchy.
 //
 // Repeated solves (one per leader per decision slot) dominate the decision
 // path, so the per-solve working set lives in a `SolveScratch` whose buffers
@@ -82,7 +80,6 @@ struct SolveScratch {
   std::vector<std::pair<std::size_t, std::size_t>> folds;  ///< (kept, folded).
   std::vector<int> comp;                 ///< Component label per vertex.
   std::vector<std::size_t> comp_queue;   ///< Component BFS queue.
-  std::vector<int> qid_bucket;           ///< Memo clique id -> bucket index.
   std::vector<std::size_t> group_begin;  ///< Clique range per component.
   std::vector<std::size_t> group_end;
   std::vector<double> group_best_w;
@@ -99,13 +96,6 @@ struct BnbSolveOptions {
   /// counters + residual-refined clique bound. False = classic (seed)
   /// search, the exact oracle tests compare against.
   bool enhanced = true;
-  /// Memoized clique cover: clique id per candidate, aligned with the
-  /// *sorted* candidate span (callers pass candidates pre-sorted when using
-  /// this). Ids must be < clique_id_bound; members of one id must be
-  /// pairwise adjacent. Empty = build a greedy cover per solve. Requires
-  /// `enhanced`.
-  std::span<const int> cand_clique_ids = {};
-  int clique_id_bound = 0;
 };
 
 class BranchAndBoundMwisSolver : public MwisSolver {

@@ -45,8 +45,10 @@ DistributedRobustPtas::DistributedRobustPtas(const Graph& h,
   MHCA_ASSERT(cfg_.max_mini_rounds >= 0, "negative mini-round budget");
   MHCA_ASSERT(cfg_.local_solve_parallelism >= 0, "negative parallelism");
   MHCA_ASSERT(cfg_.cache_build_parallelism >= 0, "negative parallelism");
-  cache_ = NeighborhoodCache(h, cfg_.r, cfg_.use_memoized_covers,
-                             cfg_.cache_build_parallelism);
+  MHCA_ASSERT(!cfg_.use_memoized_covers,
+              "use_memoized_covers is retired: memoized clique covers were "
+              "removed");
+  cache_ = NeighborhoodCache(h, cfg_.r, cfg_.cache_build_parallelism);
   // SoA election state is allocated once here and epoch-reset per decision
   // (see the header note); the graph's vertex count is fixed for the
   // engine's lifetime.
@@ -314,26 +316,13 @@ void DistributedRobustPtas::elect_by_cache(
 void DistributedRobustPtas::gather_local_instances(
     const std::vector<int>& leaders, const std::vector<VertexStatus>& status) {
   gather_cands_.clear();
-  gather_cover_ids_.clear();
   gather_offsets_.clear();
-  gather_cover_counts_.assign(leaders.size(), 0);
   gather_offsets_.reserve(leaders.size() + 1);
   gather_offsets_.push_back(0);
-  for (std::size_t li = 0; li < leaders.size(); ++li) {
-    const int leader = leaders[li];
-    const std::span<const int> ball = cache_.r_ball(leader);
-    std::span<const int> ball_cover;
-    if (cfg_.use_memoized_covers) {
-      ball_cover = cache_.r_ball_cover(leader);
-      gather_cover_counts_[li] = cache_.r_ball_clique_count(leader);
-    }
-    for (std::size_t i = 0; i < ball.size(); ++i) {
-      const int v = ball[i];
-      if (status[static_cast<std::size_t>(v)] != VertexStatus::kCandidate)
-        continue;
-      gather_cands_.push_back(v);
-      if (cfg_.use_memoized_covers) gather_cover_ids_.push_back(ball_cover[i]);
-    }
+  for (const int leader : leaders) {
+    for (const int v : cache_.r_ball(leader))
+      if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate)
+        gather_cands_.push_back(v);
     gather_offsets_.push_back(gather_cands_.size());
   }
 }
@@ -354,16 +343,8 @@ void DistributedRobustPtas::solve_local_instances(
   }
 
   const auto solve_one = [&](std::size_t li, SolveScratch& scratch) {
-    BnbSolveOptions opts;
-    if (cfg_.use_memoized_covers) {
-      opts.cand_clique_ids =
-          std::span<const int>(gather_cover_ids_)
-              .subspan(gather_offsets_[li],
-                       gather_offsets_[li + 1] - gather_offsets_[li]);
-      opts.clique_id_bound = gather_cover_counts_[li];
-    }
     solve_results_[li] =
-        exact_.solve_with_scratch(h_, weights, instance(li), scratch, opts);
+        exact_.solve_with_scratch(h_, weights, instance(li), scratch);
   };
 
   int workers = cfg_.local_solve_parallelism;
@@ -393,7 +374,7 @@ void DistributedRobustPtas::solve_local_instances(
 
 void DistributedRobustPtas::on_graph_delta(std::span<const int> touched) {
   cache_.apply_delta(h_, touched);
-  // Scoped invalidation of the memoized LB flood ball sizes, mirroring the
+  // Scoped invalidation of the cached LB flood ball sizes, mirroring the
   // cache's: |J_{3r+2}(v)| can only change if v is within 3r+2 hops of a
   // touched vertex on the old or the new graph, and one BFS on the new
   // graph covers both — `touched` contains both endpoints of every removed

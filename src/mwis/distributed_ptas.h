@@ -77,10 +77,8 @@ struct DistributedPtasConfig {
   /// worker threads (exact solver only). 0 = one worker per
   /// hardware thread, 1 = inline. Deterministic at any setting.
   int local_solve_parallelism = 0;
-  /// Reuse the per-ball clique cover memoized in the NeighborhoodCache. Off by
-  /// default: the weight-free partition is a measurably weaker bound than
-  /// the per-solve weight-descending cover on hard balls (see
-  /// src/mwis/README.md); enable where cover construction dominates.
+  /// Retired (memoized clique covers were removed); must be false, or the
+  /// constructor throws. Goes once the perfbench harness stops copying it.
   bool use_memoized_covers = false;
   bool collect_stage_times = false;     ///< Accumulate per-stage timings.
   /// Worker threads for the one-time NeighborhoodCache build (count-then-
@@ -126,7 +124,7 @@ struct DistributedPtasResult {
 struct DecisionStageTimes {
   double setup_ms = 0.0;     ///< Status init + SoA election key fill.
   double election_ms = 0.0;  ///< Leader election.
-  double gather_ms = 0.0;    ///< Ball lookup/BFS + candidate + cover gather.
+  double gather_ms = 0.0;    ///< Ball lookup/BFS + candidate gather.
   double solve_ms = 0.0;     ///< Local MWIS solves.
   double apply_ms = 0.0;     ///< Status updates + message accounting.
   double validate_ms = 0.0;  ///< Winner sort + independent-set check.
@@ -162,7 +160,7 @@ class DistributedRobustPtas {
   /// the H vertices incident to an added/removed edge. Re-synchronizes the
   /// NeighborhoodCache by scoped invalidation (balls within 2r+1 hops of a
   /// touched vertex, old or new graph), and scope-invalidates the lazily
-  /// memoized LB flood ball sizes the same way: only vertices within 3r+2
+  /// cached LB flood ball sizes the same way: only vertices within 3r+2
   /// hops of `touched` on the *new* graph can have a changed |J_{3r+2}| (the
   /// touched set contains both endpoints of every removed edge, so any
   /// old-graph path from a touched vertex survives from its last removed
@@ -179,7 +177,7 @@ class DistributedRobustPtas {
   void reset_stage_times() { stage_times_ = {}; }
 
  private:
-  /// |J_{3r+2}(v)|, memoized lazily per vertex (BFS on first use).
+  /// |J_{3r+2}(v)|, cached lazily per vertex (BFS on first use).
   int lb_ball_size(int v);
 
   /// Election: a Candidate leads iff no Candidate in its cached (2r+1)-hop
@@ -205,8 +203,8 @@ class DistributedRobustPtas {
   void elect_by_cache(const std::vector<VertexStatus>& status,
                       std::vector<int>& leaders, bool first_round);
 
-  /// Collect, for every elected leader, the Candidates of its r-ball (and
-  /// their memoized clique ids when enabled) into the flat gather buffers.
+  /// Collect, for every elected leader, the Candidates of its r-ball into
+  /// the flat gather buffers.
   void gather_local_instances(const std::vector<int>& leaders,
                               const std::vector<VertexStatus>& status);
 
@@ -256,9 +254,7 @@ class DistributedRobustPtas {
   std::uint32_t soa_epoch_ = 0;
   std::vector<int> reach_buf_;           ///< on_graph_delta invalidation.
   std::vector<int> gather_cands_;        ///< Per-leader candidates, flat.
-  std::vector<int> gather_cover_ids_;    ///< Aligned clique ids (memo mode).
   std::vector<std::size_t> gather_offsets_;
-  std::vector<int> gather_cover_counts_;
   std::vector<MwisResult> solve_results_;
   std::vector<SolveScratch> worker_scratch_;
   std::vector<int> ball_buf_;            ///< lb_ball_size() BFS output.

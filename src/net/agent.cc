@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "graph/hop.h"
-#include "graph/neighborhood_cache.h"
 #include "util/assert.h"
 
 namespace mhca::net {
@@ -40,10 +39,9 @@ class MemberCursor {
 
 }  // namespace
 
-VertexAgent::VertexAgent(int id, int r, bool memoize_cover,
-                         MembershipMode mode, LivenessParams liveness)
-    : id_(id), r_(r), memoize_cover_(memoize_cover), mode_(mode),
-      liveness_(liveness) {
+VertexAgent::VertexAgent(int id, int r, MembershipMode mode,
+                         LivenessParams liveness)
+    : id_(id), r_(r), mode_(mode), liveness_(liveness) {
   MHCA_ASSERT(id >= 0, "negative vertex id");
   MHCA_ASSERT(r >= 1, "r must be at least 1");
   if (mode_ == MembershipMode::kViewSync) {
@@ -108,16 +106,12 @@ void VertexAgent::build_structures(std::vector<std::span<const int>>& rows) {
                                     offsets, claims);
   table_.assign(members_.size(), Entry{});
 
-  // Memoize the r-ball (computed on the *local* subgraph — identical to
+  // Keep the r-ball (computed on the *local* subgraph — identical to
   // global r-hop distance because every shortest path of length <= r stays
-  // inside J_{2r+1}(me)) and its weight-free clique cover: both are static
-  // between membership changes, while indices change every round.
+  // inside J_{2r+1}(me)): it is static between membership changes, while
+  // indices change every round.
   BfsScratch scratch(local_graph_.size());
   r_ball_local_ = scratch.k_hop_neighborhood(local_graph_, self_local_, r_);
-  if (memoize_cover_) {
-    r_ball_cliques_ = NeighborhoodCache::build_ball_cover(
-        local_graph_, r_ball_local_, r_ball_cover_);
-  }
 }
 
 void VertexAgent::finalize_discovery() {
@@ -457,19 +451,15 @@ bool VertexAgent::should_lead() const {
 void VertexAgent::gather_local_candidates() {
   MHCA_ASSERT(status_ == VertexStatus::kCandidate, "non-candidate leading");
   cand_buf_.clear();
-  cand_cover_buf_.clear();
   weight_buf_.assign(static_cast<std::size_t>(local_graph_.size()), 0.0);
-  for (std::size_t i = 0; i < r_ball_local_.size(); ++i) {
-    const int lv = r_ball_local_[i];
+  for (const int lv : r_ball_local_) {
     if (lv == self_local_) {
       cand_buf_.push_back(lv);
-      if (memoize_cover_) cand_cover_buf_.push_back(r_ball_cover_[i]);
       weight_buf_[static_cast<std::size_t>(lv)] = own_index_;
     } else {
       const Entry& e = table_[static_cast<std::size_t>(lv)];
       if (e.status == VertexStatus::kCandidate) {
         cand_buf_.push_back(lv);
-        if (memoize_cover_) cand_cover_buf_.push_back(r_ball_cover_[i]);
         weight_buf_[static_cast<std::size_t>(lv)] = e.index;
       }
     }
@@ -509,21 +499,6 @@ std::vector<StatusEntry> VertexAgent::verdicts_from(const MwisResult& res) {
 std::vector<StatusEntry> VertexAgent::lead(MwisSolver& solver) {
   gather_local_candidates();
   const MwisResult res = solver.solve(local_graph_, weight_buf_, cand_buf_);
-  return verdicts_from(res);
-}
-
-std::vector<StatusEntry> VertexAgent::lead(
-    const BranchAndBoundMwisSolver& solver, SolveScratch& scratch,
-    bool use_memoized_cover) {
-  gather_local_candidates();
-  BnbSolveOptions opts;
-  if (use_memoized_cover) {
-    MHCA_ASSERT(memoize_cover_, "agent was built without a memoized cover");
-    opts.cand_clique_ids = cand_cover_buf_;
-    opts.clique_id_bound = r_ball_cliques_;
-  }
-  const MwisResult res = solver.solve_with_scratch(local_graph_, weight_buf_,
-                                                   cand_buf_, scratch, opts);
   return verdicts_from(res);
 }
 

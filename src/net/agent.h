@@ -33,8 +33,8 @@
 
 #include "bandit/policy.h"
 #include "graph/graph.h"
-#include "mwis/branch_and_bound.h"
 #include "mwis/distributed_ptas.h"
+#include "mwis/mwis.h"
 #include "net/message.h"
 #include "net/view.h"
 
@@ -50,10 +50,7 @@ struct AgentCounters {
 
 class VertexAgent {
  public:
-  /// `memoize_cover`: also build this agent's r-ball clique cover at
-  /// discovery (only useful when the runtime leads with memoized covers).
-  VertexAgent(int id, int r, bool memoize_cover = false,
-              MembershipMode mode = MembershipMode::kOmniscient,
+  VertexAgent(int id, int r, MembershipMode mode = MembershipMode::kOmniscient,
               LivenessParams liveness = {});
 
   int id() const { return id_; }
@@ -160,13 +157,6 @@ class VertexAgent {
   /// LMWIS + status determination: solve local MWIS over Candidates within
   /// r hops and produce the verdicts (including the leader's own).
   std::vector<StatusEntry> lead(MwisSolver& solver);
-  /// Exact-solver variant wired through the decision-path structures:
-  /// caller-owned SolveScratch (reused across agents by the runtime) and,
-  /// optionally, this agent's memoized r-ball clique cover — the
-  /// distributed analog of the engine's NeighborhoodCache memoization.
-  std::vector<StatusEntry> lead(const BranchAndBoundMwisSolver& solver,
-                                SolveScratch& scratch,
-                                bool use_memoized_cover);
   /// LB: apply a leader's verdicts to self / known members. Under
   /// view-sync a verdict from a round other than the current one (a
   /// delayed wire) is discarded.
@@ -203,7 +193,6 @@ class VertexAgent {
 
   int id_;
   int r_;
-  bool memoize_cover_;
   MembershipMode mode_;
   LivenessParams liveness_;
   VertexStatus status_ = VertexStatus::kCandidate;
@@ -250,14 +239,11 @@ class VertexAgent {
   Graph local_graph_;
   std::vector<Entry> table_;
   int self_local_ = -1;
-  // Memoized at discovery: this agent's r-ball (local ids, sorted) and its
-  // weight-free clique cover — static for the lifetime of the network.
+  // Computed at discovery: this agent's r-ball (local ids, sorted) —
+  // static between membership changes.
   std::vector<int> r_ball_local_;
-  std::vector<int> r_ball_cover_;
-  int r_ball_cliques_ = 0;
   // lead() working buffers, reused across rounds.
   std::vector<int> cand_buf_;
-  std::vector<int> cand_cover_buf_;
   std::vector<double> weight_buf_;
 
   /// table_ slot (= local id) of a member other than self; -1 for self
@@ -278,8 +264,8 @@ class VertexAgent {
   std::size_t other_slot(std::size_t j) const {
     return j < static_cast<std::size_t>(self_local_) ? j : j + 1;
   }
-  /// Fill cand_buf_/cand_cover_buf_/weight_buf_ with the Candidates of the
-  /// memoized r-ball (and their cover ids), in ascending local-id order.
+  /// Fill cand_buf_/weight_buf_ with the Candidates of the r-ball, in
+  /// ascending local-id order.
   void gather_local_candidates();
   std::vector<StatusEntry> verdicts_from(const MwisResult& res);
 };

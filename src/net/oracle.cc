@@ -91,7 +91,6 @@ std::vector<int> lockstep_decision(const DistributedRuntime& rt,
   ecfg.max_mini_rounds = cfg.D;
   ecfg.local_solver = cfg.local_solver;
   ecfg.bnb_node_cap = cfg.bnb_node_cap;
-  ecfg.use_memoized_covers = cfg.use_memoized_covers;
   DistributedRobustPtas engine(h, ecfg);
   const int k_arms = h.size();
   std::vector<double> weights(static_cast<std::size_t>(h.size()), 0.0);

@@ -56,8 +56,7 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
 
   agents_.reserve(static_cast<std::size_t>(ecg.num_vertices()));
   for (int v = 0; v < ecg.num_vertices(); ++v)
-    agents_.emplace_back(v, cfg_.r, cfg_.use_memoized_covers,
-                         cfg_.membership, cfg_.liveness);
+    agents_.emplace_back(v, cfg_.r, cfg_.membership, cfg_.liveness);
   discover();
 }
 
@@ -498,10 +497,7 @@ NetRoundResult DistributedRuntime::step() {
           det.origin = v;
           det.round = t_;
           det.statuses =
-              cfg_.local_solver == LocalSolverKind::kExact
-                  ? agents_[static_cast<std::size_t>(v)].lead(
-                        exact_, lead_scratch_, cfg_.use_memoized_covers)
-                  : agents_[static_cast<std::size_t>(v)].lead(local_solver);
+              agents_[static_cast<std::size_t>(v)].lead(local_solver);
           frames.push_back(make_frame(det, 3 * cfg_.r + 2));
         }
         exchange_and_replay(std::move(frames), deliver,
@@ -516,11 +512,7 @@ NetRoundResult DistributedRuntime::step() {
       det.origin = v;
       det.round = t_;
       if (view_sync) det.view = agents_[static_cast<std::size_t>(v)].view();
-      det.statuses =
-          cfg_.local_solver == LocalSolverKind::kExact
-              ? agents_[static_cast<std::size_t>(v)].lead(
-                    exact_, lead_scratch_, cfg_.use_memoized_covers)
-              : agents_[static_cast<std::size_t>(v)].lead(local_solver);
+      det.statuses = agents_[static_cast<std::size_t>(v)].lead(local_solver);
       agents_[static_cast<std::size_t>(v)].on_determination(det);
       // 3r+2: winner-adjacent losers sit up to r+1 hops from the leader and
       // must reach every holder of their status (2r+1 further hops).

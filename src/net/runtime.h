@@ -52,9 +52,6 @@ struct NetConfig {
   /// Per-solve effort cap; mirrors DistributedPtasConfig::bnb_node_cap so
   /// runtime and lockstep engine take identical decisions.
   std::int64_t bnb_node_cap = kDefaultBnbNodeCap;
-  /// Solve over each agent's memoized r-ball clique cover (mirrors
-  /// DistributedPtasConfig::use_memoized_covers; see src/mwis/README.md).
-  bool use_memoized_covers = false;
   /// MTU for fragment accounting and the UDP transport's datagram size
   /// (net/wire.h). Every flood's airtime is billed in encoded bytes and in
   /// the MTU fragments a socket transport would actually send.
@@ -234,7 +231,6 @@ class DistributedRuntime {
   std::vector<VertexAgent> agents_;
   BranchAndBoundMwisSolver exact_;
   GreedyMwisSolver greedy_;
-  SolveScratch lead_scratch_;  ///< Reused across agents' exact local solves.
   std::vector<int> prev_strategy_;
   std::int64_t t_ = 0;
   Transport* transport_ = nullptr;  ///< Null in classic mode.

@@ -30,7 +30,6 @@ net::NetConfig to_net_config(const Scenario& s, int num_nodes) {
   cfg.policy_params = builtin_policy_params(s.policy.params, num_nodes);
   cfg.local_solver = s.solver.local_solver;
   cfg.bnb_node_cap = s.solver.node_cap;
-  cfg.use_memoized_covers = s.solver.memoized_covers;
   cfg.faults = s.net.faults;
   cfg.membership = membership_mode_from_string(s.net.membership);
   cfg.liveness = s.net.liveness;

@@ -28,10 +28,6 @@ static_assert(SolverSpec{}.D == SimulationConfig{}.D &&
               SolverSpec{}.D == net::NetConfig{}.D);
 static_assert(SolverSpec{}.parallelism ==
               SimulationConfig{}.local_solve_parallelism);
-static_assert(SolverSpec{}.memoized_covers ==
-                  SimulationConfig{}.use_memoized_covers &&
-              SolverSpec{}.memoized_covers ==
-                  net::NetConfig{}.use_memoized_covers);
 static_assert(net::NetConfig{}.membership ==
               net::MembershipMode::kOmniscient);
 static_assert(NetSpec{}.mtu == net::NetConfig{}.mtu &&
@@ -79,9 +75,13 @@ const std::vector<FieldDef>& solver_fields() {
        [](Scenario& s, const std::string& v, const std::string& w) {
          s.solver.parallelism = int32_field(v, w);
        }},
+      // Retired key, still set (to false) by the frozen perfbench inis.
       {"memoized_covers",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.solver.memoized_covers = parse_bool_value(v, w);
+       [](Scenario&, const std::string& v, const std::string& w) {
+         if (parse_bool_value(v, w))
+           throw ScenarioError("'" + w +
+                               "' is retired: memoized clique covers were "
+                               "removed; drop the key or set it to false");
        }},
       {"epsilon", [](Scenario& s, const std::string& v, const std::string& w) {
          s.solver.epsilon = parse_double_value(v, w);
@@ -394,8 +394,6 @@ std::string serialize_scenario(const Scenario& s) {
      << "local_solver = " << local_solver_key(s.solver.local_solver) << "\n"
      << "node_cap = " << s.solver.node_cap << "\n"
      << "parallelism = " << s.solver.parallelism << "\n"
-     << "memoized_covers = " << (s.solver.memoized_covers ? "true" : "false")
-     << "\n"
      << "epsilon = " << format_double(s.solver.epsilon) << "\n";
   os << "\n[run]\n"
      << "slots = " << s.run.slots << "\n"
@@ -564,7 +562,6 @@ SimulationConfig to_simulation_config(const Scenario& s) {
   cfg.local_solver = s.solver.local_solver;
   cfg.bnb_node_cap = s.solver.node_cap;
   cfg.local_solve_parallelism = s.solver.parallelism;
-  cfg.use_memoized_covers = s.solver.memoized_covers;
   cfg.ptas_epsilon = s.solver.epsilon;
   cfg.timing = s.timing;
   cfg.seed = s.run.seed;

@@ -52,8 +52,7 @@ struct SolverSpec {
   /// Threads for per-leader local solves within one decision (0 = one per
   /// hardware thread, 1 = inline). Deterministic at any setting.
   int parallelism = 1;
-  bool memoized_covers = false;  ///< See src/mwis/README.md.
-  double epsilon = 1.0;          ///< ε for the centralized robust PTAS.
+  double epsilon = 1.0;  ///< ε for the centralized robust PTAS.
 
   bool operator==(const SolverSpec&) const = default;
 };

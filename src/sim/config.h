@@ -36,7 +36,9 @@ struct SimulationConfig {
   /// (ReplicationConfig.parallelism), and nesting both oversubscribes;
   /// raise it for single-simulation runs on idle cores.
   int local_solve_parallelism = 1;
-  /// Reuse memoized per-ball clique covers (see src/mwis/README.md).
+  /// Retired (memoized clique covers were removed); must be false. Only the
+  /// perfbench harness reads it, copying it into DistributedPtasConfig; it
+  /// goes once the harness drives ScenarioRunner.
   bool use_memoized_covers = false;
   double ptas_epsilon = 1.0;  ///< ε for the centralized robust PTAS.
 

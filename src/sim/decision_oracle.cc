@@ -14,7 +14,6 @@ DistributedPtasConfig to_engine_config(const SimulationConfig& cfg) {
   dcfg.bnb_node_cap = cfg.bnb_node_cap;
   dcfg.count_messages = cfg.count_messages;
   dcfg.local_solve_parallelism = cfg.local_solve_parallelism;
-  dcfg.use_memoized_covers = cfg.use_memoized_covers;
   return dcfg;
 }
 

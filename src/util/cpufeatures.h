@@ -27,8 +27,14 @@ enum class SimdLevel : int {
 // Best level this CPU can run (independent of any override).
 SimdLevel max_simd_level();
 
-// Effective dispatch level: min(env request, max_simd_level()). Cached
-// after the first call; hot-path cost is one relaxed atomic load.
+// Level the environment requests (MHCA_FORCE_SCALAR=1 wins over
+// MHCA_SIMD; max_simd_level() if neither is set), read afresh and not yet
+// clamped to the CPU. Throws std::logic_error naming the valid values on
+// any other setting, so a typo cannot silently run the default.
+SimdLevel requested_simd_level();
+
+// Effective dispatch level: min(requested_simd_level(), max_simd_level()).
+// Cached after the first call; hot-path cost is one relaxed atomic load.
 SimdLevel simd_level();
 
 // Override the effective level (clamped to max_simd_level()). Intended

@@ -1,16 +1,14 @@
 // Whole-cache identity of NeighborhoodCache::apply_delta.
 //
-// apply_delta recomputes r-balls (and covers) only within r hops of the
-// touched vertices and election balls only within 2r+1. The claim: after any
-// delta the patched cache equals a fresh build of the new graph byte for
-// byte. This suite checks every vertex — r-ball span, election-ball size,
-// election-ball span on the explicit tier, clique covers — after every
-// random delta, on both e-ball tiers (forced via MHCA_EBALL_TIER), starting
-// from caches built with 1, 2 and 4 workers and with 0 =
-// MHCA_CACHE_BUILD_WORKERS. It also pins last_invalidated() to the size of
-// the (2r+1)-hop reach.
+// apply_delta recomputes r-balls only within r hops of the touched vertices
+// and election balls only within 2r+1. The claim: after any delta the
+// patched cache equals a fresh build of the new graph byte for byte. This
+// suite checks every vertex — r-ball span, election-ball size, election-ball
+// span on the explicit tier — after every random delta, on both e-ball tiers
+// (forced via MHCA_EBALL_TIER), starting from caches built with 1, 2 and 4
+// workers and with 0 = MHCA_CACHE_BUILD_WORKERS. It also pins
+// last_invalidated() to the size of the (2r+1)-hop reach.
 #include <algorithm>
-#include <cstdlib>
 #include <iterator>
 #include <set>
 #include <string>
@@ -22,6 +20,7 @@
 #include "graph/generators.h"
 #include "graph/hop.h"
 #include "graph/neighborhood_cache.h"
+#include "scoped_env.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -29,16 +28,6 @@ namespace {
 
 using Edge = std::pair<int, int>;
 using Tier = NeighborhoodCache::EballTier;
-
-class EballTierOverride {
- public:
-  explicit EballTierOverride(Tier tier) {
-    ::setenv("MHCA_EBALL_TIER",
-             tier == Tier::kExplicit ? "explicit" : "implicit",
-             /*overwrite=*/1);
-  }
-  ~EballTierOverride() { ::unsetenv("MHCA_EBALL_TIER"); }
-};
 
 Graph from_edges(int n, const std::set<Edge>& edges) {
   Graph g(n);
@@ -96,7 +85,6 @@ bool same(const A& a, const B& b) {
 ::testing::AssertionResult same_cache(const NeighborhoodCache& patched,
                                       const NeighborhoodCache& fresh) {
   if (patched.eball_tier() != fresh.eball_tier() ||
-      patched.has_covers() != fresh.has_covers() ||
       patched.size() != fresh.size())
     return ::testing::AssertionFailure() << "cache shape differs";
   const bool is_explicit = fresh.eball_tier() == Tier::kExplicit;
@@ -108,10 +96,6 @@ bool same(const A& a, const B& b) {
     if (is_explicit &&
         !same(patched.election_ball(v), fresh.election_ball(v)))
       return ::testing::AssertionFailure() << "e-ball of " << v;
-    if (fresh.has_covers() &&
-        (patched.r_ball_clique_count(v) != fresh.r_ball_clique_count(v) ||
-         !same(patched.r_ball_cover(v), fresh.r_ball_cover(v))))
-      return ::testing::AssertionFailure() << "cover of " << v;
   }
   if (patched.total_entries() != fresh.total_entries())
     return ::testing::AssertionFailure() << "stored entry count differs";
@@ -120,10 +104,10 @@ bool same(const A& a, const B& b) {
 
 /// Patch a cache through `deltas` random deltas and compare it with a
 /// fresh build after each one.
-void check_sequence(Graph g, std::set<Edge> present, int r, bool covers,
-                    int workers, int deltas, int max_changes, Rng& rng) {
+void check_sequence(Graph g, std::set<Edge> present, int r, int workers,
+                    int deltas, int max_changes, Rng& rng) {
   const int n = g.size();
-  NeighborhoodCache cache(g, r, covers, workers);
+  NeighborhoodCache cache(g, r, workers);
   BfsScratch scratch(n);
   std::vector<Edge> added, removed;
   std::vector<int> reach;
@@ -134,7 +118,7 @@ void check_sequence(Graph g, std::set<Edge> present, int r, bool covers,
     if (touched.empty()) continue;
     g.apply_delta(added, removed);
     cache.apply_delta(g, touched);
-    ASSERT_TRUE(same_cache(cache, NeighborhoodCache(g, r, covers, 1)));
+    ASSERT_TRUE(same_cache(cache, NeighborhoodCache(g, r, 1)));
     scratch.multi_source_k_hop(g, touched, 2 * r + 1, reach);
     ASSERT_EQ(cache.last_invalidated(), static_cast<int>(reach.size()));
   }
@@ -151,11 +135,9 @@ TEST(CacheDeltaDifferential, EveryVertexMatchesFreshBuildOnBothTiers) {
         Rng rng(77000 + static_cast<std::uint64_t>(c) * 131 +
                 static_cast<std::uint64_t>(workers));
         // Sizes and radii where the (2r+1)-reach spans a few hundred
-        // vertices, so the patch moves long suffixes; covers on every
-        // other.
+        // vertices, so the patch moves long suffixes.
         const int n = 300 + (c % 3) * 300;
         const int r = 1 + c % 3;
-        const bool covers = c % 2 == 0;
         const ConflictGraph base = random_geometric_avg_degree(
             n, 5.0, rng, /*force_connected=*/false);
         std::set<Edge> present;
@@ -164,7 +146,7 @@ TEST(CacheDeltaDifferential, EveryVertexMatchesFreshBuildOnBothTiers) {
             if (u > v) present.insert({v, u});
         const Graph g = from_edges(n, present);
         ASSERT_EQ(NeighborhoodCache::select_eball_tier(n), tier);
-        check_sequence(g, present, r, covers, workers, /*deltas=*/8,
+        check_sequence(g, present, r, workers, /*deltas=*/8,
                        /*max_changes=*/6, rng);
       }
     }
@@ -189,8 +171,8 @@ TEST(CacheDeltaDifferential, EveryVertexMatchesFreshBuildPastTheMatrixLimit) {
   ASSERT_EQ(NeighborhoodCache::select_eball_tier(n), Tier::kImplicit);
   for (const int workers : {1, 4}) {
     SCOPED_TRACE("workers " + std::to_string(workers));
-    check_sequence(g, present, /*r=*/2, /*covers=*/workers == 4, workers,
-                   /*deltas=*/6, /*max_changes=*/20, rng);
+    check_sequence(g, present, /*r=*/2, workers, /*deltas=*/6,
+                   /*max_changes=*/20, rng);
   }
 }
 

@@ -34,8 +34,7 @@ void expect_identical(const DistributedPtasResult& a,
   }
 }
 
-void run_determinism(int users, int r, bool memoized_covers,
-                     std::int64_t node_cap) {
+void run_determinism(int users, int r, std::int64_t node_cap) {
   Rng topo(static_cast<std::uint64_t>(users) * 7 + r);
   ConflictGraph cg = random_geometric_avg_degree(users, 6.0, topo);
   ExtendedConflictGraph ecg(cg, 4);
@@ -45,7 +44,6 @@ void run_determinism(int users, int r, bool memoized_covers,
   serial_cfg.r = r;
   serial_cfg.count_messages = true;
   serial_cfg.local_solve_parallelism = 1;
-  serial_cfg.use_memoized_covers = memoized_covers;
   serial_cfg.bnb_node_cap = node_cap;
   DistributedPtasConfig wide_cfg = serial_cfg;
   wide_cfg.local_solve_parallelism = 8;
@@ -64,20 +62,13 @@ void run_determinism(int users, int r, bool memoized_covers,
 }
 
 TEST(DecisionParallelDeterminism, Parallelism1And8Identical) {
-  run_determinism(/*users=*/60, /*r=*/2, /*memoized_covers=*/false,
-                  /*node_cap=*/2'000);
+  run_determinism(/*users=*/60, /*r=*/2, /*node_cap=*/2'000);
 }
 
 TEST(DecisionParallelDeterminism, IdenticalAtRadius3WithCapAborts) {
   // r = 3 produces multi-leader rounds with instances that hit the node
   // cap; the anytime incumbents must still be schedule-independent.
-  run_determinism(/*users=*/60, /*r=*/3, /*memoized_covers=*/false,
-                  /*node_cap=*/300);
-}
-
-TEST(DecisionParallelDeterminism, IdenticalWithMemoizedCovers) {
-  run_determinism(/*users=*/60, /*r=*/2, /*memoized_covers=*/true,
-                  /*node_cap=*/2'000);
+  run_determinism(/*users=*/60, /*r=*/3, /*node_cap=*/300);
 }
 
 TEST(DecisionParallelDeterminism, AutoParallelismMatchesSerial) {

@@ -118,19 +118,17 @@ TEST(DynamicsDifferential, GraphAndCacheMatchFreshBuildOnRandomSequences) {
   for (int c = 0; c < kStructuralCases; ++c) {
     SCOPED_TRACE("case " + std::to_string(c));
     Rng rng(1000 + static_cast<std::uint64_t>(c) * 37);
-    // Mix sizes and densities; every 4th case crosses the r=3 regime, every
-    // 3rd builds memoized covers too.
+    // Mix sizes and densities; every 4th case crosses the r=3 regime.
     const int n = 12 + (c % 5) * 9;
     const double degree = 2.0 + (c % 4);
     const int r = 1 + (c % 4) % 3;
-    const bool covers = (c % 3) == 0;
     ConflictGraph base = random_geometric_avg_degree(
         n, degree, rng, /*force_connected=*/false);
     std::vector<std::pair<int, int>> edge_vec = edges_of(base.graph());
     std::set<std::pair<int, int>> present(edge_vec.begin(), edge_vec.end());
 
     Graph g = from_edge_list(n, edge_vec);
-    NeighborhoodCache cache(g, r, covers);
+    NeighborhoodCache cache(g, r);
 
     std::vector<std::pair<int, int>> added, removed;
     for (int d = 0; d < kDeltasPerCase; ++d) {
@@ -154,7 +152,7 @@ TEST(DynamicsDifferential, GraphAndCacheMatchFreshBuildOnRandomSequences) {
               << "bitset row " << v << " diverged at delta " << d;
         }
       }
-      const NeighborhoodCache fresh(rebuilt, r, covers);
+      const NeighborhoodCache fresh(rebuilt, r);
       for (int v = 0; v < n; ++v) {
         const auto ball_a = cache.r_ball(v);
         const auto ball_b = fresh.r_ball(v);
@@ -166,15 +164,6 @@ TEST(DynamicsDifferential, GraphAndCacheMatchFreshBuildOnRandomSequences) {
         ASSERT_TRUE(
             std::equal(e_a.begin(), e_a.end(), e_b.begin(), e_b.end()))
             << "election ball " << v << " diverged at delta " << d;
-        if (covers) {
-          ASSERT_EQ(cache.r_ball_clique_count(v),
-                    fresh.r_ball_clique_count(v));
-          const auto c_a = cache.r_ball_cover(v);
-          const auto c_b = fresh.r_ball_cover(v);
-          ASSERT_TRUE(
-              std::equal(c_a.begin(), c_a.end(), c_b.begin(), c_b.end()))
-              << "cover " << v << " diverged at delta " << d;
-        }
       }
     }
   }
@@ -376,7 +365,6 @@ TEST(DynamicsDifferential, LongLivedEngineMatchesFreshEnginePerDelta) {
     DistributedPtasConfig cfg;
     cfg.r = 1 + c % 3;
     cfg.count_messages = true;
-    cfg.use_memoized_covers = (c % 2) == 1;
     DistributedRobustPtas engine(g, cfg);
 
     std::vector<double> weights(static_cast<std::size_t>(n));

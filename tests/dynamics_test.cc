@@ -69,7 +69,6 @@ void expect_same_cache(const NeighborhoodCache& a,
                        const NeighborhoodCache& b) {
   ASSERT_EQ(a.size(), b.size());
   ASSERT_EQ(a.r(), b.r());
-  ASSERT_EQ(a.has_covers(), b.has_covers());
   for (int v = 0; v < a.size(); ++v) {
     const auto ra = a.r_ball(v);
     const auto rb = b.r_ball(v);
@@ -79,13 +78,6 @@ void expect_same_cache(const NeighborhoodCache& a,
     const auto eb = b.election_ball(v);
     ASSERT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin(), eb.end()))
         << "election ball of " << v << " differs";
-    if (a.has_covers()) {
-      ASSERT_EQ(a.r_ball_clique_count(v), b.r_ball_clique_count(v));
-      const auto ca = a.r_ball_cover(v);
-      const auto cb = b.r_ball_cover(v);
-      ASSERT_TRUE(std::equal(ca.begin(), ca.end(), cb.begin(), cb.end()))
-          << "cover of " << v << " differs";
-    }
   }
 }
 
@@ -211,37 +203,34 @@ TEST(NeighborhoodCacheDeltaTest, ScopedInvalidationMatchesFreshBuild) {
   ConflictGraph cg = random_geometric_avg_degree(36, 5.0, rng,
                                                  /*force_connected=*/false);
   std::vector<std::pair<int, int>> edges = edges_of(cg.graph());
-  for (const bool covers : {false, true}) {
-    SCOPED_TRACE(covers ? "with covers" : "no covers");
-    Graph g = from_edge_list(36, edges);
-    NeighborhoodCache cache(g, /*r=*/2, covers);
+  Graph g = from_edge_list(36, edges);
+  NeighborhoodCache cache(g, /*r=*/2);
 
-    const std::vector<std::pair<int, int>> removed{edges[1], edges[5]};
-    std::vector<std::pair<int, int>> added;
-    std::set<std::pair<int, int>> present(edges.begin(), edges.end());
-    for (int u = 0; u < 36 && added.size() < 4; ++u)
-      for (int v = u + 1; v < 36 && added.size() < 4; ++v)
-        if (!present.count({u, v})) added.emplace_back(u, v);
+  const std::vector<std::pair<int, int>> removed{edges[1], edges[5]};
+  std::vector<std::pair<int, int>> added;
+  std::set<std::pair<int, int>> present(edges.begin(), edges.end());
+  for (int u = 0; u < 36 && added.size() < 4; ++u)
+    for (int v = u + 1; v < 36 && added.size() < 4; ++v)
+      if (!present.count({u, v})) added.emplace_back(u, v);
 
-    g.apply_delta(added, removed);
-    std::vector<int> touched;
-    for (const auto& [u, v] : added) {
-      touched.push_back(u);
-      touched.push_back(v);
-    }
-    for (const auto& [u, v] : removed) {
-      touched.push_back(u);
-      touched.push_back(v);
-    }
-    std::sort(touched.begin(), touched.end());
-    touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
-    cache.apply_delta(g, touched);
-    EXPECT_GT(cache.last_invalidated(), 0);
-    EXPECT_LE(cache.last_invalidated(), cache.size());
-
-    const NeighborhoodCache fresh(g, /*r=*/2, covers);
-    expect_same_cache(cache, fresh);
+  g.apply_delta(added, removed);
+  std::vector<int> touched;
+  for (const auto& [u, v] : added) {
+    touched.push_back(u);
+    touched.push_back(v);
   }
+  for (const auto& [u, v] : removed) {
+    touched.push_back(u);
+    touched.push_back(v);
+  }
+  std::sort(touched.begin(), touched.end());
+  touched.erase(std::unique(touched.begin(), touched.end()), touched.end());
+  cache.apply_delta(g, touched);
+  EXPECT_GT(cache.last_invalidated(), 0);
+  EXPECT_LE(cache.last_invalidated(), cache.size());
+
+  const NeighborhoodCache fresh(g, /*r=*/2);
+  expect_same_cache(cache, fresh);
 }
 
 // ------------------------------------------------------- DynamicNetwork

@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <set>
+#include <stdexcept>
+#include <string>
 
 #include "graph/conflict_graph.h"
 #include "graph/extended_graph.h"
@@ -13,6 +15,8 @@
 #include "graph/hop.h"
 #include "graph/independence.h"
 #include "graph/induced.h"
+#include "graph/neighborhood_cache.h"
+#include "scoped_env.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -339,6 +343,29 @@ TEST_P(GeometricSweep, UnitDiskConsistency) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GeometricSweep, ::testing::Range(0, 8));
+
+TEST(NeighborhoodCacheTier, EnvOverrideRejectsUnknownValues) {
+  // A typo must not silently fall back to the size rule while a test
+  // believes it forced a tier.
+  EXPECT_EQ(NeighborhoodCache::select_eball_tier(10),
+            NeighborhoodCache::EballTier::kExplicit);
+  {
+    const ScopedEnv env("MHCA_EBALL_TIER", "implicit");
+    EXPECT_EQ(NeighborhoodCache::select_eball_tier(10),
+              NeighborhoodCache::EballTier::kImplicit);
+  }
+  for (const char* bad : {"Explicit", "", "dense"}) {
+    SCOPED_TRACE(bad);
+    const ScopedEnv env("MHCA_EBALL_TIER", bad);
+    try {
+      NeighborhoodCache::select_eball_tier(10);
+      ADD_FAILURE() << "no error for MHCA_EBALL_TIER='" << bad << "'";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("explicit, implicit"), std::string::npos) << msg;
+    }
+  }
+}
 
 }  // namespace
 }  // namespace mhca

@@ -17,7 +17,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <utility>
 #include <vector>
 
@@ -28,19 +27,11 @@
 #include "mwis/distributed_ptas.h"
 #include "reference/seed_ptas.h"
 #include "scenario/runner.h"
+#include "scoped_env.h"
 #include "util/rng.h"
 
 namespace mhca {
 namespace {
-
-/// Scoped MHCA_EBALL_TIER override (the cache reads it per construction).
-class EballTierOverride {
- public:
-  explicit EballTierOverride(const char* tier) {
-    ::setenv("MHCA_EBALL_TIER", tier, /*overwrite=*/1);
-  }
-  ~EballTierOverride() { ::unsetenv("MHCA_EBALL_TIER"); }
-};
 
 TEST(LargeN, DefaultGeometricScenarioRunsAtFiftyThousandVertices) {
   // quickstart.ini leaves topology.force_connected unset. Rejection-sampling
@@ -107,14 +98,12 @@ TEST(LargeN, EballTierSelectionRule) {
       NeighborhoodCache::select_eball_tier(Graph::kAdjacencyMatrixLimit + 1),
       NeighborhoodCache::EballTier::kImplicit);
 
-  const NeighborhoodCache exp(small, 2, /*build_covers=*/false,
-                              /*parallelism=*/1);
+  const NeighborhoodCache exp(small, 2, /*parallelism=*/1);
   ASSERT_EQ(exp.eball_tier(), NeighborhoodCache::EballTier::kExplicit);
   EXPECT_EQ(exp.explicit_layout_bytes(), exp.resident_bytes());
 
-  EballTierOverride force("implicit");
-  const NeighborhoodCache imp(small, 2, /*build_covers=*/false,
-                              /*parallelism=*/1);
+  EballTierOverride force(NeighborhoodCache::EballTier::kImplicit);
+  const NeighborhoodCache imp(small, 2, /*parallelism=*/1);
   ASSERT_EQ(imp.eball_tier(), NeighborhoodCache::EballTier::kImplicit);
   EXPECT_LT(imp.resident_bytes(), exp.resident_bytes());
   EXPECT_EQ(imp.explicit_layout_bytes(), exp.resident_bytes());
@@ -206,10 +195,9 @@ TEST(LargeN, StageTimesCoverWholeDecisionAtTwelveThousandVertices) {
 }
 
 TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
-  // The count-then-fill parallel build writes every vertex's balls (and
-  // covers) into offset slots fixed by a worker-count-independent prefix
-  // sum, so any parallelism must reproduce the serial single-pass build
-  // byte for byte.
+  // The count-then-fill parallel build writes every vertex's balls into
+  // offset slots fixed by a worker-count-independent prefix sum, so any
+  // parallelism must reproduce the serial single-pass build byte for byte.
   Rng rng(33);
   ConflictGraph cg = random_geometric_avg_degree(
       2300, 6.0, rng, /*force_connected=*/false);
@@ -219,12 +207,10 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
 
   // This graph is past the matrix limit, so both tiers are exercised: the
   // default implicit tier here, the explicit tier forced below.
-  const NeighborhoodCache serial(h, 2, /*build_covers=*/true,
-                                 /*parallelism=*/1);
+  const NeighborhoodCache serial(h, 2, /*parallelism=*/1);
   ASSERT_EQ(serial.eball_tier(), NeighborhoodCache::EballTier::kImplicit);
   const auto check = [&](const NeighborhoodCache& par, int workers) {
     ASSERT_EQ(par.size(), serial.size());
-    ASSERT_TRUE(par.has_covers());
     const bool spans =
         par.eball_tier() == NeighborhoodCache::EballTier::kExplicit &&
         serial.eball_tier() == NeighborhoodCache::EballTier::kExplicit;
@@ -239,26 +225,20 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
         ASSERT_TRUE(std::equal(es.begin(), es.end(), ep.begin(), ep.end()))
             << "election ball of " << v << " at workers=" << workers;
       }
-      const auto cs = serial.r_ball_cover(v), cp = par.r_ball_cover(v);
-      ASSERT_TRUE(std::equal(cs.begin(), cs.end(), cp.begin(), cp.end()))
-          << "cover of " << v << " at workers=" << workers;
-      ASSERT_EQ(serial.r_ball_clique_count(v), par.r_ball_clique_count(v));
     }
   };
   for (int workers : {2, 4}) {
-    const NeighborhoodCache par(h, 2, /*build_covers=*/true, workers);
+    const NeighborhoodCache par(h, 2, workers);
     ASSERT_EQ(par.eball_tier(), serial.eball_tier());
     check(par, workers);
   }
   {
     // Same claim with explicit e-ball spans: the count-then-fill layout is
     // worker-count independent on both tiers.
-    EballTierOverride force("explicit");
-    const NeighborhoodCache eser(h, 2, /*build_covers=*/true,
-                                 /*parallelism=*/1);
+    EballTierOverride force(NeighborhoodCache::EballTier::kExplicit);
+    const NeighborhoodCache eser(h, 2, /*parallelism=*/1);
     ASSERT_EQ(eser.eball_tier(), NeighborhoodCache::EballTier::kExplicit);
-    const NeighborhoodCache epar(h, 2, /*build_covers=*/true,
-                                 /*parallelism=*/4);
+    const NeighborhoodCache epar(h, 2, /*parallelism=*/4);
     ASSERT_EQ(epar.eball_tier(), NeighborhoodCache::EballTier::kExplicit);
     for (int v = 0; v < h.size(); ++v) {
       const auto es = eser.election_ball(v), ep = epar.election_ball(v);

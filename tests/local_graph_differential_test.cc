@@ -193,7 +193,7 @@ Message hello_of(int origin, const std::vector<int>& list) {
 }
 
 VertexAgent discover(const World& w, MembershipMode mode) {
-  VertexAgent a(w.id, 1, /*memoize_cover=*/false, mode);
+  VertexAgent a(w.id, 1, mode);
   a.set_own_neighbors(w.own);
   for (std::size_t i = 0; i < w.others.size(); ++i) {
     const Message h = hello_of(w.others[i], w.lists[i]);

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
@@ -36,6 +37,15 @@ TEST(DistributedPtas, WinnersAreIndependentAndAllMarked) {
   double sum = 0.0;
   for (int v : res.winners) sum += w[static_cast<std::size_t>(v)];
   EXPECT_NEAR(sum, res.weight, 1e-9);
+}
+
+TEST(DistributedPtas, RetiredMemoizedCoversFlagIsRejected) {
+  Rng rng(5);
+  ConflictGraph cg = random_geometric_avg_degree(10, 3.0, rng);
+  ExtendedConflictGraph ecg(cg, 2);
+  DistributedPtasConfig cfg;
+  cfg.use_memoized_covers = true;
+  EXPECT_THROW(DistributedRobustPtas(ecg.graph(), cfg), std::logic_error);
 }
 
 TEST(DistributedPtas, WinnersAreMaximal) {

@@ -500,7 +500,7 @@ Message determination(std::vector<net::StatusEntry> statuses) {
 TEST(AgentTable, EmptyBeforeDiscovery) {
   for (const net::MembershipMode mode :
        {net::MembershipMode::kOmniscient, net::MembershipMode::kViewSync}) {
-    net::VertexAgent a(4, 1, false, mode);
+    net::VertexAgent a(4, 1, mode);
     EXPECT_EQ(a.table_size(), 0u);
     EXPECT_TRUE(a.members().empty());
   }

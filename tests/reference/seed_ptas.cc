@@ -26,8 +26,6 @@ SeedPtas::SeedPtas(const Graph& h, DistributedPtasConfig cfg)
   MHCA_ASSERT(cfg_.r >= 1, "r must be at least 1");
   MHCA_ASSERT(cfg_.local_solver == LocalSolverKind::kExact,
               "the reference runs the exact local solver only");
-  MHCA_ASSERT(!cfg_.use_memoized_covers,
-              "the reference builds a fresh cover per solve");
 }
 
 int SeedPtas::ball_size(int v, int radius) {

@@ -11,8 +11,8 @@
 // The local solves use the production BranchAndBoundMwisSolver with default
 // options, and status application and message accounting follow the
 // engine's rules. What the engine adds on top — the NeighborhoodCache, the
-// incremental SoA election, stage timers, memoized covers, the per-leader
-// thread fan-out — is absent here, so any divergence points at it.
+// incremental SoA election, stage timers, the per-leader thread fan-out —
+// is absent here, so any divergence points at it.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +30,7 @@ namespace mhca::reference {
 class SeedPtas {
  public:
   /// Honors r, max_mini_rounds, bnb_node_cap and count_messages; the
-  /// local solver must be exact and covers unmemoized.
+  /// local solver must be exact.
   SeedPtas(const Graph& h, DistributedPtasConfig cfg);
 
   DistributedPtasResult run(std::span<const double> weights,

@@ -4,6 +4,8 @@
 // byte-identical results between ScenarioRunner and the legacy hand-wired
 // paths (direct Simulator, the step API, net runtime).
 #include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -69,7 +71,6 @@ D = 6
 local_solver = greedy
 node_cap = 1234
 parallelism = 2
-memoized_covers = true
 epsilon = 0.5
 
 [run]
@@ -121,7 +122,6 @@ TEST(ScenarioFormat, ParseReadsEveryField) {
   EXPECT_EQ(s.solver.local_solver, LocalSolverKind::kGreedy);
   EXPECT_EQ(s.solver.node_cap, 1234);
   EXPECT_EQ(s.solver.parallelism, 2);
-  EXPECT_TRUE(s.solver.memoized_covers);
   EXPECT_DOUBLE_EQ(s.solver.epsilon, 0.5);
   EXPECT_EQ(s.run.slots, 150);
   EXPECT_EQ(s.run.update_period, 5);
@@ -210,6 +210,19 @@ TEST(ScenarioErrors, MalformedValueNamesKeyAndValue) {
       [] { scenario::parse_scenario("[run]\nslots = soon\n"); });
   EXPECT_TRUE(message_contains(msg, "soon"));
   EXPECT_TRUE(message_contains(msg, "run.slots"));
+}
+
+TEST(ScenarioErrors, RetiredMemoizedCoversKeyAcceptsOnlyFalse) {
+  // Memoized clique covers were removed; the key survives only because the
+  // pinned perfbench workloads set it to its old default.
+  const Scenario s =
+      scenario::parse_scenario("[solver]\nmemoized_covers = false\n");
+  EXPECT_EQ(s.solver, Scenario{}.solver);
+  const std::string msg = error_message(
+      [] { scenario::parse_scenario("[solver]\nmemoized_covers = true\n"); });
+  EXPECT_TRUE(message_contains(msg, "solver.memoized_covers"));
+  EXPECT_TRUE(message_contains(msg, "removed"));
+  EXPECT_TRUE(message_contains(msg, "line 2"));
 }
 
 TEST(ScenarioErrors, MissingRequiredKeyCaughtAtValidateTime) {
@@ -326,7 +339,6 @@ TEST(SolverSpec, EngineConfigMapsEveryKnob) {
   s.solver.local_solver = LocalSolverKind::kGreedy;
   s.solver.node_cap = 555;
   s.solver.parallelism = 4;
-  s.solver.memoized_covers = true;
   s.run.count_messages = true;
   const DistributedPtasConfig cfg =
       to_engine_config(scenario::to_simulation_config(s));
@@ -335,7 +347,6 @@ TEST(SolverSpec, EngineConfigMapsEveryKnob) {
   EXPECT_EQ(cfg.local_solver, LocalSolverKind::kGreedy);
   EXPECT_EQ(cfg.bnb_node_cap, 555);
   EXPECT_EQ(cfg.local_solve_parallelism, 4);
-  EXPECT_TRUE(cfg.use_memoized_covers);
   EXPECT_TRUE(cfg.count_messages);
 }
 
@@ -551,6 +562,31 @@ TEST(ExampleScenarios, EveryFileParsesValidatesAndRuns) {
     EXPECT_EQ(res.total_slots, 5);
   }
   EXPECT_GE(count, 9) << "example scenario grid shrank unexpectedly";
+}
+
+TEST(PerfbenchWorkloads, EveryIniParsesAndValidates) {
+  // The benchmark's workload files are frozen; a parser or validation change
+  // that breaks them must fail here, not only in the perfbench smoke.
+  namespace fs = std::filesystem;
+  const fs::path dir = fs::path(MHCA_SOURCE_DIR) / "perfbench" / "workloads";
+  ASSERT_TRUE(fs::exists(dir)) << dir;
+  int count = 0;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    if (entry.path().extension() != ".ini") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    ++count;
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    std::string ini = text.str();
+    // perfbench/run.py fills in {seed} per scenario.
+    for (std::size_t at = ini.find("{seed}"); at != std::string::npos;
+         at = ini.find("{seed}", at))
+      ini.replace(at, 6, "1");
+    // validate() runs validate_fields() and the registry checks.
+    scenario::validate(scenario::parse_scenario(ini));
+  }
+  EXPECT_GE(count, 3) << "perfbench workload set shrank unexpectedly";
 }
 
 }  // namespace

@@ -5,7 +5,11 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 
+#include "scoped_env.h"
+#include "util/cpufeatures.h"
 #include "util/csv.h"
 #include "util/hash.h"
 #include "util/rng.h"
@@ -194,6 +198,42 @@ TEST(Table, AlignsColumns) {
 TEST(Table, FixedFormatsDigits) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fixed(2.0, 0), "2");
+}
+
+TEST(SimdRequest, EnvOverridesRejectUnknownValues) {
+  // Read afresh on every call (simd_level() caches only the first).
+  {
+    const ScopedEnv simd("MHCA_SIMD", "scalar");
+    const ScopedEnv force("MHCA_FORCE_SCALAR", nullptr);
+    EXPECT_EQ(util::requested_simd_level(), util::SimdLevel::kScalar);
+  }
+  {
+    const ScopedEnv simd("MHCA_SIMD", "avx2");
+    const ScopedEnv force("MHCA_FORCE_SCALAR", "1");
+    EXPECT_EQ(util::requested_simd_level(), util::SimdLevel::kScalar);
+  }
+  const auto error_of = [] {
+    try {
+      util::requested_simd_level();
+    } catch (const std::logic_error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  {
+    const ScopedEnv simd("MHCA_SIMD", "AVX2");
+    const ScopedEnv force("MHCA_FORCE_SCALAR", "1");  // does not mask it
+    const std::string msg = error_of();
+    EXPECT_NE(msg.find("AVX2"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("scalar, avx2, avx512"), std::string::npos) << msg;
+  }
+  {
+    const ScopedEnv simd("MHCA_SIMD", nullptr);
+    const ScopedEnv force("MHCA_FORCE_SCALAR", "yes");
+    const std::string msg = error_of();
+    EXPECT_NE(msg.find("MHCA_FORCE_SCALAR"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("valid values"), std::string::npos) << msg;
+  }
 }
 
 }  // namespace
