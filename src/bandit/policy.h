@@ -9,6 +9,10 @@
 // The index is a pure function of (µ̃_k, m_k, k, t, K) — `index_from` — so a
 // distributed vertex can evaluate it from locally stored statistics without
 // any global state; `index` is a convenience over a global ArmEstimates.
+// That purity is load-bearing: the message-level runtime (src/net) computes
+// each vertex's index once per round and lets every agent whose stored
+// statistics match bit for bit reuse it, so an implementation that kept
+// state, read a clock or drew randomness would change --net decisions.
 #pragma once
 
 #include <cstdint>
@@ -29,7 +33,8 @@ class IndexPolicy {
 
   /// Index of an arm with observed mean `mean` played `count` times, at
   /// (1-based) round t, among `num_arms` arms total. Must return
-  /// unplayed_index(k, num_arms) when count = 0.
+  /// unplayed_index(k, num_arms) when count = 0, and must be pure: the same
+  /// arguments give the same bits on every call (see the header comment).
   virtual double index_from(double mean, std::int64_t count, int k,
                             std::int64_t t, int num_arms) const = 0;
 

@@ -317,6 +317,17 @@ std::int64_t Graph::num_edges() const {
   return twice / 2;
 }
 
+std::int64_t Graph::resident_bytes() const {
+  const auto bytes = [](const auto& vec) {
+    return static_cast<std::int64_t>(vec.size() * sizeof(vec[0]));
+  };
+  std::int64_t total = bytes(adj_) + bytes(offsets_) + bytes(edges_) +
+                       bytes(bits_) + bytes(srow_offsets_) +
+                       bytes(srow_blocks_) + bytes(srow_words_);
+  for (const auto& a : adj_) total += bytes(a);
+  return total;
+}
+
 double Graph::average_degree() const {
   if (size() == 0) return 0.0;
   return 2.0 * static_cast<double>(num_edges()) / static_cast<double>(size());

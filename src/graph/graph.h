@@ -143,6 +143,9 @@ class Graph {
 
   std::int64_t num_edges() const;
   double average_degree() const;
+  /// Bytes held by the adjacency structures (build-phase lists, CSR, and
+  /// the bitset matrix or sparse rows), counted by element size.
+  std::int64_t resident_bytes() const;
   int max_degree() const;
 
   /// True if every pair of vertices is joined by a path (empty graph: true).

@@ -1,6 +1,7 @@
 #include "net/agent.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "graph/hop.h"
 #include "util/assert.h"
@@ -104,7 +105,9 @@ void VertexAgent::build_structures(std::vector<std::span<const int>>& rows) {
   }
   local_graph_ = Graph::from_claims(static_cast<int>(members_.size()),
                                     offsets, claims);
-  table_.assign(members_.size(), Entry{});
+  stats_.assign(members_.size(), Stats{});
+  index_.assign(members_.size(), 0.0);
+  statuses_.assign(members_.size(), VertexStatus::kCandidate);
 
   // Keep the r-ball (computed on the *local* subgraph — identical to
   // global r-hop distance because every shortest path of length <= r stays
@@ -153,11 +156,8 @@ void VertexAgent::finalize_discovery() {
   // Seed each entry from the hello's carried statistics: zeros at initial
   // discovery (nothing learned yet), the sender's live (µ̃, m) when a
   // topology change brought it into this agent's horizon mid-run.
-  for (std::size_t j = 0; j < hellos_.size(); ++j) {
-    Entry& e = table_[other_slot(j)];
-    e.mean = hellos_[j].mean;
-    e.count = hellos_[j].count;
-  }
+  for (std::size_t j = 0; j < hellos_.size(); ++j)
+    stats_[other_slot(j)] = Stats{hellos_[j].mean, hellos_[j].count};
   // Release the discovery buffers (clear() alone keeps their capacity).
   std::vector<Hello>().swap(hellos_);
   std::vector<int>().swap(hello_neighbors_);
@@ -176,11 +176,8 @@ void VertexAgent::rebuild_local_view() {
   build_structures(rows);
 
   std::size_t j = 0;
-  for (const auto& [m, k] : knowledge_) {
-    Entry& e = table_[other_slot(j++)];
-    e.mean = k.mean;
-    e.count = k.count;
-  }
+  for (const auto& [m, k] : knowledge_)
+    stats_[other_slot(j++)] = Stats{k.mean, k.count};
 }
 
 int VertexAgent::member_slot(int global) const {
@@ -250,10 +247,8 @@ void VertexAgent::on_membership_message(const Message& msg,
     k.count = msg.count;
     k.mean = msg.mean;
     const int lv = member_slot(msg.origin);
-    if (lv >= 0) {
-      table_[static_cast<std::size_t>(lv)].mean = msg.mean;
-      table_[static_cast<std::size_t>(lv)].count = msg.count;
-    }
+    if (lv >= 0)
+      stats_[static_cast<std::size_t>(lv)] = Stats{msg.mean, msg.count};
   }
   // Adjacency is round-monotonic: accept only payloads at least as new as
   // the newest already applied (a delayed hello must not resurrect edges).
@@ -371,19 +366,35 @@ std::pair<double, std::int64_t> VertexAgent::member_stats(int v) const {
   }
   const int lv = member_slot(v);
   MHCA_ASSERT(lv >= 0, "member_stats of unknown member");
-  const Entry& e = table_[static_cast<std::size_t>(lv)];
+  const Stats& e = stats_[static_cast<std::size_t>(lv)];
   return {e.mean, e.count};
 }
 
 VertexStatus VertexAgent::member_status(int v) const {
   const int lv = member_slot(v);
   MHCA_ASSERT(lv >= 0, "member_status of unknown member");
-  return table_[static_cast<std::size_t>(lv)].status;
+  return statuses_[static_cast<std::size_t>(lv)];
+}
+
+double VertexAgent::member_index(int v) const {
+  const int lv = member_slot(v);
+  MHCA_ASSERT(lv >= 0, "member_index of unknown member");
+  return index_[static_cast<std::size_t>(lv)];
 }
 
 const std::vector<int>* VertexAgent::member_neighbors(int v) const {
   const auto it = knowledge_.find(v);
   return it == knowledge_.end() ? nullptr : &it->second.neighbors;
+}
+
+std::int64_t VertexAgent::member_list_bytes() const {
+  return static_cast<std::int64_t>(members_.size() * sizeof(int));
+}
+
+std::int64_t VertexAgent::table_bytes() const {
+  return static_cast<std::int64_t>(
+      stats_.size() * sizeof(Stats) + index_.size() * sizeof(double) +
+      statuses_.size() * sizeof(VertexStatus));
 }
 
 // --------------------------------------------------------- round lifecycle
@@ -395,20 +406,33 @@ void VertexAgent::observe(double reward) {
 }
 
 void VertexAgent::begin_round(const IndexPolicy& policy, std::int64_t t,
-                              int num_arms) {
+                              int num_arms,
+                              std::span<const IndexMemoEntry> memo) {
   MHCA_ASSERT(discovered_, "begin_round before discovery");
+  MHCA_ASSERT(static_cast<std::size_t>(members_.back()) < memo.size(),
+              "index memo does not cover every member");
   round_now_ = t;
   // An off-air node never contends: it enters every round pre-marked. Its
   // vertices are isolated by then (dynamics removed their edges), so no
   // live agent's table still lists them as competition.
   status_ = active_ ? VertexStatus::kCandidate : VertexStatus::kLoser;
-  own_index_ = policy.index_from(mean_, count_, id_, t, num_arms);
-  for (std::size_t i = 0; i < table_.size(); ++i) {
+  // The memo caches the pure index_from of the owner's own statistics; a
+  // stored copy that differs in any bit (a stale view, a lost update) is
+  // indexed here instead, so the index is always a function of this table.
+  const auto index_of = [&](int v, double mean, std::int64_t count) {
+    const IndexMemoEntry& m = memo[static_cast<std::size_t>(v)];
+    return std::bit_cast<std::uint64_t>(mean) ==
+                       std::bit_cast<std::uint64_t>(m.mean) &&
+                   count == m.count
+               ? m.index
+               : policy.index_from(mean, count, v, t, num_arms);
+  };
+  own_index_ = index_of(id_, mean_, count_);
+  for (std::size_t i = 0; i < stats_.size(); ++i) {
     if (static_cast<int>(i) == self_local_) continue;
-    Entry& e = table_[i];
-    e.status = VertexStatus::kCandidate;
-    e.index = policy.index_from(e.mean, e.count, members_[i], t, num_arms);
+    index_[i] = index_of(members_[i], stats_[i].mean, stats_[i].count);
   }
+  std::fill(statuses_.begin(), statuses_.end(), VertexStatus::kCandidate);
   if (mode_ == MembershipMode::kViewSync && active_ && has_suspects())
     ++counters_.stale_decisions;  // this round is decided under a stale view
 }
@@ -426,9 +450,7 @@ void VertexAgent::on_weight_update(const Message& msg) {
   }
   const int lv = member_slot(msg.origin);
   if (lv < 0) return;  // beyond my 2r+1 horizon
-  Entry& e = table_[static_cast<std::size_t>(lv)];
-  e.mean = msg.mean;
-  e.count = msg.count;
+  stats_[static_cast<std::size_t>(lv)] = Stats{msg.mean, msg.count};
 }
 
 bool VertexAgent::should_lead() const {
@@ -438,12 +460,11 @@ bool VertexAgent::should_lead() const {
   // missed contender is how double-claims happen.
   if (mode_ == MembershipMode::kViewSync && has_suspects()) return false;
   const std::pair<double, int> my_key{own_index_, -id_};
-  for (std::size_t i = 0; i < table_.size(); ++i) {
-    const Entry& e = table_[i];
-    if (e.status != VertexStatus::kCandidate ||
+  for (std::size_t i = 0; i < statuses_.size(); ++i) {
+    if (statuses_[i] != VertexStatus::kCandidate ||
         static_cast<int>(i) == self_local_)
       continue;
-    if (std::pair<double, int>{e.index, -members_[i]} > my_key) return false;
+    if (std::pair<double, int>{index_[i], -members_[i]} > my_key) return false;
   }
   return true;
 }
@@ -456,12 +477,11 @@ void VertexAgent::gather_local_candidates() {
     if (lv == self_local_) {
       cand_buf_.push_back(lv);
       weight_buf_[static_cast<std::size_t>(lv)] = own_index_;
-    } else {
-      const Entry& e = table_[static_cast<std::size_t>(lv)];
-      if (e.status == VertexStatus::kCandidate) {
-        cand_buf_.push_back(lv);
-        weight_buf_[static_cast<std::size_t>(lv)] = e.index;
-      }
+    } else if (statuses_[static_cast<std::size_t>(lv)] ==
+               VertexStatus::kCandidate) {
+      cand_buf_.push_back(lv);
+      weight_buf_[static_cast<std::size_t>(lv)] =
+          index_[static_cast<std::size_t>(lv)];
     }
   }
 }
@@ -486,7 +506,7 @@ std::vector<StatusEntry> VertexAgent::verdicts_from(const MwisResult& res) {
       if (decided[static_cast<std::size_t>(lu)]) continue;
       const VertexStatus st = lu == self_local_
                                   ? status_
-                                  : table_[static_cast<std::size_t>(lu)].status;
+                                  : statuses_[static_cast<std::size_t>(lu)];
       if (st != VertexStatus::kCandidate) continue;
       decided[static_cast<std::size_t>(lu)] = 1;
       verdicts.push_back(StatusEntry{members_[static_cast<std::size_t>(lu)],
@@ -519,7 +539,7 @@ void VertexAgent::on_determination(const Message& msg) {
       continue;
     }
     if (const int lv = cursor.find(e.vertex); lv >= 0)
-      table_[static_cast<std::size_t>(lv)].status = e.status;
+      statuses_[static_cast<std::size_t>(lv)] = e.status;
   }
 }
 

@@ -40,6 +40,18 @@
 
 namespace mhca::net {
 
+/// One vertex's bandit index for a round, computed once from the statistics
+/// its owner holds (DistributedRuntime fills one entry per vertex per
+/// round). An agent takes `index` for a member only when its own stored
+/// (mean, count) match these bit for bit — a cache of the pure
+/// `IndexPolicy::index_from`, so every agent still decides from its own
+/// table.
+struct IndexMemoEntry {
+  double mean = 0.0;
+  std::int64_t count = 0;
+  double index = 0.0;
+};
+
 /// Per-agent robustness counters (runtime stats; aggregated per run).
 struct AgentCounters {
   std::int64_t retries = 0;         ///< Liveness probes flooded.
@@ -129,12 +141,15 @@ class VertexAgent {
   void note_stale_abstain() { ++counters_.stale_decisions; }
 
   /// Oracle accessors (tests): a tracked member's stored statistics,
-  /// believed adjacency (nullptr when the member is unknown) and status
-  /// this round, and the local subgraph over members() (local id i is
+  /// believed adjacency (nullptr when the member is unknown), status and
+  /// index this round, and the local subgraph over members() (local id i is
   /// members()[i]).
   std::pair<double, std::int64_t> member_stats(int v) const;
   const std::vector<int>* member_neighbors(int v) const;
   VertexStatus member_status(int v) const;
+  /// A member's index and this agent's own, as of the last begin_round.
+  double member_index(int v) const;
+  double own_index() const { return own_index_; }
   const Graph& local_graph() const { return local_graph_; }
 
   // ---- Learning state (vertex-local) ----
@@ -145,8 +160,12 @@ class VertexAgent {
 
   // ---- Round lifecycle ----
   /// Reset all statuses to Candidate and recompute all indices from the
-  /// stored statistics for round t (K = num_arms network-wide).
-  void begin_round(const IndexPolicy& policy, std::int64_t t, int num_arms);
+  /// stored statistics for round t (K = num_arms network-wide). `memo` is
+  /// indexed by global vertex id and must cover every member: a member
+  /// whose stored (mean, count) equal memo[v]'s bit for bit takes
+  /// memo[v].index, any other calls policy.index_from itself.
+  void begin_round(const IndexPolicy& policy, std::int64_t t, int num_arms,
+                   std::span<const IndexMemoEntry> memo);
   /// WB: a neighbor's refreshed statistics (count-monotonic under
   /// view-sync, so duplicated or delayed updates can never regress).
   void on_weight_update(const Message& msg);
@@ -168,12 +187,19 @@ class VertexAgent {
     return members_.empty() ? 0 : members_.size() - 1;
   }
 
+  /// Resident bytes of this agent's member list, of its table columns and
+  /// of its local graph (bitset matrix included) — the net.mem.* gauges.
+  std::int64_t member_list_bytes() const;
+  std::int64_t table_bytes() const;
+  std::int64_t local_graph_bytes() const {
+    return local_graph_.resident_bytes();
+  }
+
  private:
-  struct Entry {
+  /// A member's stored sufficient statistics (µ̃, m).
+  struct Stats {
     double mean = 0.0;
     std::int64_t count = 0;
-    double index = 0.0;
-    VertexStatus status = VertexStatus::kCandidate;
   };
 
   /// Everything this agent knows about one member (view-sync; persistent
@@ -232,12 +258,16 @@ class VertexAgent {
   AgentCounters counters_;
 
   // Local view: sorted member ids (== J_{2r+1}(id) incl. self), the local
-  // graph over them, and the flat member table: table_[i] describes
-  // members_[i] (local id i). The self slot table_[self_local_] is unused —
-  // own state lives in mean_/count_/own_index_/status_.
+  // graph over them, and the member table as three columns parallel to
+  // members_ (local id i describes members_[i]): statistics, this round's
+  // index, and status. The round loops read only the columns they need.
+  // The self slot of each column is unused — own state lives in
+  // mean_/count_/own_index_/status_.
   std::vector<int> members_;
   Graph local_graph_;
-  std::vector<Entry> table_;
+  std::vector<Stats> stats_;
+  std::vector<double> index_;
+  std::vector<VertexStatus> statuses_;
   int self_local_ = -1;
   // Computed at discovery: this agent's r-ball (local ids, sorted) —
   // static between membership changes.
@@ -246,21 +276,21 @@ class VertexAgent {
   std::vector<int> cand_buf_;
   std::vector<double> weight_buf_;
 
-  /// table_ slot (= local id) of a member other than self; -1 for self
+  /// Table slot (= local id) of a member other than self; -1 for self
   /// and for non-members. One binary search over members_.
   int member_slot(int global) const;
   void maybe_adopt(const ViewId& v);
   void bump_view();
   std::int64_t backoff_delay(int attempt) const;
-  /// Rebuild members_/local_graph_/table_/r-ball from knowledge_ (view-sync
+  /// Rebuild members_/local_graph_/table/r-ball from knowledge_ (view-sync
   /// structural refresh; statuses are re-seeded at the next begin_round).
   void rebuild_local_view();
   /// Shared structural build. On entry members_ lists the *other* members
   /// (sorted) and `rows[j]` the neighbor list members_[j] advertised
   /// (global ids); self and own_neighbors_ are spliced in here. Builds the
-  /// local graph, the r-ball and a zeroed table_.
+  /// local graph, the r-ball and a zeroed table.
   void build_structures(std::vector<std::span<const int>>& rows);
-  /// table_ slot of the j-th other member (self's slot skipped).
+  /// Table slot of the j-th other member (self's slot skipped).
   std::size_t other_slot(std::size_t j) const {
     return j < static_cast<std::size_t>(self_local_) ? j : j + 1;
   }

@@ -1,6 +1,7 @@
 #include "net/control_channel.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdio>
 
 #include "obs/trace.h"
@@ -50,7 +51,7 @@ ControlChannel::ControlChannel(const Graph& topology,
                                const FaultProfile& faults)
     : topology_(topology),
       faults_(faults),
-      scratch_(topology.size()),
+      reach_bits_((static_cast<std::size_t>(topology.size()) + 63) / 64, 0),
       visit_stamp_(static_cast<std::size_t>(topology.size()), 0) {
   faults_.validate();
 }
@@ -214,7 +215,7 @@ void ControlChannel::flood_impl(
   record_flood(digest, ttl, *bytes);
 
   if (!faults_.any()) {
-    scratch_.k_hop_neighborhood(topology_, msg.origin, ttl, reach_buf_);
+    reach_in_id_order(msg.origin, ttl);
     bill(msg.type, wire_size, static_cast<std::int64_t>(reach_buf_.size()));
     for (int v : reach_buf_) {
       if (v == msg.origin) continue;
@@ -270,6 +271,43 @@ void ControlChannel::flood_impl(
       record_delivery(p.to, digest);
       deliver(p.to, *decoded);
     }
+  }
+}
+
+void ControlChannel::reach_in_id_order(int origin, int ttl) {
+  // Breadth-first, one hop level at a time, with reach_bits_ as the
+  // visited set; the words between the lowest and highest touched one then
+  // hold the reach, which reads out ascending (and leaves them zeroed).
+  const auto mark = [this](int v) {
+    const auto w = static_cast<std::size_t>(v) >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (v & 63);
+    if (reach_bits_[w] & bit) return false;
+    reach_bits_[w] |= bit;
+    return true;
+  };
+  reach_buf_.clear();
+  reach_buf_.push_back(origin);
+  mark(origin);
+  int lo = origin, hi = origin;
+  std::size_t level_begin = 0;
+  for (int depth = 0; depth < ttl && level_begin < reach_buf_.size();
+       ++depth) {
+    const std::size_t level_end = reach_buf_.size();
+    for (std::size_t i = level_begin; i < level_end; ++i)
+      for (int u : topology_.neighbors(reach_buf_[i]))
+        if (mark(u)) {
+          reach_buf_.push_back(u);
+          lo = std::min(lo, u);
+          hi = std::max(hi, u);
+        }
+    level_begin = level_end;
+  }
+  std::size_t k = 0;
+  for (auto w = static_cast<std::size_t>(lo) >> 6;
+       w <= static_cast<std::size_t>(hi) >> 6; ++w) {
+    for (std::uint64_t bits = reach_bits_[w]; bits != 0; bits &= bits - 1)
+      reach_buf_[k++] = static_cast<int>(w * 64) + std::countr_zero(bits);
+    reach_bits_[w] = 0;
   }
 }
 

@@ -29,7 +29,6 @@
 #include <vector>
 
 #include "graph/graph.h"
-#include "graph/hop.h"
 #include "net/faults.h"
 #include "net/message.h"
 #include "net/wire.h"
@@ -79,6 +78,12 @@ class ControlChannel {
   /// (twice when the fault plane duplicates). Deliveries the fault plane
   /// delayed into a later slot are *not* delivered here — they surface from
   /// begin_slot() when their slot comes.
+  ///
+  /// Delivery order (folded into trace_hash, so it is part of the replay
+  /// contract): on a fault-free channel, ascending vertex id over the whole
+  /// reach. Under faults, breadth-first discovery order (each vertex's
+  /// neighbors ascending), then the copies deferred to the end of this
+  /// flood, ordered by their hash-derived shuffle key.
   ///
   /// Wire discipline: the flood's unit of transfer is the *encoded* message
   /// (net/wire.h). Every flood marshals once, the fault plane operates on
@@ -164,14 +169,17 @@ class ControlChannel {
                       bytes,
                   int ttl,
                   const std::function<void(int, const Message&)>& deliver);
+  /// Fault-free reach: fill reach_buf_ with every vertex within `ttl` hops
+  /// of `origin` (origin included), ascending by id, without a sort.
+  void reach_in_id_order(int origin, int ttl);
   /// One transmission's airtime: message count, bytes, fragments, per type.
   void bill(MsgType type, std::size_t wire_size, std::int64_t transmissions);
 
   const Graph& topology_;
   FaultProfile faults_;
   int mtu_ = wire::kDefaultMtu;
-  BfsScratch scratch_;
   std::vector<int> reach_buf_;
+  std::vector<std::uint64_t> reach_bits_;  ///< All zero between floods.
   std::vector<std::uint32_t> visit_stamp_;
   std::uint32_t visit_epoch_ = 0;
   std::int64_t round_ = 0;

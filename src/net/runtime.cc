@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 
+#include "graph/hop.h"
 #include "obs/trace.h"
 #include "util/assert.h"
 
@@ -57,6 +58,7 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
   agents_.reserve(static_cast<std::size_t>(ecg.num_vertices()));
   for (int v = 0; v < ecg.num_vertices(); ++v)
     agents_.emplace_back(v, cfg_.r, cfg_.membership, cfg_.liveness);
+  index_memo_.resize(agents_.size());
   discover();
 }
 
@@ -354,6 +356,18 @@ std::size_t DistributedRuntime::max_table_size() const {
   return best;
 }
 
+MemoryFootprint DistributedRuntime::memory_footprint() const {
+  MemoryFootprint out;
+  for (const auto& a : agents_) {
+    out.member_lists += a.member_list_bytes();
+    out.tables += a.table_bytes();
+    out.local_graphs += a.local_graph_bytes();
+  }
+  out.index_memo = static_cast<std::int64_t>(index_memo_.size() *
+                                             sizeof(IndexMemoEntry));
+  return out;
+}
+
 RuntimeCounters DistributedRuntime::counters() const {
   RuntimeCounters out;
   for (const auto& a : agents_) {
@@ -404,7 +418,15 @@ NetRoundResult DistributedRuntime::step() {
     // reaches this barrier.
     if (sharded()) exchange_and_replay(std::move(frames), deliver);
   }
-  for (auto& a : agents_) a.begin_round(*policy_, t_, k_arms);
+  // Each vertex's index, once, from its owner's statistics: every agent
+  // holding an identical copy takes it instead of recomputing it.
+  for (std::size_t v = 0; v < agents_.size(); ++v) {
+    const VertexAgent& a = agents_[v];
+    index_memo_[v] = IndexMemoEntry{
+        a.own_mean(), a.own_count(),
+        policy_->index_from(a.own_mean(), a.own_count(), a.id(), t_, k_arms)};
+  }
+  for (auto& a : agents_) a.begin_round(*policy_, t_, k_arms, index_memo_);
 
   // --- D mini-rounds of Algorithm 3. ---
   MwisSolver& local_solver =

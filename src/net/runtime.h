@@ -85,6 +85,16 @@ struct NetRoundResult {
   int tx_abstained = 0;
 };
 
+/// Resident bytes of the runtime's per-structure state (the net.mem.*
+/// gauges, obs/publish.h): every agent's member list, table columns and
+/// local graph (bitset matrix included), and the runtime's index memo.
+struct MemoryFootprint {
+  std::int64_t member_lists = 0;
+  std::int64_t tables = 0;
+  std::int64_t local_graphs = 0;
+  std::int64_t index_memo = 0;
+};
+
 /// Aggregated per-agent robustness counters (see AgentCounters).
 struct RuntimeCounters {
   std::int64_t retries = 0;
@@ -175,6 +185,9 @@ class DistributedRuntime {
   /// Sum of every agent's robustness counters.
   RuntimeCounters counters() const;
 
+  /// Bytes held now by the agents' tables and graphs and by the index memo.
+  MemoryFootprint memory_footprint() const;
+
  private:
   /// The delegate both public constructors funnel into (transport may be
   /// null); transport_ must be set before discovery floods anything.
@@ -229,6 +242,9 @@ class DistributedRuntime {
   std::unique_ptr<IndexPolicy> policy_;
   ControlChannel channel_;
   std::vector<VertexAgent> agents_;
+  /// One entry per vertex, refilled each round from the owners' own
+  /// statistics before begin_round (VertexAgent::begin_round's hit rule).
+  std::vector<IndexMemoEntry> index_memo_;
   BranchAndBoundMwisSolver exact_;
   GreedyMwisSolver greedy_;
   std::vector<int> prev_strategy_;

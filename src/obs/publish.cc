@@ -54,6 +54,17 @@ void publish_membership_counters(MetricsRegistry& reg,
   reg.counter("membership.stale_decisions").add(rc.stale_decisions);
 }
 
+void publish_net_memory(MetricsRegistry& reg,
+                        const net::MemoryFootprint& mem) {
+  reg.gauge("net.mem.member_lists_bytes")
+      .set(static_cast<double>(mem.member_lists));
+  reg.gauge("net.mem.tables_bytes").set(static_cast<double>(mem.tables));
+  reg.gauge("net.mem.local_graphs_bytes")
+      .set(static_cast<double>(mem.local_graphs));
+  reg.gauge("net.mem.index_memo_bytes")
+      .set(static_cast<double>(mem.index_memo));
+}
+
 void publish_simulation(MetricsRegistry& reg, const SimulationResult& res) {
   reg.counter("decision.slots").add(res.total_slots);
   reg.counter("decision.decisions").add(res.decisions);

@@ -38,6 +38,10 @@ void publish_transport_stats(MetricsRegistry& reg,
 void publish_membership_counters(MetricsRegistry& reg,
                                  const net::RuntimeCounters& rc);
 
+/// net.mem.* — resident bytes per runtime structure (gauges): the agents'
+/// member lists, table columns and local graphs, and the index memo.
+void publish_net_memory(MetricsRegistry& reg, const net::MemoryFootprint& mem);
+
 /// decision.* totals for a lockstep Simulator run.
 void publish_simulation(MetricsRegistry& reg, const SimulationResult& res);
 

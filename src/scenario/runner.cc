@@ -271,6 +271,7 @@ NetRunSummary ScenarioRunner::run_net_impl(net::Transport* transport) const {
     obs::publish_membership_counters(*reg, runtime.counters());
     obs::publish_channel_stats(*reg, runtime.channel_stats());
     obs::publish_transport_stats(*reg, runtime.transport_stats());
+    obs::publish_net_memory(*reg, runtime.memory_footprint());
     // ---- The summary, read back out of the registry. The two 64-bit
     // digests stay direct: they are identities, not measurements, and a
     // registry of doubles cannot hold them exactly (> 2^53).
@@ -297,6 +298,13 @@ NetRunSummary ScenarioRunner::run_net_impl(net::Transport* transport) const {
       out.bytes_by_type[t] =
           reg->counter_value(std::string("channel.bytes.") + label);
     }
+    const auto mem_gauge = [&](const char* key) {
+      return static_cast<std::int64_t>(reg->gauge_value(key));
+    };
+    out.memory.member_lists = mem_gauge("net.mem.member_lists_bytes");
+    out.memory.tables = mem_gauge("net.mem.tables_bytes");
+    out.memory.local_graphs = mem_gauge("net.mem.local_graphs_bytes");
+    out.memory.index_memo = mem_gauge("net.mem.index_memo_bytes");
     out.trace_hash = runtime.channel().trace_hash();
   };
   if (is_dynamic(s_)) {

@@ -62,6 +62,9 @@ struct NetRunSummary {
   /// weight-update / leader-declare / determination / view-change).
   std::int64_t messages_by_type[net::kNumMsgTypes] = {0, 0, 0, 0, 0};
   std::int64_t bytes_by_type[net::kNumMsgTypes] = {0, 0, 0, 0, 0};
+  /// Resident bytes per runtime structure at the end of the run (the
+  /// net.mem.* gauges).
+  net::MemoryFootprint memory;
   /// Order-sensitive digest of every flood and delivery — two runs of the
   /// same (seed, schedule) must agree byte for byte.
   std::uint64_t trace_hash = 0;

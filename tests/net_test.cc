@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <map>
 #include <memory>
 #include <set>
@@ -18,6 +19,7 @@
 #include "channel/gaussian.h"
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
+#include "graph/hop.h"
 #include "mwis/distributed_ptas.h"
 #include "net/agent.h"
 #include "net/control_channel.h"
@@ -112,6 +114,46 @@ TEST(ControlChannel, EncodedFloodMatchesStructFloodAndReturnsTheMessage) {
   EXPECT_EQ(by_bytes.trace_hash(), by_struct.trace_hash());
   EXPECT_EQ(by_bytes.stats().bytes_on_wire, by_struct.stats().bytes_on_wire);
   EXPECT_EQ(by_bytes.stats().messages, by_struct.stats().messages);
+}
+
+TEST(ControlChannel, FaultFreeFloodDeliversInAscendingIdOrder) {
+  // The fault-free reach is read out of a bitmap instead of sorted: it
+  // must deliver exactly the sorted k-hop ball, origin excluded, and bill
+  // the same transmissions and bytes, at sizes around a word boundary and
+  // at every ttl from 0 past the origin's eccentricity.
+  for (const int n : {63, 64, 65, 200, 2000}) {
+    Rng rng(static_cast<std::uint64_t>(0xF100D + n));
+    const ConflictGraph cg =
+        random_geometric_avg_degree(n, 4.0, rng, /*force_connected=*/false);
+    const Graph& g = cg.graph();
+    BfsScratch scratch(n);
+    Message m;
+    m.type = MsgType::kDetermination;
+    m.statuses = {{1, VertexStatus::kWinner}, {2, VertexStatus::kLoser}};
+    const auto wire_size =
+        static_cast<std::int64_t>(net::wire::encoded_size(m));
+    for (const int origin : {0, n - 1}) {
+      m.origin = origin;
+      ControlChannel ch(g);
+      std::size_t prev_size = 0;
+      for (int ttl = 0;; ++ttl) {
+        std::vector<int> want = scratch.k_hop_neighborhood(g, origin, ttl);
+        const std::size_t ball = want.size();
+        std::erase(want, origin);
+        std::vector<int> got;
+        const net::ChannelStats before = ch.stats();
+        ch.flood(m, ttl, [&](int v, const Message&) { got.push_back(v); });
+        ASSERT_EQ(got, want) << "n " << n << " origin " << origin << " ttl "
+                             << ttl;
+        EXPECT_EQ(ch.stats().messages - before.messages,
+                  static_cast<std::int64_t>(ball));
+        EXPECT_EQ(ch.stats().bytes_on_wire - before.bytes_on_wire,
+                  static_cast<std::int64_t>(ball) * wire_size);
+        if (ttl > 0 && ball == prev_size) break;  // ttl = eccentricity + 1
+        prev_size = ball;
+      }
+    }
+  }
 }
 
 class NetFixture : public ::testing::Test {
@@ -532,7 +574,8 @@ TEST(AgentTable, MemberStatsOfUnknownMemberAsserts) {
 TEST(AgentTable, DeterminationHandlesOutOfOrderVerdictsAndNonMembers) {
   net::VertexAgent a = path_agent();
   auto policy = make_policy(PolicyKind::kCab);
-  a.begin_round(*policy, 1, 10);
+  const std::vector<net::IndexMemoEntry> memo(10);
+  a.begin_round(*policy, 1, 10, memo);
   using VS = VertexStatus;
   // A leader's candidates ascending, then winner-adjacent losers (which
   // restart below them), interleaved with vertices beyond this agent's
@@ -559,7 +602,7 @@ TEST(AgentTable, DeterminationHandlesOutOfOrderVerdictsAndNonMembers) {
   Rng rng(0xA6E47);
   for (int trial = 0; trial < 200; ++trial) {
     net::VertexAgent b = path_agent();
-    b.begin_round(*policy, 1, 10);
+    b.begin_round(*policy, 1, 10, memo);
     std::vector<net::StatusEntry> statuses;
     std::map<int, VS> expected;
     const int n = rng.uniform_int(0, 12);
@@ -576,6 +619,72 @@ TEST(AgentTable, DeterminationHandlesOutOfOrderVerdictsAndNonMembers) {
         EXPECT_EQ(b.status(), want) << "trial " << trial;
       else
         EXPECT_EQ(b.member_status(m), want) << "trial " << trial << " v " << m;
+    }
+  }
+}
+
+TEST(AgentTable, IndexMemoMatchesLocalRecomputeForEveryPolicy) {
+  // Agent 4 on a path stores its members' statistics as the hellos carried
+  // them; the memo holds what each owner holds now. Some entries agree
+  // (hits), some are stale or differ only in the sign of a zero mean
+  // (misses): either way the index must be index_from of the *stored*
+  // statistics, bit for bit, and every status a fresh Candidate.
+  using Stats = std::pair<double, std::int64_t>;
+  const std::map<int, Stats> stored = {{1, {0.1, 1}}, {2, {0.2, 2}},
+                                       {3, {0.0, 0}}, {5, {0.0, 4}},
+                                       {6, {-0.0, 4}}, {7, {0.7, 0}}};
+  const std::map<int, Stats> owner = {{1, {0.1, 1}},  {2, {0.25, 3}},
+                                      {3, {0.0, 0}},  {5, {-0.0, 4}},
+                                      {6, {-0.0, 4}}, {7, {0.0, 0}}};
+  const int num_arms = 11;
+  const std::int64_t t = 7;
+  for (const PolicyKind kind :
+       {PolicyKind::kCab, PolicyKind::kLlr, PolicyKind::kUcb1,
+        PolicyKind::kGreedy, PolicyKind::kEpsGreedy, PolicyKind::kThompson}) {
+    SCOPED_TRACE(to_string(kind));
+    const auto policy = make_policy(kind);
+    for (const bool own_hit : {true, false}) {
+      net::VertexAgent a(4, 1);
+      for (const auto& [m, st] : stored) {
+        Message h;
+        h.type = MsgType::kHello;
+        h.origin = m;
+        h.neighbor_list = {m - 1, m + 1};
+        h.mean = st.first;
+        h.count = st.second;
+        a.on_hello(h);
+      }
+      a.set_own_neighbors({3, 5});
+      a.finalize_discovery();
+      a.observe(0.5);
+      a.observe(0.25);
+      std::vector<net::IndexMemoEntry> memo(num_arms);
+      for (int v = 0; v < num_arms; ++v) {
+        Stats st{0.0, 0};
+        if (owner.count(v)) st = owner.at(v);
+        if (v == 4 && own_hit) st = {a.own_mean(), a.own_count()};
+        memo[static_cast<std::size_t>(v)] = {
+            st.first, st.second,
+            policy->index_from(st.first, st.second, v, t, num_arms)};
+      }
+      // Statuses from an earlier round must be reset, not carried.
+      a.on_determination(determination({{5, VertexStatus::kWinner},
+                                        {6, VertexStatus::kLoser}}));
+      a.begin_round(*policy, t, num_arms, memo);
+      const auto bits = [](double x) {
+        return std::bit_cast<std::uint64_t>(x);
+      };
+      EXPECT_EQ(bits(a.own_index()),
+                bits(policy->index_from(a.own_mean(), a.own_count(), 4, t,
+                                        num_arms)));
+      EXPECT_EQ(a.status(), VertexStatus::kCandidate);
+      for (const auto& [m, st] : stored) {
+        EXPECT_EQ(bits(a.member_index(m)),
+                  bits(policy->index_from(st.first, st.second, m, t,
+                                          num_arms)))
+            << "member " << m;
+        EXPECT_EQ(a.member_status(m), VertexStatus::kCandidate);
+      }
     }
   }
 }

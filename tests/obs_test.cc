@@ -401,6 +401,32 @@ TEST(ObsContract, SummaryDerivedFromRegistryMatchesInstalledRegistry) {
   EXPECT_EQ(n.tx_abstained, reg.counter_value("decision.tx_abstained"));
 }
 
+TEST(ObsContract, NetMemoryGaugesCoverEveryRuntimeStructure) {
+  // One net.mem.* gauge per structure, published once per run: the index
+  // memo is one entry per vertex of H, and every agent holds a non-empty
+  // member list, table and local graph.
+  ObsGuard guard;
+  Scenario s = scenario::parse_scenario(kNetScenario);
+  const ScenarioRunner runner(s);
+  MetricsRegistry reg;
+  obs::set_metrics(&reg);
+  const scenario::NetRunSummary n = runner.run_net();
+  obs::set_metrics(nullptr);
+  const auto vertices =
+      static_cast<std::int64_t>(runner.extended_graph().num_vertices());
+  const auto memo_bytes =
+      vertices * static_cast<std::int64_t>(sizeof(net::IndexMemoEntry));
+  EXPECT_EQ(reg.gauge_value("net.mem.index_memo_bytes"),
+            static_cast<double>(memo_bytes));
+  EXPECT_EQ(n.memory.index_memo, memo_bytes);
+  EXPECT_GE(n.memory.member_lists,
+            vertices * static_cast<std::int64_t>(sizeof(int)));
+  EXPECT_GT(n.memory.tables, n.memory.member_lists);
+  EXPECT_GT(n.memory.local_graphs, 0);
+  EXPECT_EQ(reg.gauge_value("net.mem.tables_bytes"),
+            static_cast<double>(n.memory.tables));
+}
+
 TEST(ObsContract, TracedTwoShardMeshMatchesUntracedClassic) {
   // The sharded runtime tags each shard's events with its own pid while
   // both threads share one recorder — and the decisions still match an

@@ -381,6 +381,13 @@ std::string net_json(const scenario::Scenario& s,
       .field("fragments", n.fragments)
       .field("messages_by_type", by_msgs)
       .field("bytes_by_type", by_bytes)
+      .field("memory_bytes",
+             JsonObj()
+                 .field("member_lists", n.memory.member_lists)
+                 .field("tables", n.memory.tables)
+                 .field("local_graphs", n.memory.local_graphs)
+                 .field("index_memo", n.memory.index_memo)
+                 .str())
       .field("trace_hash", obs::json_quote(obs::json_hex64(n.trace_hash)))
       .field("decision_digest",
              obs::json_quote(obs::json_hex64(n.decision_digest)));
@@ -488,6 +495,11 @@ void print_net(const scenario::Scenario& s, const scenario::NetRunSummary& n,
                   1));
   table.row("final strategy size", n.last_strategy.size());
   table.row("max agent table size", n.max_table_size);
+  table.row("agent state bytes (lists / tables / graphs / memo)",
+            std::to_string(n.memory.member_lists) + " / " +
+                std::to_string(n.memory.tables) + " / " +
+                std::to_string(n.memory.local_graphs) + " / " +
+                std::to_string(n.memory.index_memo));
   table.row("conflicting rounds", n.conflicts);
   table.row("control messages", n.messages);
   table.row("bytes on wire", n.bytes_on_wire);
