@@ -4,8 +4,6 @@
 #include <queue>
 
 #include "util/assert.h"
-#include "util/cpufeatures.h"
-#include "util/simd_scan.h"
 
 namespace mhca {
 
@@ -379,26 +377,13 @@ bool Graph::is_independent_set(std::span<const int> vs) const {
     std::fill(s.stamp.begin(), s.stamp.end(), 0);
     s.epoch = 1;
   }
-  // The neighbor-row scan is an unordered existence test (is any neighbor
-  // stamped this epoch?), so the vector gather-compare kernel answers
-  // identically to the scalar loop at every dispatch level.
-  const util::SimdLevel simd = util::simd_level();
   for (int v : vs) {
     const auto vi = static_cast<std::size_t>(v);
     if (s.stamp[vi] == s.epoch) return false;  // duplicate vertex
-    const auto row = neighbors(v);
-    if (util::simd_any_stamp_equal(s.stamp.data(), row.data(), row.size(),
-                                   s.epoch, simd))
-      return false;
+    for (int u : neighbors(v))
+      if (s.stamp[static_cast<std::size_t>(u)] == s.epoch) return false;
     s.stamp[vi] = s.epoch;
   }
-  return true;
-}
-
-bool Graph::is_independent_set_pairwise(std::span<const int> vs) const {
-  for (std::size_t i = 0; i < vs.size(); ++i)
-    for (std::size_t j = i + 1; j < vs.size(); ++j)
-      if (vs[i] == vs[j] || has_edge(vs[i], vs[j])) return false;
   return true;
 }
 

@@ -160,12 +160,6 @@ class Graph {
   /// dominated whole 50k-vertex decisions).
   bool is_independent_set(std::span<const int> vs) const;
 
-  /// The quadratic pairwise reference check (every pair probed via
-  /// `has_edge`). Same verdict as `is_independent_set` on every input —
-  /// kept only as the fuzz oracle (tests/graph_property_test.cc); never
-  /// call it on a hot path.
-  bool is_independent_set_pairwise(std::span<const int> vs) const;
-
  private:
   /// Reopen the build phase: reconstruct adjacency vectors from the CSR and
   /// drop the packed structure.

@@ -2,7 +2,8 @@
 //
 // These are the geometric primitives of the robust PTAS: LocalLeader election
 // uses (2r+1)-hop neighborhoods, local MWIS uses r-hop neighborhoods, and
-// result broadcast reaches (3r+1) hops (paper §IV-C).
+// result broadcast reaches 3r+2 hops (paper §IV-C says 3r+1; winner-adjacent
+// losers sit one hop beyond the r-ball).
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <thread>
@@ -14,8 +15,16 @@ namespace mhca {
 
 int NeighborhoodCache::build_workers(int parallelism, int n) {
   if (parallelism == 0) {
-    if (const char* env = std::getenv("MHCA_CACHE_BUILD_WORKERS"))
-      parallelism = std::atoi(env);
+    if (const char* env = std::getenv("MHCA_CACHE_BUILD_WORKERS")) {
+      const char* end = env + std::strlen(env);
+      const auto [p, ec] = std::from_chars(env, end, parallelism);
+      MHCA_ASSERT(env != end && ec == std::errc() && p == end &&
+                      parallelism >= 0,
+                  std::string("MHCA_CACHE_BUILD_WORKERS='") + env +
+                      "' is not a worker count; valid values: a decimal "
+                      "integer in [0, 2147483647] (0 = one per hardware "
+                      "thread)");
+    }
   }
   if (parallelism <= 0) {
     parallelism = static_cast<int>(std::thread::hardware_concurrency());

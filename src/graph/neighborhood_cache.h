@@ -22,7 +22,7 @@
 //     vertices on a normal dev box. The election only ever runs an
 //     existence scan (first blocker) over the ball, and its verdict is
 //     scan-order independent, so decisions are byte-identical across tiers
-//     (fuzzed by tests/tiered_simd_differential_test.cc).
+//     (fuzzed by tests/tiered_differential_test.cc).
 //
 // `MHCA_EBALL_TIER=explicit|implicit` overrides the size rule (read per
 // construction — tests force both tiers on the same graph).
@@ -82,7 +82,9 @@ class NeighborhoodCache {
   /// Effective worker count the build will use for `parallelism` on an
   /// n-vertex graph (resolves 0 via MHCA_CACHE_BUILD_WORKERS, then
   /// hardware_concurrency, clamped to n). Exposed so benches can report
-  /// the value actually used.
+  /// the value actually used. Throws std::logic_error naming the valid
+  /// range if the variable is set to anything but a non-negative decimal
+  /// integer.
   static int build_workers(int parallelism, int n);
 
   /// Sorted vertices within r hops of v, including v.

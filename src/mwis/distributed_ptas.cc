@@ -9,9 +9,7 @@
 
 #include "obs/trace.h"
 #include "util/assert.h"
-#include "util/cpufeatures.h"
 #include "util/parallel.h"
-#include "util/simd_scan.h"
 
 namespace mhca {
 namespace {
@@ -83,13 +81,6 @@ void DistributedRobustPtas::elect_by_cache(
     const std::vector<VertexStatus>& status, std::vector<int>& leaders,
     bool first_round) {
   const std::uint64_t* keys = election_keys_.data();
-  // SIMD dispatch level, resolved once per election (one relaxed load). The
-  // vector kernels are pure block filters — every flagged block is
-  // re-inspected scalar with the exact predicate — so the blocker positions
-  // (hence decisions) are byte-identical at every level
-  // (tests/tiered_simd_differential_test.cc sweeps them).
-  const util::SimdLevel simd = util::simd_level();
-  const std::size_t simd_bw = util::simd_block_width(simd);
 
   // Lazy per-decision reset: the first touch of a vertex this decision
   // clears its chain head and scan cursors; later touches are no-ops. This
@@ -136,20 +127,6 @@ void DistributedRobustPtas::elect_by_cache(
         if (k < kv) continue;
         if (k > kv || arr[i] < v) return i;
       }
-      if (simd_bw != 0) {
-        while (true) {
-          i = util::simd_skip_below(keys, arr.data(), i, sz, kv, simd);
-          if (i + simd_bw > sz) break;
-          // The block holds some key >= kv: inspect it scalar (a tie that
-          // is v itself, or a higher id, does not block — keep going).
-          for (std::size_t j = i; j < i + simd_bw; ++j) {
-            const std::uint64_t k = keys[arr[j]];
-            if (k < kv) continue;
-            if (k > kv || arr[j] < v) return j;
-          }
-          i += simd_bw;
-        }
-      } else
       for (; i + 4 <= sz; i += 4) {
         const std::uint64_t m01 = std::max(keys[arr[i]], keys[arr[i + 1]]);
         const std::uint64_t m23 =

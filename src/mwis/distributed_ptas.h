@@ -6,9 +6,10 @@
 // every leader solve local MWIS over the Candidates in its r-hop ball and
 // mark them Winner/Loser, and (3) accounts for the messages the real
 // protocol would flood (leader declaration to 2r+1 hops, determination
-// results to 3r+1 hops). Because any two leaders are at hop distance
-// ≥ 2r+2, their r-hop candidate sets are disjoint and non-adjacent, so the
-// union of local MWISs stays independent (Theorem 3).
+// results to 3r+2 hops, since winner-adjacent losers sit r+1 hops out).
+// Because any two leaders are at hop distance ≥ 2r+2, their r-hop
+// candidate sets are disjoint and non-adjacent, so the union of local
+// MWISs stays independent (Theorem 3).
 //
 // The message-level implementation of the same protocol lives in src/net;
 // integration tests check that both produce identical decisions. Benchmarks

@@ -12,7 +12,8 @@
 //                   sufficient statistics (µ̃, m); receivers recompute the
 //                   index locally, so only O(1) numbers travel per update
 //   kLeaderDeclare— LS/LD: a Candidate claims LocalLeader in 2r+1 hops
-//   kDetermination— LB: a leader's Winner/Loser verdicts, flooded 3r+1 hops
+//   kDetermination— LB: a leader's Winner/Loser verdicts, flooded 3r+2 hops
+//                   (winner-adjacent losers sit r+1 hops out)
 //   kViewChange   — membership epoch advance: the initiator's new
 //                   ViewId{seq, representative} plus its fresh hello
 //                   payload, flooded within the table horizon so the

@@ -13,7 +13,8 @@
 //   LS  — Candidates whose key dominates their (2r+1)-hop table self-elect
 //         LocalLeader and declare within 2r+1 hops.
 //   LMWIS/LB — each leader solves MWIS over its r-hop Candidates and floods
-//         the verdicts within 3r+1 hops; D mini-rounds total.
+//         the verdicts within 3r+2 hops (winner-adjacent losers sit r+1
+//         hops out); D mini-rounds total.
 //   TX  — Winners access their channels, observe rates, update estimates.
 //         Under view-sync a Winner with outstanding suspects, or whose
 //         verdict was minted in an older view, abstains (conservative

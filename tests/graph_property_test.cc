@@ -16,6 +16,7 @@
 #include "graph/induced.h"
 #include "graph/spatial_grid.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/pairwise_independence.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -301,7 +302,8 @@ TEST(GraphProperty, IndependentSetCheckMatchesPairwiseOracle) {
             rng.uniform_int(0, static_cast<int>(vs.size()) - 1))]);
         std::shuffle(vs.begin(), vs.end(), rng.engine());
       }
-      ASSERT_EQ(g.is_independent_set(vs), g.is_independent_set_pairwise(vs))
+      ASSERT_EQ(g.is_independent_set(vs),
+                reference::is_independent_set_pairwise(g, vs))
           << "trial " << trial << " subset " << s;
     }
     // Exercise the accepting branch deliberately: every maximal IS must
@@ -310,7 +312,7 @@ TEST(GraphProperty, IndependentSetCheckMatchesPairwiseOracle) {
     if (enumerate_maximal_independent_sets(g, 2000, sets)) {
       for (std::size_t i = 0; i < sets.size(); i += sets.size() / 4 + 1) {
         ASSERT_TRUE(g.is_independent_set(sets[i]));
-        ASSERT_TRUE(g.is_independent_set_pairwise(sets[i]));
+        ASSERT_TRUE(reference::is_independent_set_pairwise(g, sets[i]));
       }
     }
   }
@@ -349,7 +351,8 @@ TEST(GraphProperty, IndependentSetCheckMatchesOracleOnSparseRowGraphs) {
       vs.push_back(vs[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<int>(vs.size()) - 1))]);
     std::shuffle(vs.begin(), vs.end(), rng.engine());
-    ASSERT_EQ(g.is_independent_set(vs), g.is_independent_set_pairwise(vs))
+    ASSERT_EQ(g.is_independent_set(vs),
+              reference::is_independent_set_pairwise(g, vs))
         << "trial " << trial;
   }
 }
@@ -377,20 +380,20 @@ TEST(GraphProperty, IndependentSetCheckOnSignedZeroWeightWinnerSets) {
   DistributedRobustPtas engine(h, cfg);
   const auto res = engine.run(w);
   ASSERT_TRUE(h.is_independent_set(res.winners));
-  ASSERT_TRUE(h.is_independent_set_pairwise(res.winners));
+  ASSERT_TRUE(reference::is_independent_set_pairwise(h, res.winners));
   ASSERT_FALSE(res.winners.empty());
 
   std::vector<int> dup = res.winners;
   dup.push_back(res.winners[res.winners.size() / 2]);
   EXPECT_FALSE(h.is_independent_set(dup));
-  EXPECT_FALSE(h.is_independent_set_pairwise(dup));
+  EXPECT_FALSE(reference::is_independent_set_pairwise(h, dup));
 
   for (int v : res.winners) {
     for (int u : h.neighbors(v)) {
       std::vector<int> bad = res.winners;
       bad.push_back(u);
       ASSERT_EQ(h.is_independent_set(bad),
-                h.is_independent_set_pairwise(bad));
+                reference::is_independent_set_pairwise(h, bad));
       ASSERT_FALSE(h.is_independent_set(bad));
       break;  // one conflicting extension per winner is plenty
     }

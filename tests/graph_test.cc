@@ -367,5 +367,36 @@ TEST(NeighborhoodCacheTier, EnvOverrideRejectsUnknownValues) {
   }
 }
 
+TEST(NeighborhoodCacheWorkers, EnvOverrideRejectsUnknownValues) {
+  // A typo must not silently mean "all hardware threads".
+  {
+    const ScopedEnv env("MHCA_CACHE_BUILD_WORKERS", "2");
+    EXPECT_EQ(NeighborhoodCache::build_workers(0, 100), 2);
+    EXPECT_EQ(NeighborhoodCache::build_workers(3, 100), 3);  // not read
+    EXPECT_EQ(NeighborhoodCache::build_workers(0, 1), 1);    // clamped to n
+  }
+  {
+    const ScopedEnv env("MHCA_CACHE_BUILD_WORKERS", "0");
+    EXPECT_GE(NeighborhoodCache::build_workers(0, 100), 1);
+  }
+  for (const char* bad : {"abc", "2x", "-3", "", " 4", "+4", "1e3",
+                          "99999999999"}) {
+    SCOPED_TRACE(bad);
+    const ScopedEnv env("MHCA_CACHE_BUILD_WORKERS", bad);
+    try {
+      NeighborhoodCache::build_workers(0, 100);
+      ADD_FAILURE() << "no error for MHCA_CACHE_BUILD_WORKERS='" << bad
+                    << "'";
+    } catch (const std::logic_error& e) {
+      const std::string msg = e.what();
+      EXPECT_NE(msg.find("MHCA_CACHE_BUILD_WORKERS='" + std::string(bad) +
+                         "'"),
+                std::string::npos)
+          << msg;
+      EXPECT_NE(msg.find("[0, 2147483647]"), std::string::npos) << msg;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace mhca

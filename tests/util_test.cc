@@ -1,19 +1,15 @@
-// Tests for src/util: rng, hashing, stats, series, csv, tables.
+// Tests for src/util: rng, hashing, stats, csv, tables.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
-#include <stdexcept>
 #include <string>
 
-#include "scoped_env.h"
-#include "util/cpufeatures.h"
 #include "util/csv.h"
 #include "util/hash.h"
 #include "util/rng.h"
-#include "util/series.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -125,45 +121,6 @@ TEST(Summary, MatchesRunningStat) {
   EXPECT_DOUBLE_EQ(s.max, 3.0);
 }
 
-TEST(Series, CumulativeAverage) {
-  const auto out = cumulative_average({2.0, 4.0, 6.0});
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_DOUBLE_EQ(out[0], 2.0);
-  EXPECT_DOUBLE_EQ(out[1], 3.0);
-  EXPECT_DOUBLE_EQ(out[2], 4.0);
-}
-
-TEST(Series, CumulativeSum) {
-  const auto out = cumulative_sum({1.0, 2.0, 3.0});
-  EXPECT_DOUBLE_EQ(out.back(), 6.0);
-}
-
-TEST(Series, MovingAverageWindowOne) {
-  const std::vector<double> xs{1.0, 5.0, 9.0};
-  EXPECT_EQ(moving_average(xs, 1), xs);
-}
-
-TEST(Series, MovingAverageSmooths) {
-  const auto out = moving_average({0.0, 10.0, 0.0, 10.0, 0.0}, 3);
-  EXPECT_NEAR(out[2], 20.0 / 3.0, 1e-12);
-}
-
-TEST(Series, DownsampleKeepsEnds) {
-  std::vector<double> xs(100);
-  for (std::size_t i = 0; i < xs.size(); ++i) xs[i] = static_cast<double>(i);
-  const auto out = downsample(xs, 5);
-  ASSERT_GE(out.size(), 2u);
-  EXPECT_EQ(out.front().first, 0u);
-  EXPECT_EQ(out.back().first, 99u);
-}
-
-TEST(Series, DownsampleShortSeriesIdentity) {
-  const std::vector<double> xs{1.0, 2.0};
-  const auto out = downsample(xs, 10);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_DOUBLE_EQ(out[1].second, 2.0);
-}
-
 TEST(Csv, WritesHeaderAndRows) {
   const std::string path = "/tmp/mhca_csv_test.csv";
   {
@@ -198,42 +155,6 @@ TEST(Table, AlignsColumns) {
 TEST(Table, FixedFormatsDigits) {
   EXPECT_EQ(fixed(3.14159, 2), "3.14");
   EXPECT_EQ(fixed(2.0, 0), "2");
-}
-
-TEST(SimdRequest, EnvOverridesRejectUnknownValues) {
-  // Read afresh on every call (simd_level() caches only the first).
-  {
-    const ScopedEnv simd("MHCA_SIMD", "scalar");
-    const ScopedEnv force("MHCA_FORCE_SCALAR", nullptr);
-    EXPECT_EQ(util::requested_simd_level(), util::SimdLevel::kScalar);
-  }
-  {
-    const ScopedEnv simd("MHCA_SIMD", "avx2");
-    const ScopedEnv force("MHCA_FORCE_SCALAR", "1");
-    EXPECT_EQ(util::requested_simd_level(), util::SimdLevel::kScalar);
-  }
-  const auto error_of = [] {
-    try {
-      util::requested_simd_level();
-    } catch (const std::logic_error& e) {
-      return std::string(e.what());
-    }
-    return std::string();
-  };
-  {
-    const ScopedEnv simd("MHCA_SIMD", "AVX2");
-    const ScopedEnv force("MHCA_FORCE_SCALAR", "1");  // does not mask it
-    const std::string msg = error_of();
-    EXPECT_NE(msg.find("AVX2"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("scalar, avx2, avx512"), std::string::npos) << msg;
-  }
-  {
-    const ScopedEnv simd("MHCA_SIMD", nullptr);
-    const ScopedEnv force("MHCA_FORCE_SCALAR", "yes");
-    const std::string msg = error_of();
-    EXPECT_NE(msg.find("MHCA_FORCE_SCALAR"), std::string::npos) << msg;
-    EXPECT_NE(msg.find("valid values"), std::string::npos) << msg;
-  }
 }
 
 }  // namespace
