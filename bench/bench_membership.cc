@@ -8,9 +8,9 @@
 // tail with the topology frozen. The cell reports
 //
 //   - convergence lag: quiet rounds until the god's-eye oracle
-//     (net/oracle.h) accepts — member tables equal the ground-truth
-//     (2r+1)-balls, stats and adjacency are exact, no suspects, views
-//     agree per component, nothing in flight;
+//     (tests/reference/convergence_oracle.h) accepts — member tables equal
+//     the ground-truth (2r+1)-balls, stats and adjacency are exact, no
+//     suspects, views agree per component, nothing in flight;
 //   - control overhead: messages per round during the burst vs the quiet
 //     warmup, and the membership share (hello + view-change airtime);
 //   - the robustness counters (timeouts, retries, view changes, stale
@@ -33,8 +33,8 @@
 #include "dynamics/registries.h"
 #include "graph/generators.h"
 #include "net/faults.h"
-#include "net/oracle.h"
 #include "net/runtime.h"
+#include "reference/convergence_oracle.h"
 #include "util/rng.h"
 #include "util/table.h"
 
@@ -151,7 +151,7 @@ Cell run_cell(int users, int channels, double churn_rate,
   const Graph& wire = ecg.graph();
   for (int i = 1; i <= tail_cap; ++i) {
     rt.step();
-    if (net::check_convergence(rt, wire).converged()) {
+    if (reference::check_convergence(rt, wire).converged()) {
       cell.convergence_lag = i;
       cell.converged = true;
       break;
@@ -159,7 +159,7 @@ Cell run_cell(int users, int channels, double churn_rate,
   }
   if (cell.converged) {
     const std::vector<int> predicted =
-        net::lockstep_decision(rt, wire, rt.rounds_run() + 1);
+        reference::lockstep_decision(rt, wire, rt.rounds_run() + 1);
     cell.identical = rt.step().strategy == predicted;
   }
 

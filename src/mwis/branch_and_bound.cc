@@ -12,17 +12,11 @@ namespace {
 /// One in-flight solve over caller-owned scratch buffers. Local vertex ids
 /// are 0..n-1 (sorted original ids), adjacency as n bitset rows for O(n/64)
 /// conflict checks.
-///
-/// Hosts both search modes (see branch_and_bound.h): `run_classic` is the
-/// seed algorithm, kept as the exact oracle tests compare against;
-/// `run_enhanced` adds reductions, component decomposition, conflict
-/// counters and the refined bound stack.
 class Search {
  public:
   Search(const Graph& g, std::span<const double> weights,
-         std::span<const int> candidates, std::int64_t cap, SolveScratch& s,
-         const BnbSolveOptions& opts)
-      : s_(s), opts_(opts), cap_(cap) {
+         std::span<const int> candidates, std::int64_t cap, SolveScratch& s)
+      : s_(s), cap_(cap) {
     s_.cands.assign(candidates.begin(), candidates.end());
     std::sort(s_.cands.begin(), s_.cands.end());
     MHCA_ASSERT(std::adjacent_find(s_.cands.begin(), s_.cands.end()) ==
@@ -47,7 +41,7 @@ class Search {
   }
 
   MwisResult run() {
-    MwisResult res = opts_.enhanced ? run_enhanced() : run_classic();
+    MwisResult res = search();
     std::sort(res.vertices.begin(), res.vertices.end());
     res.exact = !aborted_;
     res.nodes_explored = explored_;
@@ -158,33 +152,6 @@ class Search {
               });
   }
 
-  // -------------------------------------------------------------- classic
-
-  MwisResult run_classic() {
-    build_order(/*active_only=*/false);
-    build_clique_cover_greedy();
-    sort_cliques_and_suffix(0, num_cliques_, /*sentinel=*/true,
-                            /*clamp_negative_maxima=*/false);
-    seed_with_greedy();
-    s_.chosen_mask.assign(blocks_, 0);
-    s_.chosen.clear();
-    cur_weight_ = 0.0;
-    dfs_classic(0);
-
-    MwisResult res;
-    res.vertices.reserve(s_.best_set.size());
-    for (std::size_t i : s_.best_set) res.vertices.push_back(s_.cands[i]);
-    res.weight = best_weight_;
-    return res;
-  }
-
-  bool conflicts_with_chosen(std::size_t v) const {
-    const std::uint64_t* row = &s_.adj[v * blocks_];
-    for (std::size_t b = 0; b < blocks_; ++b)
-      if (row[b] & s_.chosen_mask[b]) return true;
-    return false;
-  }
-
   /// Greedy clique cover: visit vertices of `order` by weight desc; place
   /// each into the first clique it is fully adjacent to, else open a new
   /// clique. On the extended conflict graph this recovers (refinements of)
@@ -223,14 +190,10 @@ class Search {
   /// tightens early (members are already weight-descending), then fill
   /// `remaining` with suffix sums of per-clique maxima over that range:
   /// remaining[i] bounds any completion of a partial solution that has
-  /// settled cliques begin..i-1 of the range. With `sentinel`,
-  /// remaining[end] is written as 0 (the classic search reads it).
-  /// `clamp_negative_maxima` floors each clique's contribution at 0 — a
-  /// completion may always leave a clique empty, so a negative max must not
-  /// drag the bound below what is achievable; the classic search keeps the
-  /// seed's unclamped arithmetic (the paper's index weights are positive).
-  void sort_cliques_and_suffix(std::size_t begin, std::size_t end,
-                               bool sentinel, bool clamp_negative_maxima) {
+  /// settled cliques begin..i-1 of the range. Each clique's contribution is
+  /// floored at 0 — a completion may always leave a clique empty, so a
+  /// negative max must not drag the bound below what is achievable.
+  void sort_cliques_and_suffix(std::size_t begin, std::size_t end) {
     auto& cliques = s_.cliques;
     std::sort(cliques.begin() + static_cast<std::ptrdiff_t>(begin),
               cliques.begin() + static_cast<std::ptrdiff_t>(end),
@@ -239,26 +202,24 @@ class Search {
                   return s_.w[a.front()] > s_.w[b.front()];
                 return a.front() < b.front();
               });
-    if (s_.remaining.size() < end + 1) s_.remaining.resize(end + 1);
-    if (sentinel) s_.remaining[end] = 0.0;
+    if (s_.remaining.size() < end) s_.remaining.resize(end);
     for (std::size_t i = end; i-- > begin;) {
       double top = s_.w[cliques[i].front()];
-      if (clamp_negative_maxima && top < 0.0) top = 0.0;
+      if (top < 0.0) top = 0.0;
       s_.remaining[i] = (i + 1 < end ? s_.remaining[i + 1] : 0.0) + top;
     }
   }
 
-  /// One masked weight-descending greedy pass over `s_.order`: every taken
-  /// vertex is marked in `greedy_mask` and handed to `take`. The single
-  /// scan serves the classic incumbent, the enhanced anytime backstop, and
-  /// the per-group incumbents — one place for the tie-handling and the
-  /// negative-weight cutoff. `skip_negative` is off on the classic path
-  /// (seed behavior, positive-weight domain).
+  /// One masked weight-descending greedy pass over `s_.order`, stopping at
+  /// the first negative weight: every taken vertex is marked in
+  /// `greedy_mask` and handed to `take`. The single scan serves the anytime
+  /// backstop and the per-group incumbents — one place for the
+  /// tie-handling and the negative-weight cutoff.
   template <typename Take>
-  void greedy_scan(bool skip_negative, Take&& take) {
+  void greedy_scan(Take&& take) {
     s_.greedy_mask.assign(blocks_, 0);
     for (std::size_t v : s_.order) {
-      if (skip_negative && s_.w[v] < 0.0) break;  // order is weight-desc
+      if (s_.w[v] < 0.0) break;  // order is weight-desc
       const std::uint64_t* row = &s_.adj[v * blocks_];
       bool ok = true;
       for (std::size_t b = 0; b < blocks_; ++b)
@@ -273,60 +234,15 @@ class Search {
     }
   }
 
-  void seed_with_greedy() {
-    s_.best_set.clear();
-    best_weight_ = 0.0;
-    greedy_scan(/*skip_negative=*/false, [&](std::size_t v) {
-      s_.best_set.push_back(v);
-      best_weight_ += s_.w[v];
-    });
-  }
+  // --------------------------------------------------------------- search
 
-  void dfs_classic(std::size_t ci) {
-    if (aborted_) return;
-    if (++explored_ > cap_) {
-      aborted_ = true;
-      return;
-    }
-    if (ci == num_cliques_) {
-      if (cur_weight_ > best_weight_) {
-        best_weight_ = cur_weight_;
-        s_.best_set = s_.chosen;
-      }
-      return;
-    }
-    if (cur_weight_ + s_.remaining[ci] <= best_weight_) return;  // bound
-    bool rest_pruned = false;
-    for (std::size_t v : s_.cliques[ci]) {
-      // Members are weight-descending: once cur + w[v] + UB(rest) cannot
-      // beat the incumbent, neither can any later (lighter) member — and,
-      // for w[v] >= 0, neither can leaving the clique empty.
-      if (cur_weight_ + s_.w[v] + s_.remaining[ci + 1] <= best_weight_) {
-        rest_pruned = s_.w[v] >= 0.0;
-        break;
-      }
-      if (conflicts_with_chosen(v)) continue;
-      s_.chosen_mask[v / 64] |= (std::uint64_t{1} << (v % 64));
-      s_.chosen.push_back(v);
-      cur_weight_ += s_.w[v];
-      dfs_classic(ci + 1);
-      cur_weight_ -= s_.w[v];
-      s_.chosen.pop_back();
-      s_.chosen_mask[v / 64] &= ~(std::uint64_t{1} << (v % 64));
-      if (aborted_) return;
-    }
-    if (!rest_pruned) dfs_classic(ci + 1);  // leave this clique empty
-  }
-
-  // ------------------------------------------------------------- enhanced
-
-  MwisResult run_enhanced() {
+  MwisResult search() {
     // Full-instance greedy backstop, computed on the untouched instance so
     // the anytime contract (result >= greedy) survives reductions + abort.
     build_order(/*active_only=*/false);
     s_.fallback_set.clear();
     double fallback_w = 0.0;
-    greedy_scan(/*skip_negative=*/true, [&](std::size_t v) {
+    greedy_scan([&](std::size_t v) {
       s_.fallback_set.push_back(v);
       fallback_w += s_.w[v];
     });
@@ -357,7 +273,7 @@ class Search {
       best_w_ = &s_.group_best_w[g];
       best_out_ = &s_.group_best[g];
       cur_weight_ = 0.0;
-      dfs_enhanced(s_.group_begin[g]);
+      dfs(s_.group_begin[g]);
     }
 
     // Assemble: forced takes + per-group bests, then unfold in reverse
@@ -587,9 +503,7 @@ class Search {
              s_.comp[cliques[i].front()] == static_cast<int>(g))
         ++i;
       s_.group_end[g] = i;
-      sort_cliques_and_suffix(s_.group_begin[g], s_.group_end[g],
-                              /*sentinel=*/false,
-                              /*clamp_negative_maxima=*/true);
+      sort_cliques_and_suffix(s_.group_begin[g], s_.group_end[g]);
       compute_pair_deductions(s_.group_begin[g], s_.group_end[g]);
     }
     MHCA_ASSERT(i == num_cliques_, "clique grouping lost a clique");
@@ -648,7 +562,7 @@ class Search {
     s_.group_best_w.assign(num_groups_, 0.0);
     while (s_.group_best.size() < num_groups_) s_.group_best.emplace_back();
     for (std::size_t g = 0; g < num_groups_; ++g) s_.group_best[g].clear();
-    greedy_scan(/*skip_negative=*/true, [&](std::size_t v) {
+    greedy_scan([&](std::size_t v) {
       const auto g = static_cast<std::size_t>(s_.comp[v]);
       s_.group_best[g].push_back(v);
       s_.group_best_w[g] += s_.w[v];
@@ -690,7 +604,7 @@ class Search {
     }
   }
 
-  void dfs_enhanced(std::size_t ci) {
+  void dfs(std::size_t ci) {
     if (aborted_) return;
     if (++explored_ > cap_) {
       aborted_ = true;
@@ -722,27 +636,25 @@ class Search {
       s_.chosen.push_back(v);
       cur_weight_ += s_.w[v];
       bump_neighbors(v, 1);
-      dfs_enhanced(ci + 1);
+      dfs(ci + 1);
       bump_neighbors(v, -1);
       cur_weight_ -= s_.w[v];
       s_.chosen.pop_back();
       if (aborted_) return;
     }
-    if (!rest_pruned) dfs_enhanced(ci + 1);  // leave this clique empty
+    if (!rest_pruned) dfs(ci + 1);  // leave this clique empty
   }
 
   SolveScratch& s_;
-  const BnbSolveOptions& opts_;
   std::size_t n_ = 0;
   std::size_t blocks_ = 0;
   std::size_t num_cliques_ = 0;
   std::size_t num_groups_ = 0;
 
   double cur_weight_ = 0.0;
-  double best_weight_ = 0.0;  ///< Classic-search incumbent.
   double base_weight_ = 0.0;  ///< Weight settled by reductions.
 
-  // Enhanced search: incumbent of the component group being searched.
+  // Incumbent of the component group being searched.
   std::size_t cur_group_end_ = 0;
   double* best_w_ = nullptr;
   std::vector<std::size_t>* best_out_ = nullptr;
@@ -756,10 +668,9 @@ class Search {
 
 MwisResult BranchAndBoundMwisSolver::solve_with_scratch(
     const Graph& g, std::span<const double> weights,
-    std::span<const int> candidates, SolveScratch& scratch,
-    const BnbSolveOptions& opts) const {
+    std::span<const int> candidates, SolveScratch& scratch) const {
   if (candidates.empty()) return MwisResult{};
-  Search s(g, weights, candidates, node_cap_, scratch, opts);
+  Search s(g, weights, candidates, node_cap_, scratch);
   return s.run();
 }
 

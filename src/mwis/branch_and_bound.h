@@ -12,27 +12,15 @@
 // paper's remark that a constant-approximation local solver may replace
 // enumeration.
 //
-// Two search modes share the instance-build code (see BnbSolveOptions):
-//
-//   classic   The seed algorithm: one-shot greedy clique cover, DFS over
-//             cliques with the static suffix-max bound. Kept as the exact
-//             oracle above brute force's 24-vertex cap: tests cross-check
-//             the enhanced search against it on ball-sized instances.
-//
-//   enhanced  Preprocessing reductions (non-positive-weight drop, isolated
-//             take, degree-1 take/fold, adjacent weight-dominance removal),
-//             connected-component decomposition (each component searched
-//             independently — sum, not product, of subtree sizes), O(1)
-//             conflict tests via an incremental conflict counter, pairwise
-//             clique-bound corrections, and a residual refinement that
-//             replaces each remaining clique's static max by its best
-//             member not in conflict with the chosen set.
-//
-// Both modes are exact when they complete: on instances with a unique
-// optimum they return identical results. Under a node-cap abort the two
-// modes may return *different* (equally valid) anytime incumbents, because
-// their search trees differ. See src/mwis/README.md for the bound
-// hierarchy.
+// The search: preprocessing reductions (non-positive-weight drop, isolated
+// take, degree-1 take/fold, adjacent weight-dominance removal), connected-
+// component decomposition (each component searched independently — sum,
+// not product, of subtree sizes), O(1) conflict tests via an incremental
+// conflict counter, pairwise clique-bound corrections, and a residual
+// refinement that replaces each remaining clique's static max by its best
+// member not in conflict with the chosen set. See src/mwis/README.md for
+// the bound hierarchy. The seed search (one greedy cover, static bound,
+// plain DFS) survives only as the test oracle tests/reference/classic_bnb.h.
 //
 // Repeated solves (one per leader per decision slot) dominate the decision
 // path, so the per-solve working set lives in a `SolveScratch` whose buffers
@@ -71,7 +59,6 @@ struct SolveScratch {
   std::vector<std::size_t> chosen;
   std::vector<std::uint64_t> greedy_mask;
   std::vector<std::size_t> best_set;
-  // Enhanced-mode state (unused by the classic search).
   std::vector<int> conflict_cnt;         ///< #chosen neighbors per vertex.
   std::vector<std::uint8_t> vstate;      ///< Reduction state per vertex.
   std::vector<int> degree;               ///< Live local degree.
@@ -89,19 +76,10 @@ struct SolveScratch {
   std::vector<std::uint8_t> pair_matched;
 };
 
-/// Per-solve feature selection for BranchAndBoundMwisSolver. The defaults
-/// are the production search.
-struct BnbSolveOptions {
-  /// Enhanced search: reductions + component decomposition + conflict
-  /// counters + residual-refined clique bound. False = classic (seed)
-  /// search, the exact oracle tests compare against.
-  bool enhanced = true;
-};
-
 class BranchAndBoundMwisSolver : public MwisSolver {
  public:
-  /// `solve` runs the enhanced search over the solver's own SolveScratch,
-  /// so repeated calls reuse its buffers.
+  /// `solve` runs over the solver's own SolveScratch, so repeated calls
+  /// reuse its buffers.
   explicit BranchAndBoundMwisSolver(std::int64_t node_cap = 5'000'000)
       : node_cap_(node_cap) {}
 
@@ -110,12 +88,11 @@ class BranchAndBoundMwisSolver : public MwisSolver {
   MwisResult solve(const Graph& g, std::span<const double> weights,
                    std::span<const int> candidates) override;
 
-  /// Solve using caller-owned working memory and explicit feature selection.
+  /// Solve using caller-owned working memory.
   MwisResult solve_with_scratch(const Graph& g,
                                 std::span<const double> weights,
                                 std::span<const int> candidates,
-                                SolveScratch& scratch,
-                                const BnbSolveOptions& opts = {}) const;
+                                SolveScratch& scratch) const;
 
   std::int64_t node_cap() const { return node_cap_; }
 

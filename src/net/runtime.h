@@ -23,8 +23,9 @@
 // This runtime exists to demonstrate and *test* that the protocol works
 // from purely local knowledge; the lockstep engine in mwis/distributed_ptas
 // computes identical decisions (asserted by integration tests: every round
-// in omniscient mode, every converged round under view-sync — see
-// net/oracle.h) and is what the large benchmarks use.
+// in omniscient mode, every converged round under view-sync — see the test
+// oracle tests/reference/convergence_oracle.h) and is what the large
+// benchmarks use.
 #pragma once
 
 #include <cstdint>

@@ -15,6 +15,7 @@
 #include "graph/neighborhood_cache.h"
 #include "mwis/branch_and_bound.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/classic_bnb.h"
 #include "reference/seed_ptas.h"
 #include "reference/unfinalized_copy.h"
 #include "util/rng.h"
@@ -266,29 +267,33 @@ TEST(SolveScratch, ReusedScratchMatchesFreshAllocation) {
 }
 
 TEST(SolveScratch, EnhancedAndClassicAgreeOnExactInstances) {
-  // The enhanced search (reductions + components + refined bound) and the
-  // classic seed search are both exact when they complete: same optimal set
-  // on unique-optimum instances, weight equal up to summation order.
+  // The production search (reductions + components + refined bound) and
+  // the classic seed search (tests/reference/classic_bnb.h) are both exact
+  // when they complete: same optimal set on unique-optimum instances,
+  // weight equal up to summation order.
   Rng rng(13);
   ConflictGraph cg = random_geometric_avg_degree(30, 6.0, rng);
   ExtendedConflictGraph ecg(cg, 4);
   const Graph& h = ecg.graph();
 
   BranchAndBoundMwisSolver solver(5'000'000);
-  BnbSolveOptions classic;
-  classic.enhanced = false;
   SolveScratch scratch;
   NeighborhoodCache cache(h, 2);
   for (int leader = 0; leader < h.size(); leader += 7) {
     const auto ball = cache.r_ball(leader);
     const auto w = random_weights(h.size(), rng);
     const MwisResult a = solver.solve(h, w, ball);
-    const MwisResult b = solver.solve_with_scratch(h, w, ball, scratch, classic);
+    // The same search over a scratch shared across leaders.
+    const MwisResult shared = solver.solve_with_scratch(h, w, ball, scratch);
+    ASSERT_EQ(shared.vertices, a.vertices);
+    EXPECT_EQ(shared.weight, a.weight);
+    EXPECT_EQ(shared.nodes_explored, a.nodes_explored);
+    const MwisResult b = reference::classic_bnb(h, w, ball, 5'000'000);
     ASSERT_TRUE(a.exact);
     ASSERT_TRUE(b.exact);
     ASSERT_EQ(a.vertices, b.vertices);
     EXPECT_NEAR(a.weight, b.weight, 1e-9);
-    // The enhanced tree must never be larger than the classic one here.
+    // The production tree must never be larger than the classic one here.
     EXPECT_LE(a.nodes_explored, b.nodes_explored);
   }
 }

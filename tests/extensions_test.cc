@@ -11,11 +11,11 @@
 #include "channel/gaussian.h"
 #include "channel/markov.h"
 #include "channel/trace.h"
-#include "graph/coloring.h"
 #include "graph/extended_graph.h"
 #include "graph/generators.h"
 #include "graph/independence.h"
 #include "net/runtime.h"
+#include "reference/coloring.h"
 #include "sim/export.h"
 #include "sim/replication.h"
 #include "sim/simulator.h"
@@ -30,31 +30,31 @@ TEST(Coloring, ProperOnRandomGraphs) {
   Rng rng(1);
   for (int seed = 0; seed < 5; ++seed) {
     ConflictGraph cg = erdos_renyi(40, 0.15, rng);
-    const auto coloring = welsh_powell_coloring(cg.graph());
-    EXPECT_TRUE(is_proper_coloring(cg.graph(), coloring));
-    EXPECT_LE(num_colors(coloring), cg.graph().max_degree() + 1);
+    const auto coloring = reference::welsh_powell_coloring(cg.graph());
+    EXPECT_TRUE(reference::is_proper_coloring(cg.graph(), coloring));
+    EXPECT_LE(reference::num_colors(coloring), cg.graph().max_degree() + 1);
   }
 }
 
 TEST(Coloring, PathNeedsTwoColors) {
   ConflictGraph path = linear_network(7);
-  const auto coloring = welsh_powell_coloring(path.graph());
-  EXPECT_TRUE(is_proper_coloring(path.graph(), coloring));
-  EXPECT_EQ(num_colors(coloring), 2);
+  const auto coloring = reference::welsh_powell_coloring(path.graph());
+  EXPECT_TRUE(reference::is_proper_coloring(path.graph(), coloring));
+  EXPECT_EQ(reference::num_colors(coloring), 2);
 }
 
 TEST(Coloring, CompleteGraphNeedsN) {
   ConflictGraph k5 = complete_network(5);
-  const auto coloring = welsh_powell_coloring(k5.graph());
-  EXPECT_EQ(num_colors(coloring), 5);
+  const auto coloring = reference::welsh_powell_coloring(k5.graph());
+  EXPECT_EQ(reference::num_colors(coloring), 5);
 }
 
 TEST(Coloring, RejectsBadOrder) {
   Graph g(3);
   const std::vector<int> short_order{0, 1};
-  EXPECT_THROW(greedy_coloring(g, short_order), std::logic_error);
+  EXPECT_THROW(reference::greedy_coloring(g, short_order), std::logic_error);
   const std::vector<int> dup_order{0, 1, 1};
-  EXPECT_THROW(greedy_coloring(g, dup_order), std::logic_error);
+  EXPECT_THROW(reference::greedy_coloring(g, dup_order), std::logic_error);
 }
 
 TEST(Coloring, ChromaticBoundImpliesFullIndependenceNumberOfH) {
@@ -62,8 +62,8 @@ TEST(Coloring, ChromaticBoundImpliesFullIndependenceNumberOfH) {
   // independence number of H equals N.
   Rng rng(2);
   ConflictGraph cg = random_geometric_avg_degree(12, 3.0, rng, false);
-  const auto coloring = welsh_powell_coloring(cg.graph());
-  const int m = num_colors(coloring);
+  const auto coloring = reference::welsh_powell_coloring(cg.graph());
+  const int m = reference::num_colors(coloring);
   ExtendedConflictGraph ecg(cg, m);
   EXPECT_EQ(independence_number(ecg.graph()), cg.num_nodes());
 }

@@ -13,9 +13,9 @@
 #include "graph/graph.h"
 #include "graph/hop.h"
 #include "graph/independence.h"
-#include "graph/induced.h"
 #include "graph/spatial_grid.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/induced.h"
 #include "reference/pairwise_independence.h"
 #include "util/rng.h"
 
@@ -105,7 +105,7 @@ TEST_P(RandomGraphSweep, InducedSubgraphPreservesEdgesExactly) {
   for (int v = 0; v < g.size(); ++v)
     if (rng.bernoulli(0.5)) keep.push_back(v);
   if (keep.size() < 2) return;
-  const InducedSubgraph sub = induced_subgraph(g, keep);
+  const reference::InducedSubgraph sub = reference::induced_subgraph(g, keep);
   for (int a = 0; a < sub.graph.size(); ++a)
     for (int b = a + 1; b < sub.graph.size(); ++b)
       EXPECT_EQ(sub.graph.has_edge(a, b),
@@ -156,7 +156,7 @@ TEST_P(GrowthBoundSweep, ExtendedGraphIndependenceWithinPigeonholeBound) {
   BfsScratch scratch(h.size());
   for (int v = 0; v < h.size(); v += std::max(1, h.size() / 6)) {
     const auto ball = scratch.k_hop_neighborhood(h, v, r);
-    const InducedSubgraph sub = induced_subgraph(h, ball);
+    const reference::InducedSubgraph sub = reference::induced_subgraph(h, ball);
     EXPECT_LE(independence_number(sub.graph),
               m_channels * (2 * r + 1) * (2 * r + 1));
   }

@@ -14,8 +14,8 @@
 #include "graph/graph.h"
 #include "graph/hop.h"
 #include "graph/independence.h"
-#include "graph/induced.h"
 #include "graph/neighborhood_cache.h"
+#include "reference/induced.h"
 #include "scoped_env.h"
 #include "util/rng.h"
 
@@ -152,18 +152,18 @@ TEST(Independence, IndependenceNumber) {
 TEST(Induced, SubgraphStructure) {
   Graph g = path_graph(5);
   const std::vector<int> keep{0, 1, 3, 4};
-  InducedSubgraph sub = induced_subgraph(g, keep);
+  reference::InducedSubgraph sub = reference::induced_subgraph(g, keep);
   EXPECT_EQ(sub.graph.size(), 4);
   EXPECT_TRUE(sub.graph.has_edge(0, 1));   // 0-1
   EXPECT_TRUE(sub.graph.has_edge(2, 3));   // 3-4
   EXPECT_FALSE(sub.graph.has_edge(1, 2));  // 1-3 not an edge of P5
-  EXPECT_EQ(sub.lift(std::vector<int>{2, 3}), (std::vector<int>{3, 4}));
+  EXPECT_EQ(sub.to_parent, (std::vector<int>{0, 1, 3, 4}));
 }
 
 TEST(Induced, RejectsDuplicates) {
   Graph g = path_graph(3);
   const std::vector<int> dup{0, 0};
-  EXPECT_THROW(induced_subgraph(g, dup), std::logic_error);
+  EXPECT_THROW(reference::induced_subgraph(g, dup), std::logic_error);
 }
 
 TEST(ConflictGraph, UnitDiskEdges) {
@@ -274,7 +274,7 @@ TEST(ExtendedGraph, GrowthBoundTheorem2) {
   for (int v = 0; v < h.size(); v += 9) {
     for (int r = 1; r <= 2; ++r) {
       const auto ball = k_hop_neighborhood(h, v, r);
-      InducedSubgraph sub = induced_subgraph(h, ball);
+      reference::InducedSubgraph sub = reference::induced_subgraph(h, ball);
       const int alpha = independence_number(sub.graph);
       EXPECT_LE(alpha, m_channels * (2 * r + 1) * (2 * r + 1));
     }

@@ -1,15 +1,16 @@
 // Differential-testing harness for the branch-and-bound MWIS solver: every
-// search mode must agree with exhaustive enumeration on hundreds of seeded
-// random instances. This is the exactness proof backing the distributed
-// PTAS's robustness argument (the paper's guarantees assume the local
-// oracle is exact whenever it reports exact = true).
+// way of running the search must agree with exhaustive enumeration on
+// hundreds of seeded random instances. This is the exactness proof backing
+// the distributed PTAS's robustness argument (the paper's guarantees assume
+// the local oracle is exact whenever it reports exact = true).
 //
 // Sweeps: graph density (Erdős–Rényi p in [0, 0.9] plus extended conflict
 // graphs with per-master clique structure), weight distributions (uniform,
 // exponential, heavy ties, mixed-sign), and candidate-subset shapes (full
-// vertex set, random subsets, BFS balls, singletons). Modes: enhanced search
-// over the solver's own scratch, and classic search (fresh scratch over the
-// list-scan build, and over a shared scratch).
+// vertex set, random subsets, BFS balls, singletons). Modes: the solver's
+// own scratch, a fresh scratch over the list-scan build, and a scratch
+// shared across instances; the classic seed search
+// (tests/reference/classic_bnb.h) is checked against the same reference.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -20,8 +21,9 @@
 #include "graph/hop.h"
 #include "graph/neighborhood_cache.h"
 #include "mwis/branch_and_bound.h"
-#include "mwis/brute_force.h"
 #include "mwis/greedy.h"
+#include "reference/brute_force.h"
+#include "reference/classic_bnb.h"
 #include "reference/unfinalized_copy.h"
 #include "util/rng.h"
 
@@ -122,10 +124,8 @@ void check_result(const Instance& inst, const MwisResult& got,
 
 TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
   Rng rng(20260728);
-  BruteForceMwisSolver brute(24);
+  reference::BruteForceMwisSolver brute(24);
   BranchAndBoundMwisSolver reusing(5'000'000);
-  BnbSolveOptions classic;
-  classic.enhanced = false;
   SolveScratch scratch;
 
   int solves = 0;
@@ -135,37 +135,39 @@ TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
     const MwisResult ref =
         brute.solve(inst.graph, inst.weights, inst.candidates);
 
-    // The classic search is the frozen seed algorithm; like the seed greedy
+    // The classic oracle is the frozen seed algorithm; like the seed greedy
     // it assumes the paper's positive index weights (it will happily keep a
-    // negative-weight greedy seed), so the mixed-sign family exercises the
-    // enhanced modes only.
+    // negative-weight greedy seed), so the mixed-sign family runs Mode 1
+    // only.
     const bool classic_applicable = trial % 4 != 3;
 
-    // Mode 1: enhanced search, the solver's own scratch.
+    // Mode 1: the solver's own scratch.
     check_result(inst,
                  reusing.solve(inst.graph, inst.weights, inst.candidates),
                  ref, "reuse");
-    // Mode 2: classic seed search, fresh scratch, list-scan build.
     if (classic_applicable) {
+      // Mode 2: fresh scratch, list-scan build.
       SolveScratch fresh;
+      const Graph lists = reference::unfinalized_copy(inst.graph);
       check_result(inst,
-                   reusing.solve_with_scratch(
-                       reference::unfinalized_copy(inst.graph), inst.weights,
-                       inst.candidates, fresh, classic),
-                   ref, "fresh-classic");
-    }
-    // Mode 3: classic search through explicit options + shared scratch.
-    if (classic_applicable) {
+                   reusing.solve_with_scratch(lists, inst.weights,
+                                              inst.candidates, fresh),
+                   ref, "fresh-lists");
+      // Mode 3: a scratch shared across all instances.
       check_result(inst,
                    reusing.solve_with_scratch(inst.graph, inst.weights,
-                                              inst.candidates, scratch,
-                                              classic),
-                   ref, "classic-scratch");
+                                              inst.candidates, scratch),
+                   ref, "shared-scratch");
+      // The classic oracle.
+      check_result(inst,
+                   reference::classic_bnb(inst.graph, inst.weights,
+                                          inst.candidates),
+                   ref, "classic");
     }
     solves += classic_applicable ? 3 : 1;
   }
-  // Nearly all of the 450 × 3 + 150 × 1 = 1500 solves actually ran (a few
-  // singleton draws may skip).
+  // Nearly all of the 450 × 3 + 150 × 1 = 1500 solver runs actually ran (a
+  // few singleton draws may skip); the classic oracle adds 450 more.
   EXPECT_GE(solves, 1400);
 }
 
@@ -178,7 +180,7 @@ TEST(MwisDifferential, SparseRowGatherMatchesBruteForceBeyondMatrixLimit) {
   // the id range so block indexing and the candidate mask see high columns.
   const int big_n = Graph::kAdjacencyMatrixLimit + 64;
   Rng rng(8193);
-  BruteForceMwisSolver brute(24);
+  reference::BruteForceMwisSolver brute(24);
   BranchAndBoundMwisSolver solver;
   SolveScratch scratch;
 
@@ -232,13 +234,11 @@ TEST(MwisDifferential, SparseRowGatherMatchesBruteForceBeyondMatrixLimit) {
 
 TEST(MwisDifferential, TieWeightsExactDyadicEquality) {
   // All weights are multiples of 0.25: sums are exact in floating point, so
-  // every mode must match brute force to the last bit despite massive
-  // optimum degeneracy.
+  // every mode (and the classic oracle) must match brute force to the last
+  // bit despite massive optimum degeneracy.
   Rng rng(99);
-  BruteForceMwisSolver brute(24);
+  reference::BruteForceMwisSolver brute(24);
   BranchAndBoundMwisSolver reusing;
-  BnbSolveOptions classic;
-  classic.enhanced = false;
   for (int trial = 0; trial < 100; ++trial) {
     const int n = 4 + trial % 10;
     Graph g(n);
@@ -253,8 +253,8 @@ TEST(MwisDifferential, TieWeightsExactDyadicEquality) {
     const double ref = brute.solve(g, w, all).weight;
     EXPECT_EQ(reusing.solve(g, w, all).weight, ref);
     SolveScratch fresh;
-    EXPECT_EQ(reusing.solve_with_scratch(g, w, all, fresh, classic).weight,
-              ref);
+    EXPECT_EQ(reusing.solve_with_scratch(g, w, all, fresh).weight, ref);
+    EXPECT_EQ(reference::classic_bnb(g, w, all).weight, ref);
   }
 }
 

@@ -8,9 +8,9 @@
 #include "graph/generators.h"
 #include "graph/graph.h"
 #include "mwis/branch_and_bound.h"
-#include "mwis/brute_force.h"
 #include "mwis/greedy.h"
 #include "mwis/robust_ptas.h"
+#include "reference/brute_force.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -31,7 +31,7 @@ std::vector<double> random_weights(int n, Rng& rng) {
 TEST(BruteForce, PathKnownOptimum) {
   Graph g = path_graph(4);
   const std::vector<double> w{1.0, 10.0, 1.0, 9.0};
-  BruteForceMwisSolver s;
+  reference::BruteForceMwisSolver s;
   const MwisResult res = s.solve_all(g, w);
   EXPECT_DOUBLE_EQ(res.weight, 19.0);
   EXPECT_EQ(res.vertices, (std::vector<int>{1, 3}));
@@ -41,7 +41,7 @@ TEST(BruteForce, PathKnownOptimum) {
 TEST(BruteForce, EmptyCandidates) {
   Graph g = path_graph(3);
   const std::vector<double> w{1, 1, 1};
-  BruteForceMwisSolver s;
+  reference::BruteForceMwisSolver s;
   const std::vector<int> none;
   const MwisResult res = s.solve(g, w, none);
   EXPECT_TRUE(res.vertices.empty());
@@ -51,8 +51,18 @@ TEST(BruteForce, EmptyCandidates) {
 TEST(BruteForce, RejectsTooLarge) {
   Graph g(30);
   const std::vector<double> w(30, 1.0);
-  BruteForceMwisSolver s(24);
+  reference::BruteForceMwisSolver s(24);
   EXPECT_THROW(s.solve_all(g, w), std::logic_error);
+}
+
+TEST(BruteForce, RejectsCapsBeyondThirtyTwoBitMasks) {
+  // Candidate subsets are 32-bit masks: a cap of 32 or more would shift
+  // past the word and enumerate the wrong subsets.
+  EXPECT_THROW(reference::BruteForceMwisSolver(32), std::logic_error);
+  EXPECT_THROW(reference::BruteForceMwisSolver(64), std::logic_error);
+  EXPECT_THROW(reference::BruteForceMwisSolver(-1), std::logic_error);
+  EXPECT_NO_THROW(reference::BruteForceMwisSolver(31));
+  EXPECT_NO_THROW(reference::BruteForceMwisSolver(0));
 }
 
 TEST(BranchAndBound, SimpleInstances) {
@@ -152,7 +162,7 @@ TEST_P(BnbCrossValidation, MatchesBruteForceOnErdosRenyi) {
   const int n = 14;
   ConflictGraph cg = erdos_renyi(n, 0.25, rng);
   const auto w = random_weights(n, rng);
-  BruteForceMwisSolver brute;
+  reference::BruteForceMwisSolver brute;
   BranchAndBoundMwisSolver bnb;
   const MwisResult exact = brute.solve_all(cg.graph(), w);
   const MwisResult fast = bnb.solve_all(cg.graph(), w);
@@ -166,7 +176,7 @@ TEST_P(BnbCrossValidation, MatchesBruteForceOnExtendedGraph) {
   ConflictGraph cg = random_geometric_avg_degree(5, 2.5, rng, false);
   ExtendedConflictGraph ecg(cg, 3);  // 15 vertices
   const auto w = random_weights(ecg.num_vertices(), rng);
-  BruteForceMwisSolver brute(16);
+  reference::BruteForceMwisSolver brute(16);
   BranchAndBoundMwisSolver bnb;
   EXPECT_NEAR(brute.solve_all(ecg.graph(), w).weight,
               bnb.solve_all(ecg.graph(), w).weight, 1e-9);
@@ -233,7 +243,7 @@ TEST(RobustPtas, InvalidEpsilonRejected) {
 }
 
 TEST(SolverNames, AreStable) {
-  EXPECT_EQ(BruteForceMwisSolver().name(), "brute-force");
+  EXPECT_EQ(reference::BruteForceMwisSolver().name(), "brute-force");
   EXPECT_EQ(BranchAndBoundMwisSolver().name(), "branch-and-bound");
   EXPECT_EQ(GreedyMwisSolver().name(), "greedy");
   EXPECT_EQ(RobustPtasSolver().name(), "robust-ptas");

@@ -10,10 +10,10 @@
 //      counters and throughput. A different fault seed must diverge.
 //
 //   2. Conditional equivalence — the acceptance contract of the membership
-//      layer: whenever views have converged (net/oracle.h makes that
-//      precise), the message-level runtime's next decision equals the
-//      lockstep engine run over the agents' own statistics — under any
-//      fault schedule. Schedules here are windowed (quiet warmup, fault
+//      layer: whenever views have converged
+//      (tests/reference/convergence_oracle.h makes that precise), the
+//      message-level runtime's next decision equals the lockstep engine
+//      run over the agents' own statistics — under any fault schedule. Schedules here are windowed (quiet warmup, fault
 //      burst with churn/mobility, quiet tail), swapped mid-run through
 //      DistributedRuntime::set_fault_profile; after the tail the oracle
 //      must report convergence and the prediction must match, winner for
@@ -29,8 +29,8 @@
 #include "dynamics/dynamic_network.h"
 #include "graph/graph.h"
 #include "net/faults.h"
-#include "net/oracle.h"
 #include "net/runtime.h"
+#include "reference/convergence_oracle.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 
@@ -162,7 +162,7 @@ struct Window {
 struct Outcome {
   std::uint64_t trace = 0;
   std::vector<std::vector<int>> strategies;  ///< One entry per round.
-  net::ConvergenceReport report;
+  reference::ConvergenceReport report;
   bool converged = false;
   std::vector<int> predicted;  ///< Lockstep engine's call for the last round.
   std::vector<int> actual;     ///< What the runtime decided.
@@ -172,7 +172,7 @@ struct Outcome {
   net::ChannelStats channel;
 };
 
-std::string describe(const net::ConvergenceReport& r) {
+std::string describe(const reference::ConvergenceReport& r) {
   std::ostringstream os;
   os << "members_match=" << r.members_match
      << " adjacency_match=" << r.adjacency_match
@@ -206,10 +206,10 @@ Outcome run_schedule(const Scenario& s, const std::vector<Window>& windows) {
     }
     const Graph& wire =
         dyn != nullptr ? dyn->ecg().graph() : runner.extended_graph().graph();
-    out.report = net::check_convergence(rt, wire);
+    out.report = reference::check_convergence(rt, wire);
     out.converged = out.report.converged();
     if (out.converged) {
-      out.predicted = net::lockstep_decision(rt, wire, rt.rounds_run() + 1);
+      out.predicted = reference::lockstep_decision(rt, wire, rt.rounds_run() + 1);
       const net::NetRoundResult res = rt.step();
       out.actual = res.strategy;
       out.conflict = res.conflict;

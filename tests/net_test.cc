@@ -24,9 +24,9 @@
 #include "net/agent.h"
 #include "net/control_channel.h"
 #include "net/faults.h"
-#include "net/oracle.h"
 #include "net/runtime.h"
 #include "net/wire.h"
+#include "reference/convergence_oracle.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -474,7 +474,7 @@ TEST_F(NetFixture, FaultFreeViewSyncMatchesOmniscientEveryRound) {
 TEST_F(NetFixture, ConvergenceOracleAcceptsFaultFreeViewSyncRun) {
   DistributedRuntime rt(ecg_, model_, view_sync_config());
   for (int t = 1; t <= 8; ++t) rt.step();
-  const net::ConvergenceReport rep = net::check_convergence(rt, ecg_.graph());
+  const reference::ConvergenceReport rep = reference::check_convergence(rt, ecg_.graph());
   EXPECT_TRUE(rep.members_match);
   EXPECT_TRUE(rep.adjacency_match);
   EXPECT_TRUE(rep.stats_match);
@@ -483,7 +483,7 @@ TEST_F(NetFixture, ConvergenceOracleAcceptsFaultFreeViewSyncRun) {
   EXPECT_TRUE(rep.no_pending);
   ASSERT_TRUE(rep.converged());
   const std::vector<int> predicted =
-      net::lockstep_decision(rt, ecg_.graph(), rt.rounds_run() + 1);
+      reference::lockstep_decision(rt, ecg_.graph(), rt.rounds_run() + 1);
   EXPECT_EQ(rt.step().strategy, predicted);
 }
 

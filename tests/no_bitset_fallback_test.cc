@@ -15,7 +15,8 @@
 #include "graph/hop.h"
 #include "graph/neighborhood_cache.h"
 #include "mwis/branch_and_bound.h"
-#include "mwis/brute_force.h"
+#include "reference/brute_force.h"
+#include "reference/classic_bnb.h"
 #include "reference/unfinalized_copy.h"
 #include "util/rng.h"
 
@@ -57,7 +58,7 @@ TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondMatrixLimit) {
   std::vector<int> cands(20);
   for (int v = 0; v < 20; ++v) cands[static_cast<std::size_t>(v)] = v;
 
-  BruteForceMwisSolver brute(24);
+  reference::BruteForceMwisSolver brute(24);
   const MwisResult ref = brute.solve(small, w_small, cands);
   // Default path: gathers local adjacency from the sharded sparse rows.
   BranchAndBoundMwisSolver solver;
@@ -73,12 +74,13 @@ TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondMatrixLimit) {
       solver.solve_with_scratch(big_lists, w_big, cands, scratch);
   EXPECT_EQ(got_lists.vertices, got.vertices);
   EXPECT_EQ(got_lists.nodes_explored, got.nodes_explored);
-  // And the classic search over the list build.
-  BnbSolveOptions classic;
-  classic.enhanced = false;
-  const MwisResult got_classic =
-      solver.solve_with_scratch(big_lists, w_big, cands, scratch, classic);
-  EXPECT_EQ(got_classic.vertices, ref.vertices);
+  // The list build again, on the scratch the previous solve left behind.
+  const MwisResult got_reused =
+      solver.solve_with_scratch(big_lists, w_big, cands, scratch);
+  EXPECT_EQ(got_reused.vertices, ref.vertices);
+  // And the classic oracle over the list build.
+  EXPECT_EQ(reference::classic_bnb(big_lists, w_big, cands).vertices,
+            ref.vertices);
 }
 
 TEST(NoBitsetFallback, SparseRowsMatchReferenceQueries) {

@@ -1,10 +1,17 @@
-#include "mwis/brute_force.h"
+#include "reference/brute_force.h"
 
 #include <algorithm>
 
 #include "util/assert.h"
 
-namespace mhca {
+namespace mhca::reference {
+
+BruteForceMwisSolver::BruteForceMwisSolver(int max_vertices)
+    : max_vertices_(max_vertices) {
+  MHCA_ASSERT(max_vertices >= 0 && max_vertices <= 31,
+              "brute force enumerates 32-bit masks: max_vertices must lie in "
+              "[0, 31]");
+}
 
 MwisResult BruteForceMwisSolver::solve(const Graph& g,
                                        std::span<const double> weights,
@@ -24,8 +31,7 @@ MwisResult BruteForceMwisSolver::solve(const Graph& g,
       if (i != j && g.has_edge(cands[i], cands[j]))
         adj[i] |= (1u << j);
 
-  const std::uint32_t limit = n >= 32 ? 0xffffffffu
-                                      : ((1u << n) - 1u);
+  const std::uint32_t limit = (1u << n) - 1u;  // n <= 31 by construction
   for (std::uint32_t mask = 0;; ++mask) {
     ++best.nodes_explored;
     bool independent = true;
@@ -47,4 +53,4 @@ MwisResult BruteForceMwisSolver::solve(const Graph& g,
   return best;
 }
 
-}  // namespace mhca
+}  // namespace mhca::reference

@@ -1,10 +1,10 @@
-#include "graph/coloring.h"
+#include "reference/coloring.h"
 
 #include <algorithm>
 
 #include "util/assert.h"
 
-namespace mhca {
+namespace mhca::reference {
 
 std::vector<int> greedy_coloring(const Graph& g,
                                  std::span<const int> order) {
@@ -55,4 +55,4 @@ bool is_proper_coloring(const Graph& g, std::span<const int> coloring) {
   return true;
 }
 
-}  // namespace mhca
+}  // namespace mhca::reference

@@ -1,10 +1,10 @@
-// Greedy vertex coloring and chromatic bounds.
+// Test-only reference: greedy vertex coloring and chromatic bounds.
 //
 // §III of the paper observes that the independence number of the extended
 // graph H equals N exactly when the conflict graph G can be colored with at
 // most M colors (each color class = a channel). These helpers compute
 // constructive upper bounds on χ(G) and the induced full-occupancy channel
-// assignment.
+// assignment. Code under src/ must never include it.
 #pragma once
 
 #include <span>
@@ -12,7 +12,7 @@
 
 #include "graph/graph.h"
 
-namespace mhca {
+namespace mhca::reference {
 
 /// Greedy coloring in the given vertex order; returns per-vertex colors
 /// (0-based). Uses at most max_degree+1 colors.
@@ -27,4 +27,4 @@ int num_colors(const std::vector<int>& coloring);
 /// True iff `coloring` assigns different colors to every edge's endpoints.
 bool is_proper_coloring(const Graph& g, std::span<const int> coloring);
 
-}  // namespace mhca
+}  // namespace mhca::reference

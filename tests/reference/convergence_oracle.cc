@@ -1,4 +1,4 @@
-#include "net/oracle.h"
+#include "reference/convergence_oracle.h"
 
 #include <algorithm>
 
@@ -6,7 +6,13 @@
 #include "mwis/distributed_ptas.h"
 #include "util/assert.h"
 
-namespace mhca::net {
+namespace mhca::reference {
+
+using net::DistributedRuntime;
+using net::MembershipMode;
+using net::NetConfig;
+using net::VertexAgent;
+using net::ViewId;
 
 ConvergenceReport check_convergence(const DistributedRuntime& rt,
                                     const Graph& h) {
@@ -104,4 +110,4 @@ std::vector<int> lockstep_decision(const DistributedRuntime& rt,
   return engine.run(weights, active).winners;
 }
 
-}  // namespace mhca::net
+}  // namespace mhca::reference

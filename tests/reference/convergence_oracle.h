@@ -1,5 +1,6 @@
-// God's-eye convergence oracle for the view-synchronous runtime (tests and
-// benchmarks only — nothing here is information an agent could act on).
+// Test-only reference: god's-eye convergence oracle for the view-synchronous
+// runtime (tests and benchmarks only — nothing here is information an agent
+// could act on). Code under src/ must never include it.
 //
 // The acceptance contract of the membership layer is conditional: the
 // message-level runtime must take exactly the lockstep engine's decisions
@@ -26,7 +27,7 @@
 #include "graph/graph.h"
 #include "net/runtime.h"
 
-namespace mhca::net {
+namespace mhca::reference {
 
 struct ConvergenceReport {
   bool members_match = true;    ///< Tables == ground-truth (2r+1)-balls.
@@ -46,13 +47,13 @@ struct ConvergenceReport {
 
 /// Compare every active agent's local picture against the ground truth of
 /// `h` (the runtime's current wire). View-sync runtimes only.
-ConvergenceReport check_convergence(const DistributedRuntime& rt,
+ConvergenceReport check_convergence(const net::DistributedRuntime& rt,
                                     const Graph& h);
 
 /// The strategy the lockstep engine decides for round `t_next` from the
 /// agents' own statistics (weights via the runtime's policy) and activity
 /// mask — what a converged runtime's step() must produce.
-std::vector<int> lockstep_decision(const DistributedRuntime& rt,
+std::vector<int> lockstep_decision(const net::DistributedRuntime& rt,
                                    const Graph& h, std::int64_t t_next);
 
-}  // namespace mhca::net
+}  // namespace mhca::reference

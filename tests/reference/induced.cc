@@ -1,22 +1,11 @@
-#include "graph/induced.h"
+#include "reference/induced.h"
 
 #include <algorithm>
 #include <unordered_map>
 
 #include "util/assert.h"
 
-namespace mhca {
-
-std::vector<int> InducedSubgraph::lift(std::span<const int> local) const {
-  std::vector<int> out;
-  out.reserve(local.size());
-  for (int v : local) {
-    MHCA_ASSERT(v >= 0 && static_cast<std::size_t>(v) < to_parent.size(),
-                "local vertex out of range");
-    out.push_back(to_parent[static_cast<std::size_t>(v)]);
-  }
-  return out;
-}
+namespace mhca::reference {
 
 InducedSubgraph induced_subgraph(const Graph& g,
                                  std::span<const int> vertices) {
@@ -44,4 +33,4 @@ InducedSubgraph induced_subgraph(const Graph& g,
   return sub;
 }
 
-}  // namespace mhca
+}  // namespace mhca::reference

@@ -1,4 +1,5 @@
-// Induced subgraphs with parent-index bookkeeping.
+// Test-only reference: induced subgraphs with parent-index bookkeeping.
+// Code under src/ must never include it.
 #pragma once
 
 #include <span>
@@ -6,19 +7,16 @@
 
 #include "graph/graph.h"
 
-namespace mhca {
+namespace mhca::reference {
 
 /// A subgraph induced by a vertex subset, remembering the original ids.
 struct InducedSubgraph {
   Graph graph;                 ///< Local graph on 0..k-1.
   std::vector<int> to_parent;  ///< Local index -> original vertex id.
-
-  /// Map local vertex ids back to parent ids.
-  std::vector<int> lift(std::span<const int> local) const;
 };
 
 /// Build the subgraph of `g` induced by `vertices` (need not be sorted;
 /// duplicates are rejected).
 InducedSubgraph induced_subgraph(const Graph& g, std::span<const int> vertices);
 
-}  // namespace mhca
+}  // namespace mhca::reference
