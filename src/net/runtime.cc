@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <utility>
 
 #include "graph/hop.h"
 #include "obs/trace.h"
@@ -13,33 +14,29 @@ namespace mhca::net {
 DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
                                        const ChannelModel& model,
                                        NetConfig cfg)
-    : DistributedRuntime(ecg, model, cfg, nullptr) {}
+    : ecg_(ecg), model_(model), cfg_(cfg), transport_(loopback_) {
+  init();
+}
 
 DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
                                        const ChannelModel& model,
                                        NetConfig cfg, Transport& transport)
-    : DistributedRuntime(ecg, model, cfg, &transport) {}
+    : ecg_(ecg), model_(model), cfg_(cfg), transport_(transport) {
+  init();
+}
 
-DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
-                                       const ChannelModel& model,
-                                       NetConfig cfg, Transport* transport)
-    : ecg_(ecg),
-      model_(model),
-      cfg_(cfg),
-      channel_(ecg.graph()),
-      exact_(cfg.bnb_node_cap),
-      transport_(transport) {
-  MHCA_ASSERT(ecg.num_nodes() == model.num_nodes() &&
-                  ecg.num_channels() == model.num_channels(),
+void DistributedRuntime::init() {
+  MHCA_ASSERT(ecg_.num_nodes() == model_.num_nodes() &&
+                  ecg_.num_channels() == model_.num_channels(),
               "graph/model dimension mismatch");
   MHCA_ASSERT(cfg_.r >= 1, "r must be at least 1");
   channel_.set_mtu(cfg_.mtu);
   // Sharding replicates agent state and replays every flood in canonical
-  // order — which only lines up with a single-process run when no phase
-  // interleaves sends and receives within one flooding pass. Omniscient
-  // membership has that property; view-sync's membership phase (probes
-  // answered in the same pass) does not yet.
-  MHCA_ASSERT(transport_ == nullptr ||
+  // order — which only lines up across shards when no phase interleaves
+  // sends and receives within one flooding pass. Omniscient membership has
+  // that property; view-sync's membership phase (probes answered in the
+  // same pass) does not yet.
+  MHCA_ASSERT(transport_.shard_count() == 1 ||
                   cfg_.membership == MembershipMode::kOmniscient,
               "sharded runs require membership = omniscient (the view-sync "
               "membership phase interleaves same-pass hello responses)");
@@ -47,16 +44,15 @@ DistributedRuntime::DistributedRuntime(const ExtendedConflictGraph& ecg,
   // Tag this thread's trace events with the shard index so a multi-process
   // (or multi-thread mesh) run merges into one Perfetto timeline with one
   // process track per shard. Purely observational.
-  obs::set_current_shard(transport_ != nullptr ? transport_->shard_index()
-                                               : 0);
+  obs::set_current_shard(transport_.shard_index());
   keepalive_interval_ = std::max(1, cfg_.liveness.hello_timeout_slots - 1);
   PolicyParams params = cfg_.policy_params;
   if (cfg_.policy == PolicyKind::kLlr && params.llr_max_strategy_len <= 1)
-    params.llr_max_strategy_len = ecg.num_nodes();
+    params.llr_max_strategy_len = ecg_.num_nodes();
   policy_ = make_policy(cfg_.policy, params);
 
-  agents_.reserve(static_cast<std::size_t>(ecg.num_vertices()));
-  for (int v = 0; v < ecg.num_vertices(); ++v)
+  agents_.reserve(static_cast<std::size_t>(ecg_.num_vertices()));
+  for (int v = 0; v < ecg_.num_vertices(); ++v)
     agents_.emplace_back(v, cfg_.r, cfg_.membership, cfg_.liveness);
   index_memo_.resize(agents_.size());
   discover();
@@ -124,15 +120,18 @@ std::vector<int> DistributedRuntime::exchange_and_replay(
     std::vector<FloodFrame> frames,
     const std::function<void(int, const Message&)>& deliver,
     const std::function<void(const Message&)>& on_origin) {
-  obs::TraceRecorder* const tr = obs::trace();
+  // A one-shard exchange crosses no process boundary: it stays off the
+  // trace, which then reads the same as a run's floods alone.
+  obs::TraceRecorder* const tr =
+      transport_.shard_count() > 1 ? obs::trace() : nullptr;
   char targs[96];
   if (tr)
     std::snprintf(targs, sizeof(targs),
                   "{\"shard\":%d,\"frames_out\":%zu}",
-                  transport_->shard_index(), frames.size());
+                  transport_.shard_index(), frames.size());
   obs::ScopedSpan span(tr, obs::kTidTransport, "transport.exchange",
                        tr ? std::string(targs) : std::string());
-  std::vector<FloodFrame> merged = transport_->exchange(std::move(frames));
+  std::vector<FloodFrame> merged = transport_.exchange(std::move(frames));
   std::vector<int> origins;
   origins.reserve(merged.size());
   for (FloodFrame& f : merged) {
@@ -162,17 +161,13 @@ void DistributedRuntime::discover() {
     else
       agents_[static_cast<std::size_t>(to)].on_hello(m);
   };
-  if (sharded()) {
-    // Owned hellos travel the transport; the canonical replay is the same
-    // ascending-origin order the classic loop below floods in.
-    std::vector<FloodFrame> frames;
-    for (int v = 0; v < h.size(); ++v)
-      if (owns(v)) frames.push_back(make_frame(make_hello(v), horizon));
-    exchange_and_replay(std::move(frames), deliver);
-  } else {
-    for (int v = 0; v < h.size(); ++v)
-      channel_.flood(make_hello(v), horizon, deliver);
-  }
+  // Hellos read only their sender's own state, which no discovery delivery
+  // changes, so every owned hello is framed up front and the canonical
+  // replay floods them in ascending origin order.
+  std::vector<FloodFrame> frames;
+  for (int v = 0; v < h.size(); ++v)
+    if (owns(v)) frames.push_back(make_frame(make_hello(v), horizon));
+  exchange_and_replay(std::move(frames), deliver);
   for (auto& a : agents_) a.finalize_discovery();
 }
 
@@ -181,7 +176,7 @@ void DistributedRuntime::on_topology_change(
   MHCA_ASSERT(cfg_.membership == MembershipMode::kOmniscient,
               "on_topology_change is the omniscient delta feed; view-sync "
               "runs take on_wire_change");
-  MHCA_ASSERT(!sharded(),
+  MHCA_ASSERT(transport_.shard_count() == 1,
               "sharded runs support static graphs only (churn rediscovery "
               "would need its own exchange barrier)");
   const Graph& h = ecg_.graph();
@@ -398,25 +393,28 @@ NetRoundResult DistributedRuntime::step() {
   const auto deliver = [this](int to, const Message& m) { route(to, m); };
   if (t_ > 1) {
     obs::ScopedSpan wb_span(tr, obs::kTidRuntime, "net.weight_broadcast");
-    std::vector<FloodFrame> frames;  // sharded: owned weight updates
+    // A view-sync update carries its sender's view, which an earlier update
+    // of this phase can still advance (receivers adopt newer views), so each
+    // is framed only after its predecessors landed: one exchange per update.
+    // Omniscient updates read nothing a delivery changes and share one
+    // exchange. prev_strategy_ is sorted, so either way the replay order is
+    // ascending origin; every shard agrees on t_ > 1 and on the membership
+    // mode, so every shard reaches the same barriers.
+    std::vector<FloodFrame> frames;
     for (int v : prev_strategy_) {
-      if (!owns(v)) continue;
-      Message wu;
-      wu.type = MsgType::kWeightUpdate;
-      wu.origin = v;
-      wu.round = t_;
-      if (view_sync) wu.view = agents_[static_cast<std::size_t>(v)].view();
-      wu.mean = agents_[static_cast<std::size_t>(v)].own_mean();
-      wu.count = agents_[static_cast<std::size_t>(v)].own_count();
-      if (sharded())
+      if (owns(v)) {
+        Message wu;
+        wu.type = MsgType::kWeightUpdate;
+        wu.origin = v;
+        wu.round = t_;
+        if (view_sync) wu.view = agents_[static_cast<std::size_t>(v)].view();
+        wu.mean = agents_[static_cast<std::size_t>(v)].own_mean();
+        wu.count = agents_[static_cast<std::size_t>(v)].own_count();
         frames.push_back(make_frame(wu, horizon));
-      else
-        channel_.flood(wu, horizon, deliver);
+      }
+      if (view_sync) exchange_and_replay(std::exchange(frames, {}), deliver);
     }
-    // prev_strategy_ is sorted, so the canonical replay order equals the
-    // classic flood order above. Every shard agrees t_ > 1, so every shard
-    // reaches this barrier.
-    if (sharded()) exchange_and_replay(std::move(frames), deliver);
+    if (!view_sync) exchange_and_replay(std::move(frames), deliver);
   }
   // Each vertex's index, once, from its owner's statistics: every agent
   // holding an identical copy takes it instead of recomputing it.
@@ -447,30 +445,27 @@ NetRoundResult DistributedRuntime::step() {
     if (!any_candidate) break;
     ++mr;
 
-    // LS/LD: self-election + declaration flood. Sharded: each shard elects
-    // its owned candidates and learns the rest from the exchanged declares
-    // — the merged (ascending-origin) list equals the classic one, because
-    // should_lead() reads only replicated table state.
+    // LS/LD: self-election + declaration flood. Each shard elects its owned
+    // candidates and learns the rest from the exchanged declares — the
+    // merged (ascending-origin) list is the global one, because
+    // should_lead() reads only replicated table state and a declaration
+    // changes none.
     std::vector<int> leaders;
     {  // election span scope (a `break` below unwinds it correctly)
     if (tr) std::snprintf(targs, sizeof(targs), "{\"mini_round\":%d}", mr);
     obs::ScopedSpan election_span(tr, obs::kTidRuntime, "net.election",
                                   tr ? std::string(targs) : std::string());
-    if (sharded()) {
-      std::vector<FloodFrame> frames;
-      for (const auto& a : agents_) {
-        if (!a.should_lead() || !owns(a.id())) continue;
-        Message ld;
-        ld.type = MsgType::kLeaderDeclare;
-        ld.origin = a.id();
-        ld.round = t_;
-        frames.push_back(make_frame(ld, horizon));
-      }
-      leaders = exchange_and_replay(std::move(frames), deliver);
-    } else {
-      for (const auto& a : agents_)
-        if (a.should_lead()) leaders.push_back(a.id());
+    std::vector<FloodFrame> frames;
+    for (const auto& a : agents_) {
+      if (!owns(a.id()) || !a.should_lead()) continue;
+      Message ld;
+      ld.type = MsgType::kLeaderDeclare;
+      ld.origin = a.id();
+      ld.round = t_;
+      if (view_sync) ld.view = a.view();
+      frames.push_back(make_frame(ld, horizon));
     }
+    leaders = exchange_and_replay(std::move(frames), deliver);
     // On a reliable omniscient channel the globally best candidate always
     // elects itself. Under message loss, stale tables can leave every
     // candidate believing a (long-marked) heavier neighbor is still in the
@@ -480,65 +475,42 @@ NetRoundResult DistributedRuntime::step() {
     MHCA_ASSERT(!leaders.empty() || unreliable(),
                 "a candidate of maximal weight must elect itself");
     if (leaders.empty()) break;
-    if (!sharded()) {
-      for (int v : leaders) {
-        Message ld;
-        ld.type = MsgType::kLeaderDeclare;
-        ld.origin = v;
-        ld.round = t_;
-        if (view_sync) ld.view = agents_[static_cast<std::size_t>(v)].view();
-        channel_.flood(ld, horizon, deliver);
-      }
-    }
     channel_.charge_timeslots(horizon);
     }  // election span scope
 
     // LMWIS + LB. Under loss, an earlier leader's verdict this mini-round
     // may already have demoted a later "leader" (they can end up close
     // together when declarations were dropped) — it must then stand down.
-    // Sharded: that stand-down dependency forces one exchange *per leader*
-    // (an earlier leader's replayed verdict can demote a later one before
-    // its turn); the skip decision reads replicated status, so every shard
-    // agrees on which leaders reach their barrier.
+    // That dependency forces one exchange *per leader* (an earlier leader's
+    // replayed verdict can demote a later one before its turn); the skip
+    // decision reads replicated status, so every shard agrees on which
+    // leaders reach their barrier.
     if (tr)
       std::snprintf(targs, sizeof(targs), "{\"leaders\":%zu}",
                     leaders.size());
     obs::ScopedSpan det_span(tr, obs::kTidRuntime, "net.determination",
                              tr ? std::string(targs) : std::string());
     for (int v : leaders) {
-      if (agents_[static_cast<std::size_t>(v)].status() !=
-          VertexStatus::kCandidate)
-        continue;
-      if (sharded()) {
-        std::vector<FloodFrame> frames;
-        if (owns(v)) {
-          // Only the owner runs the local MWIS solve; the verdict travels
-          // to every other shard as wire bytes.
-          Message det;
-          det.type = MsgType::kDetermination;
-          det.origin = v;
-          det.round = t_;
-          det.statuses =
-              agents_[static_cast<std::size_t>(v)].lead(local_solver);
-          frames.push_back(make_frame(det, 3 * cfg_.r + 2));
-        }
-        exchange_and_replay(std::move(frames), deliver,
-                            [this](const Message& det) {
-                              agents_[static_cast<std::size_t>(det.origin)]
-                                  .on_determination(det);
-                            });
-        continue;
+      VertexAgent& leader = agents_[static_cast<std::size_t>(v)];
+      if (leader.status() != VertexStatus::kCandidate) continue;
+      std::vector<FloodFrame> frames;
+      if (owns(v)) {
+        // Only the owner runs the local MWIS solve; the verdict travels to
+        // every other shard as wire bytes. 3r+2: winner-adjacent losers sit
+        // up to r+1 hops from the leader and must reach every holder of
+        // their status (2r+1 further hops).
+        Message det;
+        det.type = MsgType::kDetermination;
+        det.origin = v;
+        det.round = t_;
+        if (view_sync) det.view = leader.view();
+        det.statuses = leader.lead(local_solver);
+        frames.push_back(make_frame(det, 3 * cfg_.r + 2));
       }
-      Message det;
-      det.type = MsgType::kDetermination;
-      det.origin = v;
-      det.round = t_;
-      if (view_sync) det.view = agents_[static_cast<std::size_t>(v)].view();
-      det.statuses = agents_[static_cast<std::size_t>(v)].lead(local_solver);
-      agents_[static_cast<std::size_t>(v)].on_determination(det);
-      // 3r+2: winner-adjacent losers sit up to r+1 hops from the leader and
-      // must reach every holder of their status (2r+1 further hops).
-      channel_.flood(det, 3 * cfg_.r + 2, deliver);
+      exchange_and_replay(std::move(frames), deliver,
+                          [&leader](const Message& det) {
+                            leader.on_determination(det);
+                          });
     }
     channel_.charge_timeslots(3 * cfg_.r + 2);
   }

@@ -109,27 +109,32 @@ class DistributedRuntime {
  public:
   /// References must outlive the runtime. Construction performs the
   /// one-time (2r+1)-hop neighborhood discovery (paper: the first WB round
-  /// collects ids of the local neighborhood).
+  /// collects ids of the local neighborhood). This runtime is the only
+  /// shard, over a LoopbackTransport it owns.
   DistributedRuntime(const ExtendedConflictGraph& ecg,
                      const ChannelModel& model, NetConfig cfg);
 
-  /// Sharded: this process is shard `transport.shard_index()` of
+  /// This process is shard `transport.shard_index()` of
   /// `transport.shard_count()`. Every shard hosts *all* agents (same
   /// scenario, same seed — replicated state), but only the owner shard of a
   /// vertex (owner = vertex % shard_count) originates its floods and
   /// computes its expensive payloads (a leader's local MWIS solve travels
-  /// as wire bytes). Each protocol phase deposits the owned floods into one
+  /// as wire bytes). Each protocol phase deposits the owned floods into a
   /// transport exchange and replays the merged union in canonical
   /// (origin, seq) order through the local ControlChannel — which keeps the
   /// global flood counter, every fault draw, the trace hash and every
-  /// decision identical across shards *and* identical to a single-process
-  /// run of the same scenario. v1 scope: omniscient membership and a static
-  /// graph (view-sync's same-phase hello interleaving needs finer barriers);
+  /// decision identical across shards, whatever the shard count. More than
+  /// one shard requires omniscient membership and a static graph
+  /// (view-sync's same-phase hello interleaving needs finer barriers);
   /// drop/dup faults are fine — the fault plane replays identically
   /// everywhere. The transport must outlive the runtime.
   DistributedRuntime(const ExtendedConflictGraph& ecg,
                      const ChannelModel& model, NetConfig cfg,
                      Transport& transport);
+
+  /// Not copyable or movable: the transport may be the runtime's own.
+  DistributedRuntime(const DistributedRuntime&) = delete;
+  DistributedRuntime& operator=(const DistributedRuntime&) = delete;
 
   /// Execute one full round of Algorithm 2.
   NetRoundResult step();
@@ -143,7 +148,9 @@ class DistributedRuntime {
   /// hello (billed on the control channel like any flood) carrying its
   /// neighbor list *and* current statistics, so rebuilt tables stay
   /// index-consistent and the decisions keep matching the lockstep engine.
-  /// Omniscient mode only — the god's-eye feed view-sync replaces.
+  /// Omniscient mode only — the god's-eye feed view-sync replaces — and
+  /// single-shard only (churn rediscovery floods directly, without an
+  /// exchange barrier).
   void on_topology_change(std::span<const int> touched,
                           const std::vector<char>& active_vertices);
 
@@ -172,14 +179,6 @@ class DistributedRuntime {
   }
   const IndexPolicy& policy() const { return *policy_; }
   const NetConfig& config() const { return cfg_; }
-  /// Null in classic (single-process) mode.
-  const Transport* transport() const { return transport_; }
-  /// Transport-layer counters for the telemetry registry (obs/publish.h);
-  /// null in classic mode — the publisher then registers the transport
-  /// domain as zeros.
-  const TransportStats* transport_stats() const {
-    return transport_ != nullptr ? &transport_->stats() : nullptr;
-  }
 
   /// Maximum agent table size — the per-vertex space bound O(m).
   std::size_t max_table_size() const;
@@ -191,12 +190,9 @@ class DistributedRuntime {
   MemoryFootprint memory_footprint() const;
 
  private:
-  /// The delegate both public constructors funnel into (transport may be
-  /// null); transport_ must be set before discovery floods anything.
-  DistributedRuntime(const ExtendedConflictGraph& ecg,
-                     const ChannelModel& model, NetConfig cfg,
-                     Transport* transport);
-
+  /// Both constructors' body, once the transport is bound: validation,
+  /// policy, agents, then discovery.
+  void init();
   void discover();
   /// One vertex's hello: id, direct neighbors, current (µ̃, m) — shared by
   /// initial discovery, scoped churn rediscovery, keep-alives and probes,
@@ -215,11 +211,9 @@ class DistributedRuntime {
     return channel_.faults().any() ||
            cfg_.membership == MembershipMode::kViewSync;
   }
-  bool sharded() const { return transport_ != nullptr; }
-  /// Does this shard originate vertex v's floods? (Always true classic.)
+  /// Does this shard originate vertex v's floods?
   bool owns(int v) const {
-    return transport_ == nullptr ||
-           v % transport_->shard_count() == transport_->shard_index();
+    return v % transport_.shard_count() == transport_.shard_index();
   }
   /// Encode `msg` as a FloodFrame this shard deposits into the next
   /// exchange.
@@ -228,10 +222,11 @@ class DistributedRuntime {
   /// the merged union — every shard's floods, this one's included — in
   /// canonical order through the local channel. `deliver` as in
   /// ControlChannel::flood; `on_origin`, when set, is applied to each
-  /// decoded message before its flood (floods never deliver to their own
-  /// origin, but a determination must mark the leader itself). Returns the
-  /// merged frames' origins in replay order so callers can recover e.g.
-  /// the global leader list.
+  /// decoded message after its flood's deliveries (floods never deliver to
+  /// their own origin, but a determination must mark the leader itself) —
+  /// agents hold disjoint state, so before or after makes no difference.
+  /// Returns the merged frames' origins in replay order so callers can
+  /// recover e.g. the global leader list.
   std::vector<int> exchange_and_replay(
       std::vector<FloodFrame> frames,
       const std::function<void(int, const Message&)>& deliver,
@@ -242,16 +237,17 @@ class DistributedRuntime {
   NetConfig cfg_;
   int keepalive_interval_ = 1;
   std::unique_ptr<IndexPolicy> policy_;
-  ControlChannel channel_;
+  ControlChannel channel_{ecg_.graph()};
   std::vector<VertexAgent> agents_;
   /// One entry per vertex, refilled each round from the owners' own
   /// statistics before begin_round (VertexAgent::begin_round's hit rule).
   std::vector<IndexMemoEntry> index_memo_;
-  BranchAndBoundMwisSolver exact_;
+  BranchAndBoundMwisSolver exact_{cfg_.bnb_node_cap};
   GreedyMwisSolver greedy_;
   std::vector<int> prev_strategy_;
   std::int64_t t_ = 0;
-  Transport* transport_ = nullptr;  ///< Null in classic mode.
+  LoopbackTransport loopback_;  ///< The 3-argument constructor's transport.
+  Transport& transport_;        ///< Declared after loopback_, which it may name.
 };
 
 }  // namespace mhca::net

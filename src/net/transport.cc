@@ -237,6 +237,15 @@ UdpTransport::UdpTransport(int shard_index, int shard_count,
                   " is outside the supported [" +
                   std::to_string(wire::kMinMtu) + ", " +
                   std::to_string(wire::kMaxMtu) + "] range");
+  // Shard k binds port_base + k: every one of those ports must be a real
+  // port, or the last shards would wrap onto port 0 (an ephemeral bind no
+  // peer can reach).
+  MHCA_ASSERT(opt_.port_base >= 1 && opt_.port_base + count_ - 1 <= 65535,
+              "port_base = " + std::to_string(opt_.port_base) + " with " +
+                  std::to_string(count_) + " shards needs ports " +
+                  std::to_string(opt_.port_base) + ".." +
+                  std::to_string(opt_.port_base + count_ - 1) +
+                  ", outside the valid [1, 65535] range");
   fd_ = ::socket(AF_INET, SOCK_DGRAM, 0);
   if (fd_ < 0)
     throw std::runtime_error(std::string("UdpTransport: socket() failed: ") +

@@ -1,13 +1,14 @@
-// Pluggable transport: how a sharded protocol run moves encoded floods
-// between processes.
+// Pluggable transport: how the protocol runtime moves encoded floods
+// between shards — one shard in a single-process run, N in a sharded one.
 //
 // Sharding model (see net/runtime.h): every shard hosts all agents and
 // replays *every* flood through its local ControlChannel, but only the
 // owner shard of a vertex (owner = vertex % shard_count) originates that
 // vertex's floods — and only the owner computes its expensive payloads
 // (the leader's local MWIS solve travels as bytes, not as recomputation).
-// Each protocol phase is one exchange(): every shard deposits the frames
-// it originated, and every shard receives the union in canonical
+// Each protocol phase runs through exchange() (how many per phase:
+// net/README.md): every shard deposits the frames it originated in one
+// step, and every shard receives the union in canonical
 // (origin, seq) order. Replaying that canonical order keeps the global
 // flood counter — and with it every fault draw and the trace hash —
 // identical on all shards and identical to a single-process run.
@@ -16,7 +17,7 @@
 // the current step have arrived. Three backends:
 //
 //   LoopbackTransport   shard_count == 1; sorts and returns the caller's
-//                       own frames (the degenerate mesh).
+//                       own frames — every single-process run's transport.
 //   MemoryMeshGroup     N endpoints in one process synchronized by a
 //                       condition-variable barrier — what tests use to run
 //                       N genuine shard runtimes against each other without
@@ -92,7 +93,8 @@ class Transport {
   TransportStats stats_;
 };
 
-/// The one-shard mesh: exchange() sorts and returns the local frames.
+/// The one-shard mesh: exchange() sorts and returns the local frames. What
+/// DistributedRuntime's 3-argument constructor runs over.
 class LoopbackTransport : public Transport {
  public:
   int shard_index() const override { return 0; }
@@ -129,7 +131,9 @@ struct UdpOptions {
 class UdpTransport : public Transport {
  public:
   /// Binds the shard's socket; throws std::runtime_error (with the errno
-  /// string and the port) if the address is unavailable.
+  /// string and the port) if the address is unavailable, and
+  /// std::logic_error if port_base .. port_base + shard_count - 1 leaves
+  /// [1, 65535].
   UdpTransport(int shard_index, int shard_count, UdpOptions options = {});
   ~UdpTransport() override;
 

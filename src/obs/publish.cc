@@ -32,18 +32,16 @@ void publish_channel_stats(MetricsRegistry& reg, const net::ChannelStats& cs) {
 }
 
 void publish_transport_stats(MetricsRegistry& reg,
-                             const net::TransportStats* ts) {
-  static const net::TransportStats kZero{};
-  if (ts == nullptr) ts = &kZero;
-  reg.counter("transport.exchanges").add(ts->exchanges);
-  reg.counter("transport.frames_sent").add(ts->frames_sent);
-  reg.counter("transport.frames_received").add(ts->frames_received);
-  reg.counter("transport.datagrams_sent").add(ts->datagrams_sent);
-  reg.counter("transport.datagrams_received").add(ts->datagrams_received);
-  reg.counter("transport.bytes_sent").add(ts->bytes_sent);
-  reg.counter("transport.bytes_received").add(ts->bytes_received);
-  reg.counter("transport.retransmit_requests").add(ts->retransmit_requests);
-  reg.counter("transport.retransmissions").add(ts->retransmissions);
+                             const net::TransportStats& ts) {
+  reg.counter("transport.exchanges").add(ts.exchanges);
+  reg.counter("transport.frames_sent").add(ts.frames_sent);
+  reg.counter("transport.frames_received").add(ts.frames_received);
+  reg.counter("transport.datagrams_sent").add(ts.datagrams_sent);
+  reg.counter("transport.datagrams_received").add(ts.datagrams_received);
+  reg.counter("transport.bytes_sent").add(ts.bytes_sent);
+  reg.counter("transport.bytes_received").add(ts.bytes_received);
+  reg.counter("transport.retransmit_requests").add(ts.retransmit_requests);
+  reg.counter("transport.retransmissions").add(ts.retransmissions);
 }
 
 void publish_membership_counters(MetricsRegistry& reg,

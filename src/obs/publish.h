@@ -28,11 +28,9 @@ const char* msg_type_label(int type);
 /// channel.messages.<type> / channel.bytes.<type> per-type breakdown.
 void publish_channel_stats(MetricsRegistry& reg, const net::ChannelStats& cs);
 
-/// transport.* — datagram/retransmit counters. Pass null when the run had
-/// no Transport; the keys are still registered (as zeros) so every
-/// snapshot covers the transport domain.
+/// transport.* — exchange, frame, datagram and retransmit counters.
 void publish_transport_stats(MetricsRegistry& reg,
-                             const net::TransportStats* ts);
+                             const net::TransportStats& ts);
 
 /// membership.* — per-agent robustness counters aggregated by the runtime.
 void publish_membership_counters(MetricsRegistry& reg,

@@ -184,7 +184,8 @@ ReplicationReport ScenarioRunner::replicate() const {
 }
 
 NetRunSummary ScenarioRunner::run_net() const {
-  return run_net_impl(nullptr);
+  net::LoopbackTransport loopback;
+  return run_net_impl(loopback);
 }
 
 NetRunSummary ScenarioRunner::run_net_sharded(
@@ -199,10 +200,10 @@ NetRunSummary ScenarioRunner::run_net_sharded(
         "run_net_sharded() requires net.membership = omniscient (the "
         "sharded runtime cannot replay the view-sync membership phase's "
         "same-pass hello responses yet)");
-  return run_net_impl(&transport);
+  return run_net_impl(transport);
 }
 
-NetRunSummary ScenarioRunner::run_net_impl(net::Transport* transport) const {
+NetRunSummary ScenarioRunner::run_net_impl(net::Transport& transport) const {
   if (!model_)
     throw ScenarioError("run_net() needs a scenario channel model");
   if (s_.run.update_period != 1)
@@ -270,7 +271,7 @@ NetRunSummary ScenarioRunner::run_net_impl(net::Transport* transport) const {
         .set(static_cast<double>(runtime.max_table_size()));
     obs::publish_membership_counters(*reg, runtime.counters());
     obs::publish_channel_stats(*reg, runtime.channel_stats());
-    obs::publish_transport_stats(*reg, runtime.transport_stats());
+    obs::publish_transport_stats(*reg, transport.stats());
     obs::publish_net_memory(*reg, runtime.memory_footprint());
     // ---- The summary, read back out of the registry. The two 64-bit
     // digests stay direct: they are identities, not measurements, and a
@@ -309,13 +310,10 @@ NetRunSummary ScenarioRunner::run_net_impl(net::Transport* transport) const {
   };
   if (is_dynamic(s_)) {
     dynamics::DynamicNetwork dyn = make_dynamic_network(s_.run.seed);
-    net::DistributedRuntime runtime(dyn.ecg(), *model_, net_cfg);
+    net::DistributedRuntime runtime(dyn.ecg(), *model_, net_cfg, transport);
     drive(runtime, &dyn);
-  } else if (transport != nullptr) {
-    net::DistributedRuntime runtime(ecg_, *model_, net_cfg, *transport);
-    drive(runtime, nullptr);
   } else {
-    net::DistributedRuntime runtime(ecg_, *model_, net_cfg);
+    net::DistributedRuntime runtime(ecg_, *model_, net_cfg, transport);
     drive(runtime, nullptr);
   }
   return out;

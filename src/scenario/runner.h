@@ -154,8 +154,9 @@ class ScenarioRunner {
  private:
   struct Parts;  // built graph + model, carried into the delegate ctor
   explicit ScenarioRunner(Parts parts);
-  /// Shared body of run_net / run_net_sharded (transport null = classic).
-  NetRunSummary run_net_impl(net::Transport* transport) const;
+  /// Shared body of run_net (one shard over a LoopbackTransport) and
+  /// run_net_sharded.
+  NetRunSummary run_net_impl(net::Transport& transport) const;
   static Parts make_parts(Scenario s);
   static Parts make_parts(Scenario s, ConflictGraph network);
 

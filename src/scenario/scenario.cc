@@ -575,9 +575,9 @@ SimulationConfig to_simulation_config(const Scenario& s) {
 
 // ------------------------------------------------------- enum <-> string
 
-// One table per enum: from_string, _key, and _keys all derive from it, so
-// adding a kind updates parsing, serialization, error messages, and the
-// CLI's `list` output together.
+// One table per enum: from_string (and _key / _keys, where they exist) all
+// derive from it, so adding a kind updates parsing, serialization, error
+// messages, and the CLI's `list` output together.
 namespace {
 
 constexpr std::pair<const char*, SolverKind> kSolverKinds[] = {
@@ -590,6 +590,25 @@ constexpr std::pair<const char*, SolverKind> kSolverKinds[] = {
 constexpr std::pair<const char*, LocalSolverKind> kLocalSolvers[] = {
     {"exact", LocalSolverKind::kExact},
     {"greedy", LocalSolverKind::kGreedy},
+};
+
+constexpr std::pair<const char*, PolicyKind> kPolicyKinds[] = {
+    {"cab", PolicyKind::kCab},
+    {"llr", PolicyKind::kLlr},
+    {"ucb1", PolicyKind::kUcb1},
+    {"greedy", PolicyKind::kGreedy},
+    {"eps", PolicyKind::kEpsGreedy},
+    {"thompson", PolicyKind::kThompson},
+};
+
+constexpr std::pair<const char*, net::MembershipMode> kMembershipModes[] = {
+    {"omniscient", net::MembershipMode::kOmniscient},
+    {"view_sync", net::MembershipMode::kViewSync},
+};
+
+constexpr std::pair<const char*, TransportKind> kTransportKinds[] = {
+    {"inprocess", TransportKind::kInProcess},
+    {"udp", TransportKind::kUdp},
 };
 
 template <typename Table>
@@ -638,57 +657,25 @@ const char* local_solver_key(LocalSolverKind kind) {
 }
 
 PolicyKind policy_kind_from_string(const std::string& s) {
-  if (s == "cab") return PolicyKind::kCab;
-  if (s == "llr") return PolicyKind::kLlr;
-  if (s == "ucb1") return PolicyKind::kUcb1;
-  if (s == "greedy") return PolicyKind::kGreedy;
-  if (s == "eps") return PolicyKind::kEpsGreedy;
-  if (s == "thompson") return PolicyKind::kThompson;
+  for (const auto& [key, kind] : kPolicyKinds)
+    if (s == key) return kind;
   throw ScenarioError("policy '" + s +
-                      "' has no built-in PolicyKind; built-ins: cab, llr, "
-                      "ucb1, greedy, eps, thompson");
-}
-
-const char* policy_kind_key(PolicyKind kind) {
-  switch (kind) {
-    case PolicyKind::kCab: return "cab";
-    case PolicyKind::kLlr: return "llr";
-    case PolicyKind::kUcb1: return "ucb1";
-    case PolicyKind::kGreedy: return "greedy";
-    case PolicyKind::kEpsGreedy: return "eps";
-    case PolicyKind::kThompson: return "thompson";
-  }
-  return "?";
+                      "' has no built-in PolicyKind; built-ins: " +
+                      join_keys(table_keys(kPolicyKinds)));
 }
 
 net::MembershipMode membership_mode_from_string(const std::string& s) {
-  if (s == "omniscient") return net::MembershipMode::kOmniscient;
-  if (s == "view_sync") return net::MembershipMode::kViewSync;
+  for (const auto& [key, mode] : kMembershipModes)
+    if (s == key) return mode;
   throw ScenarioError("unknown net.membership '" + s +
-                      "'; valid: omniscient, view_sync");
-}
-
-const char* membership_mode_key(net::MembershipMode mode) {
-  switch (mode) {
-    case net::MembershipMode::kOmniscient: return "omniscient";
-    case net::MembershipMode::kViewSync: return "view_sync";
-  }
-  return "?";
+                      "'; valid: " + join_keys(table_keys(kMembershipModes)));
 }
 
 TransportKind transport_kind_from_string(const std::string& s) {
-  if (s == "inprocess") return TransportKind::kInProcess;
-  if (s == "udp") return TransportKind::kUdp;
+  for (const auto& [key, kind] : kTransportKinds)
+    if (s == key) return kind;
   throw ScenarioError("unknown net.transport '" + s +
-                      "'; valid: inprocess, udp");
-}
-
-const char* transport_kind_key(TransportKind kind) {
-  switch (kind) {
-    case TransportKind::kInProcess: return "inprocess";
-    case TransportKind::kUdp: return "udp";
-  }
-  return "?";
+                      "'; valid: " + join_keys(table_keys(kTransportKinds)));
 }
 
 }  // namespace mhca::scenario

@@ -106,10 +106,10 @@ struct NetSpec {
   net::FaultProfile faults;
   std::string membership = "omniscient";
   net::LivenessParams liveness;
-  /// How the --net runtime moves encoded floods: "inprocess" (every flood
-  /// still round-trips through wire bytes) or "udp" (one real process per
-  /// shard on loopback sockets; see net/transport.h). String form of
-  /// TransportKind.
+  /// How the --net runtime moves encoded floods: "inprocess" (one process
+  /// over a loopback transport; every flood still round-trips through wire
+  /// bytes) or "udp" (one real process per shard on loopback sockets; see
+  /// net/transport.h). String form of TransportKind.
   std::string transport = "inprocess";
   /// Datagram size limit for fragment accounting and the UDP transport;
   /// pinned to net::wire::kDefaultMtu / net::NetConfig by static_asserts.
@@ -209,11 +209,9 @@ const std::vector<std::string>& local_solver_keys();
 /// compatibility shims and the message-level runtime config). Throws for
 /// registry keys without an enum value (user-registered policies).
 PolicyKind policy_kind_from_string(const std::string& s);
-const char* policy_kind_key(PolicyKind kind);
-/// net.membership <-> net::MembershipMode ("omniscient" | "view_sync").
+/// net.membership ("omniscient" | "view_sync") -> net::MembershipMode.
 /// Throws ScenarioError listing the valid keys on anything else.
 net::MembershipMode membership_mode_from_string(const std::string& s);
-const char* membership_mode_key(net::MembershipMode mode);
 
 /// How a --net run moves its encoded floods (net.transport).
 enum class TransportKind {
@@ -221,9 +219,8 @@ enum class TransportKind {
   kUdp,        ///< One process per shard over loopback UDP sockets.
 };
 
-/// net.transport <-> TransportKind ("inprocess" | "udp").
+/// net.transport ("inprocess" | "udp") -> TransportKind.
 /// Throws ScenarioError listing the valid keys on anything else.
 TransportKind transport_kind_from_string(const std::string& s);
-const char* transport_kind_key(TransportKind kind);
 
 }  // namespace mhca::scenario

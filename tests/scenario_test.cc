@@ -302,6 +302,24 @@ TEST(ScenarioErrors, BadMembershipModeListsValidKeys) {
   EXPECT_TRUE(message_contains(msg, "omniscient"));
 }
 
+TEST(ScenarioErrors, EnumKeyErrorsListEveryTableEntry) {
+  // Each message is built from its mapping table; pin the exact text.
+  EXPECT_EQ(error_message([] { scenario::policy_kind_from_string("x"); }),
+            "policy 'x' has no built-in PolicyKind; built-ins: cab, llr, "
+            "ucb1, greedy, eps, thompson");
+  EXPECT_EQ(
+      error_message([] { scenario::membership_mode_from_string("x"); }),
+      "unknown net.membership 'x'; valid: omniscient, view_sync");
+  EXPECT_EQ(
+      error_message([] { scenario::transport_kind_from_string("x"); }),
+      "unknown net.transport 'x'; valid: inprocess, udp");
+  EXPECT_EQ(scenario::policy_kind_from_string("eps"), PolicyKind::kEpsGreedy);
+  EXPECT_EQ(scenario::membership_mode_from_string("view_sync"),
+            net::MembershipMode::kViewSync);
+  EXPECT_EQ(scenario::transport_kind_from_string("udp"),
+            scenario::TransportKind::kUdp);
+}
+
 TEST(ScenarioErrors, BadOverrideSyntax) {
   Scenario s;
   EXPECT_THROW(scenario::apply_override(s, "policy.kind"), ScenarioError);

@@ -551,6 +551,11 @@ int cmd_run(const Options& o) {
                 " needs --shard K/N to say which shard this process is");
         shard_index = 0;  // degenerate single-shard socket run
       }
+      // Shard k binds port_base + k, so all N ports must fit below 65536.
+      if (o.port_base > 65536 - s.net.shard)
+        usage("--port-base " + std::to_string(o.port_base) + " with " +
+              std::to_string(s.net.shard) + " shards wants a port in [1, " +
+              std::to_string(65536 - s.net.shard) + "]");
       net::UdpOptions opts;
       if (o.port_base > 0) opts.port_base = o.port_base;
       opts.mtu = s.net.mtu;
