@@ -19,12 +19,13 @@
 // winner validation that once hid 742 ms per decision at 50k vertices)
 // can no longer go unaccounted. The reference has no stage clock.
 //
-// The grid crosses Graph::kAdjacencyMatrixLimit (8192): the large-n cells
-// run without a dense adjacency matrix — sharded sparse rows feed the
-// solver gather, and the incremental SoA election carries candidate sets
-// across mini-rounds — demonstrating that the decision path no longer has
-// an 8192-vertex wall. `--smoke` shrinks the grid for CI (one modest
-// beyond-the-limit cell instead of the 50k-vertex one).
+// The grid crosses NeighborhoodCache::kExplicitTierLimit (8192): the
+// large-n cells run the implicit e-ball tier (ball sizes only, membership
+// re-enumerated by BFS), the solver gathers from CSR rows at every size, and
+// the incremental SoA election carries candidate sets across mini-rounds —
+// demonstrating that the decision path has no 8192-vertex wall. `--smoke`
+// shrinks the grid for CI (one modest beyond-the-limit cell instead of the
+// 50k-vertex one).
 //
 // Emits a human-readable table on stdout and machine-readable JSON (default
 // BENCH_decision_path.json, or argv[1]) so the perf trajectory of the
@@ -497,12 +498,12 @@ int main(int argc, char** argv) {
     for (int r : {1, 2, 3})
       grid.push_back({users, r, users >= 800 ? 16 : (users >= 200 ? 12 : 20)});
   if (smoke) {
-    // CI: one cell past the dense-matrix limit proves the sharded path.
+    // CI: one cell past the tier limit proves the implicit e-ball tier.
     grid.push_back({2300, 2, 3});
   } else {
     // The former 8192-vertex wall and well past it (50k, then 100k H
-    // vertices — the 100k cell is pure sparse-row regime and exists
-    // because the linear winner validation made it affordable).
+    // vertices — the 100k cell exists because the linear winner
+    // validation made it affordable).
     grid.push_back({3200, 2, 4});
     grid.push_back({3200, 3, 4});
     grid.push_back({12500, 2, 3});

@@ -10,8 +10,8 @@
 // runtime's scoped rediscovery).
 //
 // Two maintenance modes, selected by `incremental`:
-//   true  (default) — Graph::apply_delta patches the CSR/bitset structures
-//           in place; per-slot cost scales with the blast radius.
+//   true  (default) — Graph::apply_delta patches the CSR arrays in place;
+//           per-slot cost scales with the blast radius.
 //   false — reference mode: G is rebuilt from its new edge set from scratch
 //           and H re-derived from G, exactly as a cold start would. The two
 //           modes are byte-identical by construction *and* by test

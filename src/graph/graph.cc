@@ -35,7 +35,6 @@ void Graph::finalize() {
               edges_.begin() + static_cast<std::ptrdiff_t>(offsets_[v]));
   adj_.clear();
   adj_.shrink_to_fit();
-  pack_rows();
 }
 
 Graph Graph::from_claims(int n, std::span<const std::int64_t> offsets,
@@ -87,66 +86,7 @@ Graph Graph::from_claims(int n, std::span<const std::int64_t> offsets,
   half.resize(static_cast<std::size_t>(out - half.begin()));
   half.shrink_to_fit();
   g.edges_ = std::move(half);
-  g.pack_rows();
   return g;
-}
-
-void Graph::pack_rows() {
-  const auto n = static_cast<std::size_t>(n_);
-  if (n_ > 0 && n_ <= kAdjacencyMatrixLimit) {
-    row_blocks_ = (n + 63) / 64;
-    bits_.assign(n * row_blocks_, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      std::uint64_t* row = bits_.data() + v * row_blocks_;
-      for (int u : neighbors(static_cast<int>(v))) {
-        const auto ui = static_cast<std::size_t>(u);
-        row[ui / 64] |= (std::uint64_t{1} << (ui % 64));
-      }
-    }
-  } else if (n_ > kAdjacencyMatrixLimit) {
-    build_sparse_rows();
-  }
-}
-
-void Graph::append_sparse_row(int v, std::vector<int>& blocks,
-                              std::vector<std::uint64_t>& words) const {
-  // Neighbors are sorted, so equal-block runs are contiguous: one output
-  // entry per run.
-  int cur_block = -1;
-  std::uint64_t cur_word = 0;
-  for (int u : neighbors(v)) {
-    const int b = u / 64;
-    if (b != cur_block) {
-      if (cur_block >= 0) {
-        blocks.push_back(cur_block);
-        words.push_back(cur_word);
-      }
-      cur_block = b;
-      cur_word = 0;
-    }
-    cur_word |= std::uint64_t{1} << (u % 64);
-  }
-  if (cur_block >= 0) {
-    blocks.push_back(cur_block);
-    words.push_back(cur_word);
-  }
-}
-
-void Graph::build_sparse_rows() {
-  const auto n = static_cast<std::size_t>(n_);
-  srow_offsets_.assign(n + 1, 0);
-  srow_blocks_.clear();
-  srow_words_.clear();
-  // A row has at most deg(v) nonzero blocks; reserving 2|E| upper-bounds it.
-  srow_blocks_.reserve(edges_.size());
-  srow_words_.reserve(edges_.size());
-  for (int v = 0; v < n_; ++v) {
-    append_sparse_row(v, srow_blocks_, srow_words_);
-    srow_offsets_[static_cast<std::size_t>(v) + 1] =
-        static_cast<std::int64_t>(srow_blocks_.size());
-  }
-  srow_blocks_.shrink_to_fit();
-  srow_words_.shrink_to_fit();
 }
 
 void Graph::apply_delta(std::span<const std::pair<int, int>> added,
@@ -221,51 +161,6 @@ void Graph::apply_delta(std::span<const std::pair<int, int>> added,
               "apply_delta: unconsumed edge changes");
   offsets_ = std::move(new_offsets);
   edges_ = std::move(new_edges);
-
-  if (has_adjacency_matrix()) {
-    const auto set_bit = [&](int a, int b, bool on) {
-      const auto bi = static_cast<std::size_t>(b);
-      std::uint64_t& word =
-          bits_[static_cast<std::size_t>(a) * row_blocks_ + bi / 64];
-      const std::uint64_t mask = std::uint64_t{1} << (bi % 64);
-      if (on)
-        word |= mask;
-      else
-        word &= ~mask;
-    };
-    for (const auto& [a, b] : add2) set_bit(a, b, true);
-    for (const auto& [a, b] : rem2) set_bit(a, b, false);
-  }
-
-  if (has_sparse_rows()) {
-    // One pass over the rows: unchanged rows bulk-copy their old block run,
-    // rows incident to a change rebuild from the (already rewritten) CSR.
-    std::vector<char> row_changed(n, 0);
-    for (const auto& [a, b] : add2)
-      row_changed[static_cast<std::size_t>(a)] = 1;
-    for (const auto& [a, b] : rem2)
-      row_changed[static_cast<std::size_t>(a)] = 1;
-    std::vector<std::int64_t> new_off(n + 1, 0);
-    std::vector<int> new_blocks;
-    std::vector<std::uint64_t> new_words;
-    new_blocks.reserve(srow_blocks_.size() + add2.size());
-    new_words.reserve(srow_words_.size() + add2.size());
-    for (int v = 0; v < n_; ++v) {
-      if (row_changed[static_cast<std::size_t>(v)]) {
-        append_sparse_row(v, new_blocks, new_words);
-      } else {
-        const auto bs = sparse_row_blocks(v);
-        const auto ws = sparse_row_words(v);
-        new_blocks.insert(new_blocks.end(), bs.begin(), bs.end());
-        new_words.insert(new_words.end(), ws.begin(), ws.end());
-      }
-      new_off[static_cast<std::size_t>(v) + 1] =
-          static_cast<std::int64_t>(new_blocks.size());
-    }
-    srow_offsets_ = std::move(new_off);
-    srow_blocks_ = std::move(new_blocks);
-    srow_words_ = std::move(new_words);
-  }
 }
 
 void Graph::definalize() {
@@ -276,31 +171,10 @@ void Graph::definalize() {
   }
   offsets_.clear();
   edges_.clear();
-  bits_.clear();
-  row_blocks_ = 0;
-  srow_offsets_.clear();
-  srow_blocks_.clear();
-  srow_words_.clear();
 }
 
 bool Graph::has_edge(int u, int v) const {
   if (u < 0 || v < 0 || u >= size() || v >= size() || u == v) return false;
-  if (has_adjacency_matrix()) {
-    const auto vi = static_cast<std::size_t>(v);
-    return (bits_[static_cast<std::size_t>(u) * row_blocks_ + vi / 64] >>
-            (vi % 64)) &
-           1u;
-  }
-  if (has_sparse_rows()) {
-    // Search the shorter row's O(deg) block list for v's column block.
-    if (degree(u) > degree(v)) std::swap(u, v);
-    const auto blocks = sparse_row_blocks(u);
-    const int vb = v / 64;
-    const auto it = std::lower_bound(blocks.begin(), blocks.end(), vb);
-    if (it == blocks.end() || *it != vb) return false;
-    const auto k = static_cast<std::size_t>(it - blocks.begin());
-    return (sparse_row_words(u)[k] >> (v % 64)) & 1u;
-  }
   const auto nu = neighbors(u);
   const auto nv = neighbors(v);
   const auto shorter = nu.size() <= nv.size() ? nu : nv;
@@ -319,9 +193,7 @@ std::int64_t Graph::resident_bytes() const {
   const auto bytes = [](const auto& vec) {
     return static_cast<std::int64_t>(vec.size() * sizeof(vec[0]));
   };
-  std::int64_t total = bytes(adj_) + bytes(offsets_) + bytes(edges_) +
-                       bytes(bits_) + bytes(srow_offsets_) +
-                       bytes(srow_blocks_) + bytes(srow_words_);
+  std::int64_t total = bytes(adj_) + bytes(offsets_) + bytes(edges_);
   for (const auto& a : adj_) total += bytes(a);
   return total;
 }

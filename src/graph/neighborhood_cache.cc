@@ -42,8 +42,7 @@ NeighborhoodCache::EballTier NeighborhoodCache::select_eball_tier(int n) {
                     "(unset = by size)");
     return EballTier::kImplicit;
   }
-  return n <= Graph::kAdjacencyMatrixLimit ? EballTier::kExplicit
-                                           : EballTier::kImplicit;
+  return n <= kExplicitTierLimit ? EballTier::kExplicit : EballTier::kImplicit;
 }
 
 NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)

@@ -8,10 +8,9 @@
 // instead of re-flooding max-relaxation rounds and re-running BFS per
 // leader.
 //
-// The election-ball layer is *tiered*, selected per graph the same way
-// `Graph::finalize()` selects dense-vs-sparse adjacency:
+// The election-ball layer is *tiered*, selected per graph by size:
 //
-//   - kExplicit (n <= Graph::kAdjacencyMatrixLimit): every (2r+1)-ball is a
+//   - kExplicit (n <= kExplicitTierLimit): every (2r+1)-ball is a
 //     stored int32 CSR span, as the r-balls always are. Fast to scan, and
 //     cheap at small n.
 //   - kImplicit (larger graphs): only the per-vertex ball *size* is stored
@@ -48,6 +47,9 @@ class NeighborhoodCache {
  public:
   enum class EballTier { kExplicit, kImplicit };
 
+  /// Largest n for which the size rule picks the explicit e-ball tier.
+  static constexpr int kExplicitTierLimit = 8192;
+
   NeighborhoodCache() = default;
 
   /// Precompute, for every vertex v of g, the sorted r-hop ball J_r(v)
@@ -74,9 +76,8 @@ class NeighborhoodCache {
 
   /// Tier the constructor will pick for an n-vertex graph: the
   /// MHCA_EBALL_TIER override if set, else explicit iff
-  /// n <= Graph::kAdjacencyMatrixLimit (the same threshold that selects the
-  /// dense adjacency representation). Throws std::logic_error naming the
-  /// valid values if the override is set to anything else.
+  /// n <= kExplicitTierLimit. Throws std::logic_error naming the valid
+  /// values if the override is set to anything else.
   static EballTier select_eball_tier(int n);
 
   /// Effective worker count the build will use for `parallelism` on an

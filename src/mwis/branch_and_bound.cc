@@ -31,13 +31,7 @@ class Search {
     }
     blocks_ = (n_ + 63) / 64;
     s_.adj.assign(n_ * blocks_, 0);
-    if (g.has_adjacency_matrix()) {
-      build_adjacency_from_rows(g);
-    } else if (g.has_sparse_rows()) {
-      build_adjacency_from_sparse_rows(g);
-    } else {
-      build_adjacency_from_lists(g);
-    }
+    build_adjacency(g);
   }
 
   MwisResult run() {
@@ -56,78 +50,26 @@ class Search {
 
   // ---------------------------------------------------------------- build
 
-  /// Unfinalized graphs: scan each candidate's (typically short) neighbor
-  /// list against the sorted candidate array.
-  void build_adjacency_from_lists(const Graph& g) {
-    for (std::size_t i = 0; i < n_; ++i) {
-      for (int u : g.neighbors(s_.cands[i])) {
-        const auto it =
-            std::lower_bound(s_.cands.begin(), s_.cands.end(), u);
-        if (it != s_.cands.end() && *it == u) {
-          const auto j = static_cast<std::size_t>(it - s_.cands.begin());
-          s_.adj[i * blocks_ + j / 64] |= (std::uint64_t{1} << (j % 64));
-        }
-      }
-    }
-  }
-
-  /// Fast path: mask each candidate's packed adjacency row with the global
-  /// candidate bitset, then remap surviving bits to local ids. Stale
+  /// Mark the candidates in a global bitset, then keep each candidate's
+  /// neighbors whose bit is set, remapped to local ids. Stale
   /// `global_to_local` entries from earlier solves are harmless — only ids
   /// whose `cand_mask` bit was set *this* build are ever looked up.
-  void build_adjacency_from_rows(const Graph& g) {
-    const std::size_t gb = g.row_blocks();
-    s_.cand_mask.assign(gb, 0);
-    if (s_.global_to_local.size() < static_cast<std::size_t>(g.size()))
-      s_.global_to_local.resize(static_cast<std::size_t>(g.size()));
+  void build_adjacency(const Graph& g) {
+    const auto gn = static_cast<std::size_t>(g.size());
+    s_.cand_mask.assign((gn + 63) / 64, 0);
+    if (s_.global_to_local.size() < gn) s_.global_to_local.resize(gn);
     for (std::size_t i = 0; i < n_; ++i) {
       const auto gi = static_cast<std::size_t>(s_.cands[i]);
       s_.cand_mask[gi / 64] |= (std::uint64_t{1} << (gi % 64));
       s_.global_to_local[gi] = static_cast<int>(i);
     }
     for (std::size_t i = 0; i < n_; ++i) {
-      const auto row = g.adjacency_row(s_.cands[i]);
       std::uint64_t* out = &s_.adj[i * blocks_];
-      for (std::size_t b = 0; b < gb; ++b) {
-        std::uint64_t word = row[b] & s_.cand_mask[b];
-        while (word != 0) {
-          const auto gu = b * 64 + static_cast<std::size_t>(
-                                       std::countr_zero(word));
+      for (int u : g.neighbors(s_.cands[i])) {
+        const auto gu = static_cast<std::size_t>(u);
+        if ((s_.cand_mask[gu / 64] >> (gu % 64)) & 1u) {
           const auto j = static_cast<std::size_t>(s_.global_to_local[gu]);
           out[j / 64] |= (std::uint64_t{1} << (j % 64));
-          word &= word - 1;
-        }
-      }
-    }
-  }
-
-  /// Sharded fast path (n beyond the dense-matrix limit): mask each
-  /// candidate's stored nonzero blocks against a full-width candidate
-  /// bitset and remap the surviving bits to local ids — O(row blocks) per
-  /// row, exactly the dense gather restricted to the blocks that exist.
-  void build_adjacency_from_sparse_rows(const Graph& g) {
-    const std::size_t gb = (static_cast<std::size_t>(g.size()) + 63) / 64;
-    s_.cand_mask.assign(gb, 0);
-    if (s_.global_to_local.size() < static_cast<std::size_t>(g.size()))
-      s_.global_to_local.resize(static_cast<std::size_t>(g.size()));
-    for (std::size_t i = 0; i < n_; ++i) {
-      const auto gi = static_cast<std::size_t>(s_.cands[i]);
-      s_.cand_mask[gi / 64] |= (std::uint64_t{1} << (gi % 64));
-      s_.global_to_local[gi] = static_cast<int>(i);
-    }
-    for (std::size_t i = 0; i < n_; ++i) {
-      const auto row_blocks = g.sparse_row_blocks(s_.cands[i]);
-      const auto row_words = g.sparse_row_words(s_.cands[i]);
-      std::uint64_t* out = &s_.adj[i * blocks_];
-      for (std::size_t k = 0; k < row_blocks.size(); ++k) {
-        const auto b = static_cast<std::size_t>(row_blocks[k]);
-        std::uint64_t word = row_words[k] & s_.cand_mask[b];
-        while (word != 0) {
-          const auto gu = b * 64 + static_cast<std::size_t>(
-                                       std::countr_zero(word));
-          const auto j = static_cast<std::size_t>(s_.global_to_local[gu]);
-          out[j / 64] |= (std::uint64_t{1} << (j % 64));
-          word &= word - 1;
         }
       }
     }

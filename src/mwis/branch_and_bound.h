@@ -25,12 +25,12 @@
 // Repeated solves (one per leader per decision slot) dominate the decision
 // path, so the per-solve working set lives in a `SolveScratch` whose buffers
 // are reused across solves (the solver's own for `solve`, a caller-owned
-// one for `solve_with_scratch`). The graph decides where local adjacency
-// comes from: a finalized graph's packed rows (mask + remap), an
-// unfinalized graph's build-phase lists (per-neighbor binary search) — the
-// same bits either way. Reuse contract: a scratch may be shared by solves
-// over *different* graphs and candidate sets (buffers resize as needed) but
-// never by two solves concurrently.
+// one for `solve_with_scratch`). Local adjacency is gathered the same way
+// for every graph, finalized or not: each candidate's neighbor row is
+// filtered through a global candidate bitset and remapped to local ids.
+// Reuse contract: a scratch may be shared by solves over *different* graphs
+// and candidate sets (buffers resize as needed) but never by two solves
+// concurrently.
 #pragma once
 
 #include <cstdint>

@@ -188,7 +188,7 @@ class VertexAgent {
   }
 
   /// Resident bytes of this agent's member list, of its table columns and
-  /// of its local graph (bitset matrix included) — the net.mem.* gauges.
+  /// of its local graph — the net.mem.* gauges.
   std::int64_t member_list_bytes() const;
   std::int64_t table_bytes() const;
   std::int64_t local_graph_bytes() const {

@@ -89,7 +89,7 @@ struct NetRoundResult {
 
 /// Resident bytes of the runtime's per-structure state (the net.mem.*
 /// gauges, obs/publish.h): every agent's member list, table columns and
-/// local graph (bitset matrix included), and the runtime's index memo.
+/// local graph, and the runtime's index memo.
 struct MemoryFootprint {
   std::int64_t member_lists = 0;
   std::int64_t tables = 0;

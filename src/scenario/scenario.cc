@@ -474,7 +474,7 @@ void validate_fields(const Scenario& s) {
   // with the key name *and the offending value* instead of letting the
   // assert fire three layers down.
   const auto check_prob = [](double p, const char* key) {
-    if (p < 0.0 || p >= 1.0)
+    if (!(p >= 0.0 && p < 1.0))  // NaN fails both comparisons
       throw ScenarioError(std::string("net.") + key + " = " +
                           format_double(p) + " is outside the supported "
                           "[0, 1) range");

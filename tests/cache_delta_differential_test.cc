@@ -153,10 +153,10 @@ TEST(CacheDeltaDifferential, EveryVertexMatchesFreshBuildOnBothTiers) {
   }
 }
 
-TEST(CacheDeltaDifferential, EveryVertexMatchesFreshBuildPastTheMatrixLimit) {
-  // The sparse-row graph representation with the tier the size rule picks
+TEST(CacheDeltaDifferential, EveryVertexMatchesFreshBuildPastTheTierLimit) {
+  // A graph past the tier limit, with the tier the size rule picks
   // (implicit): every vertex, not a sample.
-  const int n = Graph::kAdjacencyMatrixLimit + 40;
+  const int n = NeighborhoodCache::kExplicitTierLimit + 40;
   Rng rng(4343);
   std::set<Edge> present;
   for (int i = 0; i + 1 < n; ++i) present.insert({i, i + 1});
@@ -167,7 +167,6 @@ TEST(CacheDeltaDifferential, EveryVertexMatchesFreshBuildPastTheMatrixLimit) {
     present.insert({u, v});
   }
   const Graph g = from_edges(n, present);
-  ASSERT_TRUE(g.has_sparse_rows());
   ASSERT_EQ(NeighborhoodCache::select_eball_tier(n), Tier::kImplicit);
   for (const int workers : {1, 4}) {
     SCOPED_TRACE("workers " + std::to_string(workers));

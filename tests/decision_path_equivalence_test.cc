@@ -1,4 +1,4 @@
-// Equivalence tests for the decision path: the engine (CSR/bitset graph,
+// Equivalence tests for the decision path: the engine (CSR graph,
 // NeighborhoodCache election, scratch-reuse B&B) must produce
 // byte-identical results to the seed re-derivation reference
 // (tests/reference/seed_ptas.h) on every topology and configuration —
@@ -244,7 +244,6 @@ TEST(SolveScratch, ReusedScratchMatchesFreshAllocation) {
   ConflictGraph cg = random_geometric_avg_degree(30, 6.0, rng);
   ExtendedConflictGraph ecg(cg, 4);
   const Graph& h = ecg.graph();
-  ASSERT_TRUE(h.has_adjacency_matrix());
 
   BranchAndBoundMwisSolver solver(200'000);
   NeighborhoodCache cache(h, 2);
@@ -313,7 +312,7 @@ TEST(SolveScratch, ExternalScratchSharedAcrossGraphs) {
       std::vector<int> all(static_cast<std::size_t>(g->size()));
       for (int v = 0; v < g->size(); ++v) all[static_cast<std::size_t>(v)] = v;
       const MwisResult a = solver.solve_with_scratch(*g, w, all, scratch);
-      // The list-scan build: same instance on an unfinalized copy.
+      // Same instance on an unfinalized copy.
       const Graph lists = reference::unfinalized_copy(*g);
       SolveScratch fresh_scratch;
       const MwisResult b =
@@ -365,7 +364,6 @@ TEST(GraphCsr, FinalizedAnswersMatchBuildPhase) {
   ConflictGraph cg = erdos_renyi(25, 0.25, rng);
   const Graph& fin = cg.graph();  // factories finalize
   ASSERT_TRUE(fin.finalized());
-  ASSERT_TRUE(fin.has_adjacency_matrix());
 
   // Rebuild the same graph without finalizing.
   Graph raw(fin.size());
@@ -382,23 +380,6 @@ TEST(GraphCsr, FinalizedAnswersMatchBuildPhase) {
     ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
     for (int u = 0; u < fin.size(); ++u)
       ASSERT_EQ(raw.has_edge(v, u), fin.has_edge(v, u));
-  }
-}
-
-TEST(GraphCsr, AdjacencyRowsMatchHasEdge) {
-  Rng rng(29);
-  ConflictGraph cg = random_geometric_avg_degree(20, 4.0, rng);
-  ExtendedConflictGraph ecg(cg, 3);
-  const Graph& h = ecg.graph();
-  ASSERT_TRUE(h.has_adjacency_matrix());
-  for (int v = 0; v < h.size(); ++v) {
-    const auto row = h.adjacency_row(v);
-    for (int u = 0; u < h.size(); ++u) {
-      const bool bit = (row[static_cast<std::size_t>(u) / 64] >>
-                        (static_cast<std::size_t>(u) % 64)) &
-                       1u;
-      ASSERT_EQ(bit, h.has_edge(v, u));
-    }
   }
 }
 

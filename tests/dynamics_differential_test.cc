@@ -2,13 +2,12 @@
 //
 // The claim under test (the dynamics subsystem's load-bearing wall): for
 // ANY sequence of graph deltas, patching in place — Graph::apply_delta on
-// the CSR/bitset structures plus NeighborhoodCache::apply_delta's scoped
+// the CSR arrays plus NeighborhoodCache::apply_delta's scoped
 // ball invalidation — is *byte-identical* to throwing everything away and
 // rebuilding from scratch every slot. Three layers of evidence:
 //
 //   1. Structural: random delta sequences applied to a Graph equal a
-//      from-scratch rebuild of the same edge set, row by row and bit by bit,
-//      and a cache maintained by apply_delta equals a fresh cache.
+//      from-scratch rebuild of the same edge set, row by row, and a cache maintained by apply_delta equals a fresh cache.
 //   2. Engine: a DistributedRobustPtas kept alive across deltas via
 //      on_graph_delta() takes byte-identical decisions (winners + weight +
 //      message accounting) to a fresh engine per delta.
@@ -145,12 +144,6 @@ TEST(DynamicsDifferential, GraphAndCacheMatchFreshBuildOnRandomSequences) {
         const auto nb = rebuilt.neighbors(v);
         ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
             << "row " << v << " diverged at delta " << d;
-        if (g.has_adjacency_matrix()) {
-          const auto ra = g.adjacency_row(v);
-          const auto rb = rebuilt.adjacency_row(v);
-          ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
-              << "bitset row " << v << " diverged at delta " << d;
-        }
       }
       const NeighborhoodCache fresh(rebuilt, r);
       for (int v = 0; v < n; ++v) {
@@ -169,15 +162,15 @@ TEST(DynamicsDifferential, GraphAndCacheMatchFreshBuildOnRandomSequences) {
   }
 }
 
-TEST(DynamicsDifferential, SparseRowGraphMatchesFreshBuildBeyondMatrixLimit) {
-  // Same structural claim past the dense-matrix limit: apply_delta must
-  // keep the sharded sparse rows (and the cache built over them) identical
-  // to a cold rebuild. One sparse graph, many deltas — the n > 8192 build
-  // is the expensive part, the deltas are cheap.
-  const int n = Graph::kAdjacencyMatrixLimit + 40;
+TEST(DynamicsDifferential, GraphMatchesFreshBuildBeyondTierLimit) {
+  // Same structural claim past the explicit e-ball tier: apply_delta must
+  // keep the CSR rows (and the implicit-tier cache built over them)
+  // identical to a cold rebuild. One large graph, many deltas — the
+  // n > 8192 build is the expensive part, the deltas are cheap.
+  const int n = NeighborhoodCache::kExplicitTierLimit + 40;
   Rng rng(4242);
   std::set<std::pair<int, int>> present;
-  // A long path keeps balls nontrivial; random chords stress the blocks.
+  // A long path keeps balls nontrivial; random chords span the id range.
   for (int i = 0; i + 1 < 400; ++i) present.insert({i, i + 1});
   for (int t = 0; t < 300; ++t) {
     int u = rng.uniform_int(0, n - 1), v = rng.uniform_int(0, n - 1);
@@ -187,7 +180,6 @@ TEST(DynamicsDifferential, SparseRowGraphMatchesFreshBuildBeyondMatrixLimit) {
   }
   Graph g = from_edge_list(
       n, std::vector<std::pair<int, int>>(present.begin(), present.end()));
-  ASSERT_TRUE(g.has_sparse_rows());
   NeighborhoodCache cache(g, 1);
 
   std::vector<std::pair<int, int>> added, removed;
@@ -199,17 +191,12 @@ TEST(DynamicsDifferential, SparseRowGraphMatchesFreshBuildBeyondMatrixLimit) {
 
     const Graph rebuilt = from_edge_list(
         n, std::vector<std::pair<int, int>>(present.begin(), present.end()));
-    ASSERT_TRUE(rebuilt.has_sparse_rows());
     ASSERT_EQ(g.num_edges(), rebuilt.num_edges());
     for (int v = 0; v < n; ++v) {
-      const auto ba = g.sparse_row_blocks(v);
-      const auto bb = rebuilt.sparse_row_blocks(v);
-      ASSERT_TRUE(std::equal(ba.begin(), ba.end(), bb.begin(), bb.end()))
-          << "sparse blocks of row " << v << " diverged at delta " << d;
-      const auto wa = g.sparse_row_words(v);
-      const auto wb = rebuilt.sparse_row_words(v);
-      ASSERT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()))
-          << "sparse words of row " << v << " diverged at delta " << d;
+      const auto na = g.neighbors(v);
+      const auto nb = rebuilt.neighbors(v);
+      ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+          << "row " << v << " diverged at delta " << d;
     }
     // Spot-check cached balls against a fresh bounded BFS (a full fresh
     // cache per delta would dominate the test's runtime).
@@ -221,7 +208,7 @@ TEST(DynamicsDifferential, SparseRowGraphMatchesFreshBuildBeyondMatrixLimit) {
       ASSERT_TRUE(std::equal(ball.begin(), ball.end(), cached.begin(),
                              cached.end()))
           << "ball " << v << " diverged at delta " << d;
-      // This graph is past the matrix limit, so the cache runs the
+      // This graph is past the tier limit, so the cache runs the
       // implicit e-ball tier: apply_delta maintains sizes, not spans.
       scratch.k_hop_neighborhood(g, v, 2 * 1 + 1, ball);
       ASSERT_EQ(cache.election_ball_size(v), static_cast<int>(ball.size()))

@@ -53,16 +53,6 @@ void expect_same_structure(const Graph& a, const Graph& b) {
     ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
         << "row " << v << " differs";
   }
-  ASSERT_EQ(a.has_adjacency_matrix(), b.has_adjacency_matrix());
-  if (a.has_adjacency_matrix()) {
-    ASSERT_EQ(a.row_blocks(), b.row_blocks());
-    for (int v = 0; v < a.size(); ++v) {
-      const auto ra = a.adjacency_row(v);
-      const auto rb = b.adjacency_row(v);
-      ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
-          << "bitset row " << v << " differs";
-    }
-  }
 }
 
 void expect_same_cache(const NeighborhoodCache& a,

@@ -4,9 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "graph/conflict_graph.h"
 #include "graph/extended_graph.h"
@@ -77,6 +80,44 @@ TEST(Graph, IndependentSetCheck) {
   EXPECT_TRUE(g.is_independent_set(good));
   EXPECT_FALSE(g.is_independent_set(bad));
   EXPECT_FALSE(g.is_independent_set(dup));
+}
+
+TEST(Graph, FinalizedGraphHoldsOnlyCsr) {
+  // Every finalized graph, below and just above the e-ball tier limit,
+  // holds exactly its CSR arrays: n + 1 offsets and 2|E| neighbor ids. The
+  // three finalizing builds (finalize, from_claims, apply_delta) agree.
+  const auto csr_bytes = [](const Graph& g) {
+    return static_cast<std::int64_t>(
+        (static_cast<std::size_t>(g.size()) + 1) * sizeof(std::int64_t) +
+        2 * static_cast<std::size_t>(g.num_edges()) * sizeof(int));
+  };
+  for (const int n : {100, NeighborhoodCache::kExplicitTierLimit + 1}) {
+    SCOPED_TRACE("n " + std::to_string(n));
+    Rng rng(static_cast<std::uint64_t>(n));
+    const ConflictGraph cg = random_geometric_avg_degree(
+        n, 5.0, rng, /*force_connected=*/false);
+    const Graph& g = cg.graph();
+    ASSERT_TRUE(g.finalized());
+    ASSERT_GT(g.num_edges(), 0);
+    EXPECT_EQ(g.resident_bytes(), csr_bytes(g));
+
+    std::vector<std::int64_t> offsets{0};
+    std::vector<int> claims;
+    for (int v = 0; v < n; ++v) {
+      for (int u : g.neighbors(v)) claims.push_back(u);
+      offsets.push_back(static_cast<std::int64_t>(claims.size()));
+    }
+    const Graph claimed = Graph::from_claims(n, offsets, claims);
+    EXPECT_EQ(claimed.resident_bytes(), csr_bytes(g));
+
+    Graph patched = claimed;
+    int v = 0;
+    while (patched.degree(v) == 0) ++v;
+    const std::pair<int, int> gone{v, patched.neighbors(v).front()};
+    patched.apply_delta({}, {&gone, 1});
+    EXPECT_EQ(patched.resident_bytes(),
+              csr_bytes(g) - static_cast<std::int64_t>(2 * sizeof(int)));
+  }
 }
 
 TEST(Hop, NeighborhoodsOnPath) {

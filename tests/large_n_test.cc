@@ -1,14 +1,13 @@
-// Large-n smoke: the decision path past the dense-matrix limit.
+// Large-n smoke: the decision path past the explicit e-ball tier.
 //
-// Everything here runs on graphs with more than Graph::kAdjacencyMatrixLimit
-// vertices, where finalize() builds sharded sparse rows instead of the n^2
-// bitset matrix. The claims: (1) the representation selection is what the
+// Everything here runs on graphs with more than
+// NeighborhoodCache::kExplicitTierLimit vertices, where the cache keeps
+// only election-ball sizes. The claims: (1) the tier selection is what the
 // README's rule says, (2) the cached decision path (NeighborhoodCache +
-// sparse-row gather + incremental SoA election) takes byte-identical
-// decisions to the seed re-derivation reference (tests/reference/) at
-// n ≈ 10k and 250k, (3) incremental
-// apply_delta keeps the sharded structures exact, and (4) a default
-// geometric scenario scaled to 50k vertices builds and runs.
+// CSR gather + incremental SoA election) takes byte-identical decisions
+// to the seed re-derivation reference (tests/reference/) at n ≈ 10k and
+// 250k, (3) incremental apply_delta keeps the CSR rows exact, and (4) a
+// default geometric scenario scaled to 50k vertices builds and runs.
 //
 // ctest label "large": runs in the Release CI job only (Debug/ASan jobs
 // filter it out with -LE large — an unoptimized 10k-vertex decision is
@@ -49,43 +48,9 @@ TEST(LargeN, DefaultGeometricScenarioRunsAtFiftyThousandVertices) {
   EXPECT_FALSE(res.last_strategy.empty());
 }
 
-TEST(LargeN, RepresentationSelectionRule) {
-  Rng rng(5);
-  ConflictGraph small = random_geometric_avg_degree(
-      100, 5.0, rng, /*force_connected=*/false);
-  EXPECT_TRUE(small.graph().has_adjacency_matrix());
-  EXPECT_FALSE(small.graph().has_sparse_rows());
-
-  ConflictGraph big = random_geometric_avg_degree(
-      Graph::kAdjacencyMatrixLimit + 100, 5.0, rng, /*force_connected=*/false);
-  EXPECT_FALSE(big.graph().has_adjacency_matrix());
-  EXPECT_TRUE(big.graph().has_sparse_rows());
-
-  // Sparse rows agree with the CSR row for every vertex.
-  const Graph& g = big.graph();
-  std::vector<int> from_sparse;
-  for (int v = 0; v < g.size(); v += 97) {
-    from_sparse.clear();
-    const auto blocks = g.sparse_row_blocks(v);
-    const auto words = g.sparse_row_words(v);
-    ASSERT_EQ(blocks.size(), words.size());
-    for (std::size_t k = 0; k < blocks.size(); ++k) {
-      ASSERT_NE(words[k], 0u) << "stored zero block";
-      if (k > 0) ASSERT_LT(blocks[k - 1], blocks[k]) << "blocks not ascending";
-      for (int b = 0; b < 64; ++b)
-        if ((words[k] >> b) & 1u) from_sparse.push_back(blocks[k] * 64 + b);
-    }
-    const auto nb = g.neighbors(v);
-    ASSERT_TRUE(std::equal(nb.begin(), nb.end(), from_sparse.begin(),
-                           from_sparse.end()))
-        << "vertex " << v;
-  }
-}
-
 TEST(LargeN, EballTierSelectionRule) {
-  // The election-ball layer is tiered by the same n <= kAdjacencyMatrixLimit
-  // threshold that picks the dense adjacency matrix, with MHCA_EBALL_TIER
-  // as a per-construction override — and the two tiers describe the same
+  // The election-ball layer is tiered by n <= kExplicitTierLimit, with
+  // MHCA_EBALL_TIER as a per-construction override — and the two tiers describe the same
   // balls: identical r-ball spans, identical election-ball sizes, and the
   // implicit tier's sizes match a fresh BFS enumeration.
   Rng rng(91);
@@ -95,7 +60,8 @@ TEST(LargeN, EballTierSelectionRule) {
   EXPECT_EQ(NeighborhoodCache::select_eball_tier(small.size()),
             NeighborhoodCache::EballTier::kExplicit);
   EXPECT_EQ(
-      NeighborhoodCache::select_eball_tier(Graph::kAdjacencyMatrixLimit + 1),
+      NeighborhoodCache::select_eball_tier(
+          NeighborhoodCache::kExplicitTierLimit + 1),
       NeighborhoodCache::EballTier::kImplicit);
 
   const NeighborhoodCache exp(small, 2, /*parallelism=*/1);
@@ -123,15 +89,14 @@ TEST(LargeN, EballTierSelectionRule) {
 }
 
 TEST(LargeN, CachedDecisionPathMatchesSeedPathAtTenThousandVertices) {
-  // 2500 users x 4 channels = 10000 H vertices — past the matrix limit, so
-  // both paths' local solves gather adjacency from sparse rows.
+  // 2500 users x 4 channels = 10000 H vertices — past the tier limit, so
+  // the cached path runs the implicit e-ball tier.
   Rng rng(2026);
   ConflictGraph cg = random_geometric_avg_degree(
       2500, 6.0, rng, /*force_connected=*/false);
   ExtendedConflictGraph ecg(cg, 4);
   const Graph& h = ecg.graph();
-  ASSERT_GT(h.size(), Graph::kAdjacencyMatrixLimit);
-  ASSERT_TRUE(h.has_sparse_rows());
+  ASSERT_GT(h.size(), NeighborhoodCache::kExplicitTierLimit);
 
   DistributedPtasConfig cached_cfg;
   cached_cfg.r = 2;
@@ -159,13 +124,13 @@ TEST(LargeN, StageTimesCoverWholeDecisionAtTwelveThousandVertices) {
   // buckets the accounting must be total: Σ buckets ≥ 95% of the wall
   // clock an external caller measures around run(). 3200 users x 4
   // channels = 12800 H vertices keeps the test seconds-long while well
-  // past the dense-matrix limit.
+  // past the tier limit.
   Rng rng(1212);
   ConflictGraph cg = random_geometric_avg_degree(
       3200, 6.0, rng, /*force_connected=*/false);
   ExtendedConflictGraph ecg(cg, 4);
   const Graph& h = ecg.graph();
-  ASSERT_GT(h.size(), Graph::kAdjacencyMatrixLimit);
+  ASSERT_GT(h.size(), NeighborhoodCache::kExplicitTierLimit);
 
   DistributedPtasConfig cfg;
   cfg.r = 2;
@@ -203,9 +168,9 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
       2300, 6.0, rng, /*force_connected=*/false);
   ExtendedConflictGraph ecg(cg, 4);
   const Graph& h = ecg.graph();
-  ASSERT_GT(h.size(), Graph::kAdjacencyMatrixLimit);
+  ASSERT_GT(h.size(), NeighborhoodCache::kExplicitTierLimit);
 
-  // This graph is past the matrix limit, so both tiers are exercised: the
+  // This graph is past the tier limit, so both tiers are exercised: the
   // default implicit tier here, the explicit tier forced below.
   const NeighborhoodCache serial(h, 2, /*parallelism=*/1);
   ASSERT_EQ(serial.eball_tier(), NeighborhoodCache::EballTier::kImplicit);
@@ -283,9 +248,9 @@ TEST(LargeN, CachedDecisionMatchesSeedAtQuarterMillionVertices) {
   ASSERT_TRUE(h.is_independent_set(b.winners));
 }
 
-TEST(LargeN, ApplyDeltaKeepsSparseRowsExact) {
+TEST(LargeN, ApplyDeltaKeepsRowsExact) {
   Rng rng(77);
-  const int n = Graph::kAdjacencyMatrixLimit + 50;
+  const int n = NeighborhoodCache::kExplicitTierLimit + 50;
   Graph g(n);
   std::vector<std::pair<int, int>> edges;
   for (int i = 0; i < 4000; ++i) {
@@ -298,7 +263,6 @@ TEST(LargeN, ApplyDeltaKeepsSparseRowsExact) {
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   for (const auto& [u, v] : edges) g.add_edge(u, v);
   g.finalize();
-  ASSERT_TRUE(g.has_sparse_rows());
 
   // Remove a slice, add a fresh batch, and compare against a cold rebuild.
   std::vector<std::pair<int, int>> removed(edges.begin(), edges.begin() + 200);
@@ -327,14 +291,10 @@ TEST(LargeN, ApplyDeltaKeepsSparseRowsExact) {
 
   ASSERT_EQ(g.num_edges(), rebuilt.num_edges());
   for (int v = 0; v < n; ++v) {
-    const auto ba = g.sparse_row_blocks(v);
-    const auto bb = rebuilt.sparse_row_blocks(v);
-    ASSERT_TRUE(std::equal(ba.begin(), ba.end(), bb.begin(), bb.end()))
-        << "blocks of row " << v;
-    const auto wa = g.sparse_row_words(v);
-    const auto wb = rebuilt.sparse_row_words(v);
-    ASSERT_TRUE(std::equal(wa.begin(), wa.end(), wb.begin(), wb.end()))
-        << "words of row " << v;
+    const auto na = g.neighbors(v);
+    const auto nb = rebuilt.neighbors(v);
+    ASSERT_TRUE(std::equal(na.begin(), na.end(), nb.begin(), nb.end()))
+        << "row " << v;
   }
 }
 

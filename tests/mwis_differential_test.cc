@@ -8,7 +8,7 @@
 // graphs with per-master clique structure), weight distributions (uniform,
 // exponential, heavy ties, mixed-sign), and candidate-subset shapes (full
 // vertex set, random subsets, BFS balls, singletons). Modes: the solver's
-// own scratch, a fresh scratch over the list-scan build, and a scratch
+// own scratch, a fresh scratch over an unfinalized copy, and a scratch
 // shared across instances; the classic seed search
 // (tests/reference/classic_bnb.h) is checked against the same reference.
 #include <gtest/gtest.h>
@@ -69,7 +69,7 @@ Instance make_instance(int trial, Rng& rng) {
     for (int i = 0; i < n; ++i)
       for (int j = i + 1; j < n; ++j)
         if (rng.uniform() < p) g.add_edge(i, j);
-    if (shape == 0) g.finalize();  // shape 1 stays unfinalized (list path)
+    if (shape == 0) g.finalize();  // shape 1 stays unfinalized
     inst.graph = std::move(g);
     inst.tag = shape == 0 ? "er-finalized" : "er-raw";
   }
@@ -146,7 +146,7 @@ TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
                  reusing.solve(inst.graph, inst.weights, inst.candidates),
                  ref, "reuse");
     if (classic_applicable) {
-      // Mode 2: fresh scratch, list-scan build.
+      // Mode 2: fresh scratch, unfinalized copy.
       SolveScratch fresh;
       const Graph lists = reference::unfinalized_copy(inst.graph);
       check_result(inst,
@@ -171,14 +171,13 @@ TEST(MwisDifferential, AllModesMatchBruteForceOn600Instances) {
   EXPECT_GE(solves, 1400);
 }
 
-TEST(MwisDifferential, SparseRowGatherMatchesBruteForceBeyondMatrixLimit) {
-  // Instances embedded in graphs past Graph::kAdjacencyMatrixLimit, where
-  // the default gather reads sharded sparse rows. Each trial mirrors the
-  // instance into a small dense-matrix graph for the brute-force reference
-  // and cross-checks the sparse gather against the list-scan build (same
-  // search tree, node counts included). Offsets place the instance across
-  // the id range so block indexing and the candidate mask see high columns.
-  const int big_n = Graph::kAdjacencyMatrixLimit + 64;
+TEST(MwisDifferential, GatherMatchesBruteForceOnLargeGraphs) {
+  // Instances embedded in graphs of 8,256 vertices. Each trial mirrors the
+  // instance into a small graph for the brute-force reference and
+  // cross-checks the finalized graph's gather against an unfinalized copy
+  // (same search tree, node counts included). Offsets place the instance
+  // across the id range so the candidate mask sees high ids.
+  const int big_n = 8192 + 64;
   Rng rng(8193);
   reference::BruteForceMwisSolver brute(24);
   BranchAndBoundMwisSolver solver;
@@ -202,7 +201,6 @@ TEST(MwisDifferential, SparseRowGatherMatchesBruteForceBeyondMatrixLimit) {
       big.add_edge(offset + i, (offset + n + 7 * i + 1) % big_n);
     small.finalize();
     big.finalize();
-    ASSERT_TRUE(big.has_sparse_rows());
 
     std::vector<double> w_small(static_cast<std::size_t>(n));
     for (auto& x : w_small) x = draw_weight(trial % 4, rng);

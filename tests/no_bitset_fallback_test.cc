@@ -1,9 +1,8 @@
-// Coverage for the non-dense-matrix code paths: graphs larger than
-// Graph::kAdjacencyMatrixLimit get sharded sparse rows instead of the n^2
-// bitset matrix, and unfinalized graphs answer every query through
-// build-phase vectors. The solver's sparse-row gather, its list-scan
-// fallback, and the NeighborhoodCache must all behave identically to the
-// dense bitset/CSR fast paths in every situation.
+// Coverage for graphs without a packed bitset form: a finalized graph holds
+// only CSR rows at any size, and an unfinalized graph answers every query
+// through its build-phase vectors. The solver's gather and the
+// NeighborhoodCache must behave identically over both, at small n and past
+// the e-ball tier limit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,12 +28,11 @@ std::vector<double> random_weights(int n, Rng& rng) {
   return w;
 }
 
-TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondMatrixLimit) {
-  // n > kAdjacencyMatrixLimit: finalize() builds CSR but skips the matrix,
-  // so every solve runs the list-scan adjacency build. Embed a nontrivial
-  // instance in the first 20 vertices plus edges to high-id vertices so the
-  // candidate filter is exercised against the full id range.
-  const int n = Graph::kAdjacencyMatrixLimit + 8;
+TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondTierLimit) {
+  // Embed a nontrivial instance in the first 20 vertices of an 8,200-vertex
+  // graph, plus edges to high-id vertices so the candidate filter is
+  // exercised against the full id range.
+  const int n = NeighborhoodCache::kExplicitTierLimit + 8;
   Rng rng(31);
   Graph big(n);
   Graph small(20);
@@ -47,10 +45,7 @@ TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondMatrixLimit) {
   for (int i = 0; i < 20; ++i) big.add_edge(i, n - 1 - i);
   big.finalize();
   small.finalize();
-  ASSERT_FALSE(big.has_adjacency_matrix());
-  ASSERT_TRUE(big.has_sparse_rows());
   ASSERT_TRUE(big.finalized());
-  ASSERT_TRUE(small.has_adjacency_matrix());
 
   std::vector<double> w_small = random_weights(20, rng);
   std::vector<double> w_big(static_cast<std::size_t>(n), 0.0);
@@ -60,34 +55,32 @@ TEST(NoBitsetFallback, SolverMatchesBruteForceBeyondMatrixLimit) {
 
   reference::BruteForceMwisSolver brute(24);
   const MwisResult ref = brute.solve(small, w_small, cands);
-  // Default path: gathers local adjacency from the sharded sparse rows.
   BranchAndBoundMwisSolver solver;
   const MwisResult got = solver.solve(big, w_big, cands);
   EXPECT_TRUE(got.exact);
   EXPECT_EQ(got.vertices, ref.vertices);
   EXPECT_NEAR(got.weight, ref.weight, 1e-12);
-  // The list-scan build (an unfinalized copy) must agree bit for bit (same
-  // search tree).
+  // An unfinalized copy must agree bit for bit (same search tree).
   const Graph big_lists = reference::unfinalized_copy(big);
   SolveScratch scratch;
   const MwisResult got_lists =
       solver.solve_with_scratch(big_lists, w_big, cands, scratch);
   EXPECT_EQ(got_lists.vertices, got.vertices);
   EXPECT_EQ(got_lists.nodes_explored, got.nodes_explored);
-  // The list build again, on the scratch the previous solve left behind.
+  // The unfinalized copy again, on the scratch the previous solve left
+  // behind.
   const MwisResult got_reused =
       solver.solve_with_scratch(big_lists, w_big, cands, scratch);
   EXPECT_EQ(got_reused.vertices, ref.vertices);
-  // And the classic oracle over the list build.
+  // And the classic oracle over the unfinalized copy.
   EXPECT_EQ(reference::classic_bnb(big_lists, w_big, cands).vertices,
             ref.vertices);
 }
 
-TEST(NoBitsetFallback, SparseRowsMatchReferenceQueries) {
-  // A graph just past the limit with structured + random edges: has_edge
-  // through the sparse rows must agree with binary search over the CSR
-  // rows, including the high-id columns that stress block indexing.
-  const int n = Graph::kAdjacencyMatrixLimit + 70;
+TEST(NoBitsetFallback, HasEdgeMatchesReferenceQueriesOnALargeGraph) {
+  // A graph past the tier limit with structured + random edges: has_edge
+  // must agree with the edge list, including edges to high ids.
+  const int n = NeighborhoodCache::kExplicitTierLimit + 70;
   Rng rng(53);
   Graph g(n);
   std::vector<std::pair<int, int>> edges;
@@ -102,7 +95,6 @@ TEST(NoBitsetFallback, SparseRowsMatchReferenceQueries) {
   edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
   for (const auto& [u, v] : edges) g.add_edge(u, v);
   g.finalize();
-  ASSERT_TRUE(g.has_sparse_rows());
 
   // Every present edge answers true (both directions)...
   for (const auto& [u, v] : edges) {
@@ -128,7 +120,7 @@ TEST(NoBitsetFallback, UnfinalizedGraphSolvesIdenticalToFinalized) {
   Rng rng(37);
   ConflictGraph cg = erdos_renyi(24, 0.3, rng);
   const Graph& fin = cg.graph();  // factories finalize
-  ASSERT_TRUE(fin.has_adjacency_matrix());
+  ASSERT_TRUE(fin.finalized());
 
   Graph raw(fin.size());
   for (int v = 0; v < fin.size(); ++v)
@@ -142,8 +134,8 @@ TEST(NoBitsetFallback, UnfinalizedGraphSolvesIdenticalToFinalized) {
   for (int v = 0; v < fin.size(); ++v) all[static_cast<std::size_t>(v)] = v;
   for (int round = 0; round < 5; ++round) {
     const auto w = random_weights(fin.size(), rng);
-    // Same scratch serves both: bitset-rows on the finalized graph, list
-    // scan on the raw one — identical trees, identical results.
+    // Same scratch serves both: CSR rows on the finalized graph, build-phase
+    // vectors on the raw one — identical trees, identical results.
     const MwisResult a = solver.solve_with_scratch(fin, w, all, scratch);
     const MwisResult b = solver.solve_with_scratch(raw, w, all, scratch);
     ASSERT_EQ(a.vertices, b.vertices);
@@ -174,13 +166,12 @@ TEST(NoBitsetFallback, NeighborhoodCacheMatchesOnUnfinalizedAndHugeGraphs) {
     ASSERT_TRUE(std::equal(ea.begin(), ea.end(), eb.begin(), eb.end()));
   }
 
-  // Beyond the matrix limit: balls still match a reference BFS.
-  const int n = Graph::kAdjacencyMatrixLimit + 5;
+  // Beyond the tier limit: balls still match a reference BFS.
+  const int n = NeighborhoodCache::kExplicitTierLimit + 5;
   Graph big(n);
   for (int i = 0; i < 200; ++i) big.add_edge(i, i + 1);  // path prefix
   big.add_edge(0, n - 1);
   big.finalize();
-  ASSERT_FALSE(big.has_adjacency_matrix());
   NeighborhoodCache cache_big(big, 2);
   BfsScratch scratch(n);
   for (int v : {0, 1, 100, 199, 200, n - 1, n - 2}) {

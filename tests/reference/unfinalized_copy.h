@@ -1,9 +1,9 @@
 // Test-only helper: the same graph left in the build phase.
 //
-// BranchAndBoundMwisSolver takes its local adjacency from wherever the graph
-// keeps it — packed rows once finalized, per-vertex lists before. Suites
-// that cross-check the two builds solve on the finalized graph and on this
-// copy and demand identical results, node counts included. Oracle code:
+// BranchAndBoundMwisSolver reads neighbor rows from wherever the graph keeps
+// them — CSR once finalized, per-vertex vectors before. Suites that
+// cross-check the two solve on the finalized graph and on this copy and
+// demand identical results, node counts included. Oracle code:
 // src/ must never include it.
 #pragma once
 

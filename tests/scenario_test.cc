@@ -279,6 +279,15 @@ TEST(ScenarioErrors, NetProbabilityBoundsNameOffendingValue) {
   EXPECT_TRUE(message_contains(msg, "net.drop_prob"));
   EXPECT_TRUE(message_contains(msg, "[0, 1)"));
   EXPECT_TRUE(message_contains(msg, "1"));
+  for (const char* nan : {"nan", "-nan"}) {
+    SCOPED_TRACE(nan);
+    Scenario t;
+    scenario::apply_override(t, std::string("net.dup_prob=") + nan);
+    const std::string nan_msg =
+        error_message([&] { scenario::validate(t); });
+    EXPECT_TRUE(message_contains(nan_msg, "net.dup_prob"));
+    EXPECT_TRUE(message_contains(nan_msg, "nan"));
+  }
 }
 
 TEST(ScenarioErrors, ReorderAndDelayRequireViewSyncMembership) {

@@ -131,13 +131,15 @@ Options parse_args(int argc, char** argv) {
       o.overrides.push_back("net.transport=" + next());
     else if (a == "--shard") parse_shard(next(), o);
     else if (a == "--port-base") {
+      const std::string spec = next();
+      std::size_t end = 0;
       try {
-        o.port_base = std::stoi(next());
+        o.port_base = std::stoi(spec, &end);
       } catch (const std::exception&) {
         o.port_base = -1;
       }
-      if (o.port_base < 1 || o.port_base > 65535)
-        usage("--port-base wants a port in [1, 65535]");
+      if (end != spec.size() || o.port_base < 1 || o.port_base > 65535)
+        usage("--port-base wants a port in [1, 65535], got '" + spec + "'");
     }
     else if (a == "--trace") o.trace = next();
     else if (a == "--metrics") o.metrics = next();
