@@ -20,9 +20,10 @@
 // can no longer go unaccounted. The reference has no stage clock.
 //
 // The grid crosses NeighborhoodCache::kExplicitTierLimit (8192): the
-// large-n cells run the implicit e-ball tier (ball sizes only, membership
-// re-enumerated by BFS), the solver gathers from CSR rows at every size, and
-// the incremental SoA election carries candidate sets across mini-rounds —
+// large-n cells run the implicit e-ball tier (no election balls stored,
+// membership re-enumerated by BFS), the solver gathers from CSR rows at
+// every size, and the incremental SoA election carries candidate sets
+// across mini-rounds —
 // demonstrating that the decision path has no 8192-vertex wall. `--smoke`
 // shrinks the grid for CI (one modest beyond-the-limit cell instead of the
 // 50k-vertex one).
@@ -63,7 +64,8 @@ struct Cell {
   int decisions = 0;
   double cache_build_ms = 0.0;   ///< One-time NeighborhoodCache cost.
   double seed_ms = 0.0;          ///< Per-decision, seed reference.
-  double cached_ms = 0.0;        ///< Per-decision, engine.
+  double cached_ms = 0.0;        ///< Per-decision, engine (best rep).
+  double cached_ms_worst = 0.0;  ///< Per-decision, engine (worst rep).
   double speedup = 0.0;
   bool identical = true;         ///< Winners + weight match every decision.
   DecisionStageTimes cached_stages;  ///< Per-decision averages.
@@ -113,9 +115,9 @@ double read_peak_rss_mb() {
 }
 
 /// Byte-identical cache contents: same per-vertex r-ball spans (span
-/// equality over the whole CSR implies identical offsets and data) and the
-/// same e-ball side for the tier both caches landed on — explicit spans
-/// when stored, the per-vertex size array when the tier keeps only sizes.
+/// equality over the whole CSR implies identical offsets and data) and, on
+/// the explicit tier, the same election-ball spans. The implicit tier
+/// stores nothing of the election balls.
 bool caches_identical(const NeighborhoodCache& a, const NeighborhoodCache& b) {
   if (a.size() != b.size() || a.r() != b.r() ||
       a.eball_tier() != b.eball_tier())
@@ -128,8 +130,6 @@ bool caches_identical(const NeighborhoodCache& a, const NeighborhoodCache& b) {
       const auto ea = a.election_ball(v), eb = b.election_ball(v);
       if (!std::equal(ea.begin(), ea.end(), eb.begin(), eb.end()))
         return false;
-    } else if (a.election_ball_size(v) != b.election_ball_size(v)) {
-      return false;
     }
   }
   return true;
@@ -155,20 +155,27 @@ double time_decisions_ms(F&& decide, int decisions) {
          static_cast<double>(decisions);
 }
 
+struct PathTimes {
+  double seed_best = 0.0;
+  double cached_best = 0.0;
+  double cached_worst = 0.0;  ///< With cached_best, the spread of the reps.
+};
+
 /// Best-of-`reps` timing, with the two sides interleaved so scheduler noise
 /// and frequency drift hit both sides equally. Minimum-of-repetitions is
 /// the standard variance killer for micro-benchmarks on shared machines.
 template <typename A, typename B>
-std::pair<double, double> time_paths_ms(A&& seed_decide, B&& cached_decide,
-                                        int decisions, int reps) {
-  double seed_best = 0.0, cached_best = 0.0;
+PathTimes time_paths_ms(A&& seed_decide, B&& cached_decide, int decisions,
+                        int reps) {
+  PathTimes t;
   for (int rep = 0; rep < reps; ++rep) {
     const double s = time_decisions_ms(seed_decide, decisions);
     const double c = time_decisions_ms(cached_decide, decisions);
-    if (rep == 0 || s < seed_best) seed_best = s;
-    if (rep == 0 || c < cached_best) cached_best = c;
+    if (rep == 0 || s < t.seed_best) t.seed_best = s;
+    if (rep == 0 || c < t.cached_best) t.cached_best = c;
+    if (rep == 0 || c > t.cached_worst) t.cached_worst = c;
   }
-  return {seed_best, cached_best};
+  return t;
 }
 
 DecisionStageTimes per_decision(const DecisionStageTimes& total,
@@ -225,7 +232,7 @@ Cell run_cell(int users, int r, int channels, int decisions) {
         cache.eball_tier() == NeighborhoodCache::EballTier::kImplicit;
     cell.eball_tier = implicit ? "implicit" : "explicit";
     cell.cache_resident_bytes = cache.resident_bytes();
-    cell.cache_explicit_bytes = cache.explicit_layout_bytes();
+    cell.cache_explicit_bytes = cache.explicit_layout_bytes(h);
     cell.cache_bytes_ratio =
         cell.cache_resident_bytes > 0
             ? static_cast<double>(cell.cache_explicit_bytes) /
@@ -250,17 +257,16 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   cell.nodes_per_decision =
       static_cast<double>(nodes) / static_cast<double>(decisions);
 
-  // Warmed-up best-of-3 timing over the same weight sequence. The huge
-  // cells (250k / 1M vertices) run a single rep — at tens of seconds per
-  // seed decision, best-of-N buys noise reduction nobody needs and the
-  // headline there is the memory column, not microsecond stability.
-  const bool huge = users >= 62500;
-  const auto [seed_ms, cached_ms] = time_paths_ms(
+  // Warmed-up best-of-3 timing over the same weight sequence, on every
+  // cell: six runs of one binary read 184-298 ms of election at 250k
+  // vertices when that cell timed a single decision once.
+  const PathTimes times = time_paths_ms(
       [&](int d) { seed_engine.run(weights[static_cast<std::size_t>(d)]); },
       [&](int d) { cached_engine.run(weights[static_cast<std::size_t>(d)]); },
-      decisions, /*reps=*/huge ? 1 : 3);
-  cell.seed_ms = seed_ms;
-  cell.cached_ms = cached_ms;
+      decisions, /*reps=*/3);
+  cell.seed_ms = times.seed_best;
+  cell.cached_ms = times.cached_best;
+  cell.cached_ms_worst = times.cached_worst;
   cell.speedup = cell.cached_ms > 0.0 ? cell.seed_ms / cell.cached_ms : 0.0;
 
   // Stage breakdown: best-of-N instrumented passes of the engine, per-stage
@@ -281,7 +287,7 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   };
   // The engine runs its decisions in a streak, exactly like the headline
   // timing loop above.
-  const int stage_reps = huge ? 1 : (users <= 800 ? 7 : 3);
+  const int stage_reps = users <= 800 ? 7 : 3;
   // Coverage pairs each rep's Σ buckets with an external wall clock around
   // that same rep's decision streak: the question "did run() spend time no
   // bucket saw?" only makes sense within one pass. Comparing against the
@@ -371,7 +377,7 @@ Cell run_cell(int users, int r, int channels, int decisions) {
   // worker counts must produce byte-identical balls (the count-then-fill
   // layout's determinism contract); the timings show how the one-time
   // build scales with cores (on a single-core CI box they simply tie).
-  if (users >= 3200 && !huge) {
+  if (users >= 3200 && users < 62500) {
     cell.build_swept = true;
     const int counts[] = {1, 2, 4};
     double* build_ms[] = {&cell.build_ms_w1, &cell.build_ms_w2,
@@ -424,11 +430,13 @@ std::string json_of(const std::vector<Cell>& cells, int channels) {
         "    {\"users\": %d, \"r\": %d, \"vertices\": %d, "
         "\"decisions\": %d, \"cache_build_ms\": %.4f, "
         "\"seed_ms_per_decision\": %.4f, \"cached_ms_per_decision\": %.4f, "
+        "\"cached_ms_per_decision_worst_rep\": %.4f, "
         "\"speedup\": %.2f, \"identical_results\": %s, "
         "\"solver_nodes_per_decision\": %.0f, \"all_solves_exact\": %s,\n"
         "     \"stage_coverage_cached\": %.4f, \"stage_coverage_ok\": %s,\n",
         c.users, c.r, c.vertices, c.decisions, c.cache_build_ms, c.seed_ms,
-        c.cached_ms, c.speedup, c.identical ? "true" : "false",
+        c.cached_ms, c.cached_ms_worst, c.speedup,
+        c.identical ? "true" : "false",
         c.nodes_per_decision, c.all_solves_exact ? "true" : "false",
         c.cached_coverage, c.coverage_ok ? "true" : "false");
     out += buf;
@@ -509,16 +517,18 @@ int main(int argc, char** argv) {
     grid.push_back({12500, 2, 3});
     grid.push_back({25000, 2, 2});
     // The road to 1M: 250k- and 1M-vertex cells exist because the implicit
-    // e-ball tier made their caches affordable (sizes only, 4 B/vertex,
-    // membership re-enumerated by the election's early-exit BFS). One
-    // decision each — the point is footprint and feasibility, not variance.
-    grid.push_back({62500, 2, 1});
-    grid.push_back({250000, 2, 1});
+    // e-ball tier made their caches affordable (r-balls only, membership
+    // re-enumerated by the election's early-exit BFS). Four decisions each,
+    // best of three reps like every cell, so their stage columns can
+    // resolve a change; the worst rep is reported next to the best.
+    grid.push_back({62500, 2, 4});
+    grid.push_back({250000, 2, 4});
   }
 
   std::vector<Cell> cells;
   TablePrinter table({"users", "r", "|H|", "decisions", "cache build ms",
-                      "seed ms", "cached ms", "speedup", "identical",
+                      "seed ms", "cached ms", "worst rep", "speedup",
+                      "identical",
                       "coverage", "nodes/decision", "exact"});
   for (const GridCell& gc : grid) {
     const Cell c = run_cell(gc.users, gc.r, kChannels, gc.decisions);
@@ -526,7 +536,8 @@ int main(int argc, char** argv) {
     table.row(std::to_string(c.users), std::to_string(c.r),
               std::to_string(c.vertices), std::to_string(c.decisions),
               fixed(c.cache_build_ms, 2), fixed(c.seed_ms, 3),
-              fixed(c.cached_ms, 3), fixed(c.speedup, 2) + "x",
+              fixed(c.cached_ms, 3), fixed(c.cached_ms_worst, 3),
+              fixed(c.speedup, 2) + "x",
               c.identical ? "yes" : "NO",
               fixed(100.0 * c.cached_coverage, 1) + "%" +
                   (c.coverage_ok ? "" : " LOW"),

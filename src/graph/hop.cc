@@ -1,7 +1,9 @@
 #include "graph/hop.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <numeric>
 
 #include "util/assert.h"
 
@@ -212,6 +214,65 @@ int BfsScratch::hop_distance(const Graph& g, int u, int v, int cap) {
     }
   }
   return unreachable();
+}
+
+std::int64_t FloodSizes::sum(const Graph& g, std::span<const int> vs,
+                             BfsScratch& scratch) {
+  const auto n = static_cast<std::size_t>(g.size());
+  if (empty()) {
+    // Everything starts stale, in vertex order.
+    size_.assign(n, kStale);
+    order_.resize(n);
+    std::iota(order_.begin(), order_.end(), std::int64_t{0});
+    next_order_ = static_cast<std::int64_t>(n);
+  }
+  MHCA_ASSERT(size_.size() == n, "graph size changed under the memo");
+  stale_.clear();
+  for (const int v : vs) {
+    MHCA_ASSERT(v >= 0 && v < g.size(), "vertex out of range");
+    int& s = size_[static_cast<std::size_t>(v)];
+    if (s == kStale) {
+      s = kQueued;
+      stale_.push_back(v);
+    }
+  }
+  if (!stale_.empty()) {
+    std::sort(stale_.begin(), stale_.end(), [&](int a, int b) {
+      return order_[static_cast<std::size_t>(a)] <
+             order_[static_cast<std::size_t>(b)];
+    });
+    constexpr std::size_t kBatch = BfsScratch::kMaxSizeSources;
+    const std::span<const int> order = stale_;
+    std::array<int, kBatch> sizes{};
+    for (std::size_t b = 0; b < order.size(); b += kBatch) {
+      const auto batch = order.subspan(b, std::min(kBatch, order.size() - b));
+      scratch.k_hop_sizes(g, batch, k_, sizes);
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        size_[static_cast<std::size_t>(batch[i])] = sizes[i];
+    }
+    recounted_ += static_cast<std::int64_t>(stale_.size());
+  }
+  std::int64_t total = 0;
+  for (const int v : vs) total += size_[static_cast<std::size_t>(v)];
+  return total;
+}
+
+void FloodSizes::invalidate(std::span<const int> reach,
+                            const BfsScratch& scratch) {
+  if (empty()) return;
+  for (const int v : reach) {
+    // BFS order: the rest is farther.
+    if (scratch.distance(v) > stale_radius()) break;
+    const auto vi = static_cast<std::size_t>(v);
+    size_[vi] = kStale;
+    order_[vi] = next_order_++;
+  }
+}
+
+std::int64_t FloodSizes::resident_bytes() const {
+  return static_cast<std::int64_t>(size_.capacity() * sizeof(int) +
+                                   order_.capacity() * sizeof(std::int64_t) +
+                                   stale_.capacity() * sizeof(int));
 }
 
 std::vector<int> k_hop_neighborhood(const Graph& g, int v, int k) {

@@ -1,4 +1,5 @@
-// Bounded-hop BFS utilities (r-hop neighborhoods J_{G,r}(v), hop distances).
+// Bounded-hop BFS utilities (r-hop neighborhoods J_{G,r}(v), hop distances)
+// and the flood-size memo built on them.
 //
 // These are the geometric primitives of the robust PTAS: LocalLeader election
 // uses (2r+1)-hop neighborhoods, local MWIS uses r-hop neighborhoods, and
@@ -65,9 +66,9 @@ class BfsScratch {
   /// a 64-bit mask of the sources whose ball holds it, so the edge scans
   /// follow the *union* of the balls rather than their sum — a several-fold
   /// saving when the sources are close together, as consecutive entries of
-  /// a BFS order are. Size-only, like two_radius_sizes;
-  /// NeighborhoodCache::apply_delta refreshes the implicit tier's e-ball
-  /// sizes with it. Allocates 16 bytes per vertex on first use.
+  /// a BFS order are. Size-only, like two_radius_sizes; FloodSizes
+  /// recounts its stale entries with it. Allocates 16 bytes per vertex on
+  /// first use.
   void k_hop_sizes(const Graph& g, std::span<const int> sources, int k,
                    std::span<int> sizes);
 
@@ -115,6 +116,10 @@ class BfsScratch {
 
   static constexpr int unreachable() { return std::numeric_limits<int>::max(); }
 
+  /// Hop distance at which the last traversal reached v. v must be in that
+  /// traversal's output (k_hop_sizes is not a traversal in this sense).
+  int distance(int v) const { return dist_[static_cast<std::size_t>(v)]; }
+
  private:
   std::vector<std::uint32_t> stamp_;
   std::vector<int> dist_;
@@ -125,6 +130,72 @@ class BfsScratch {
   std::vector<std::uint64_t> arriving_;
   std::vector<int> reached_, arrived_;
   std::vector<std::pair<int, std::uint64_t>> frontier_;
+};
+
+/// |J_k(v)| for every vertex of a graph, for one radius k, counted on
+/// demand: the flood sizes the robust PTAS's message accounting charges
+/// (LD and weight-broadcast floods reach 2r+1 hops, LB floods 3r+2).
+///
+/// Nothing is allocated or counted before the first sum(). From then on an
+/// entry is counted when a sum() first asks for it, and again only after an
+/// invalidate() has marked it stale; entries nobody asks for are never
+/// counted. A recount takes the stale entries a sum() asks for, sorted by
+/// their position in the BFS that invalidated them, and counts them 64 at a
+/// time with BfsScratch::k_hop_sizes, so each batch holds vertices that are
+/// close in that BFS and overlapping balls are walked once.
+class FloodSizes {
+ public:
+  explicit FloodSizes(int k) : k_(k) {}
+
+  int radius() const { return k_; }
+
+  /// True before the first sum(): nothing allocated, nothing to invalidate.
+  bool empty() const { return size_.empty(); }
+
+  /// Σ |J_k(v)| over `vs` (a vertex listed twice counts twice), recounting
+  /// the stale entries among them on g with `scratch`.
+  std::int64_t sum(const Graph& g, std::span<const int> vs,
+                   BfsScratch& scratch);
+
+  /// Hops from a changed edge within which |J_k| can change: k-1. Say the
+  /// touched vertices hold both endpoints of every added or removed edge.
+  /// A ball that gains a vertex reaches it along a new path of at most k
+  /// hops through an added edge; the path's prefix up to that edge has at
+  /// most k-1 hops and ends at a touched vertex. A ball that loses one
+  /// had an old path of at most k hops through a removed edge; the prefix
+  /// up to the first removed edge survives in the new graph, has at most
+  /// k-1 hops, and ends at a touched vertex.
+  int stale_radius() const { return k_ - 1; }
+
+  /// g just changed, and `reach` is `scratch`'s last
+  /// multi_source_k_hop_unsorted output from the touched vertices, to at
+  /// least stale_radius() hops, on the new graph. Marks stale every vertex
+  /// of `reach` within stale_radius() hops. Those vertices are a prefix of
+  /// the BFS order, so one reach to the largest radius serves every memo.
+  /// No-op before the first sum().
+  void invalidate(std::span<const int> reach, const BfsScratch& scratch);
+
+  /// The stored |J_k(v)|, or -1 while v is stale or was never counted.
+  int cached(int v) const {
+    return empty() ? kStale : size_[static_cast<std::size_t>(v)];
+  }
+
+  /// Bytes held by the memo (0 while empty()).
+  std::int64_t resident_bytes() const;
+
+  /// Entries counted since construction.
+  std::int64_t recounted() const { return recounted_; }
+
+ private:
+  static constexpr int kStale = -1;
+  static constexpr int kQueued = -2;  ///< Stale and in this sum()'s list.
+
+  int k_;
+  std::vector<int> size_;            ///< kStale until counted.
+  std::vector<std::int64_t> order_;  ///< Recount position of a stale entry.
+  std::int64_t next_order_ = 0;
+  std::vector<int> stale_;           ///< sum()'s recount list.
+  std::int64_t recounted_ = 0;
 };
 
 /// Convenience wrapper allocating a scratch internally.

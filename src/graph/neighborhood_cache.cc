@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
+#include <numeric>
 #include <thread>
 
 #include "graph/hop.h"
@@ -49,28 +50,24 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
     : r_(r), size_(g.size()), tier_(select_eball_tier(g.size())) {
   MHCA_ASSERT(r >= 1, "r must be at least 1");
   const auto n = static_cast<std::size_t>(size_);
+  // The implicit tier stores nothing of the election balls, so its build
+  // walks r hops only; the explicit tier walks 2r+1 and stores both balls.
   const bool implicit = tier_ == EballTier::kImplicit;
+  const int e_hops = implicit ? r_ : 2 * r_ + 1;
   r_offsets_.assign(n + 1, 0);
-  if (implicit)
-    e_sizes_.assign(n, 0);
-  else
-    e_offsets_.assign(n + 1, 0);
+  if (!implicit) e_offsets_.assign(n + 1, 0);
 
   const int workers = build_workers(parallelism, size_);
   if (workers <= 1) {
-    // Serial single-pass build: one BFS to 2r+1 hops per vertex yields both
+    // Serial single-pass build: one BFS to e_hops per vertex yields both
     // balls (the r-ball is the distance-<= r subset of the election ball),
-    // appended as they are produced. The implicit tier keeps only the
-    // election ball's size.
+    // appended as they are produced.
     BfsScratch scratch(size_);
     std::vector<int> r_ball;
     std::vector<int> e_ball;
     for (int v = 0; v < size_; ++v) {
-      scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball, e_ball);
-      if (implicit) {
-        e_sizes_[static_cast<std::size_t>(v)] =
-            static_cast<int>(e_ball.size());
-      } else {
+      scratch.two_radius_neighborhood(g, v, r_, e_hops, r_ball, e_ball);
+      if (!implicit) {
         e_offsets_[static_cast<std::size_t>(v) + 1] =
             e_offsets_[static_cast<std::size_t>(v)] +
             static_cast<std::int64_t>(e_ball.size());
@@ -91,9 +88,7 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
   // vertex (no sort, no materialization) into the disjoint offset slots;
   // pass 2, after a serial prefix sum, re-runs the BFS and writes each ball
   // into its final CSR span — two BFS sweeps, but no transient second copy
-  // of the multi-hundred-MB ball arrays. On the implicit tier the e-ball
-  // count lands directly in e_sizes_ and the fill pass only cross-checks
-  // it against the re-enumerated ball.
+  // of the multi-hundred-MB ball arrays.
   std::vector<BfsScratch> scratches(static_cast<std::size_t>(workers));
   const auto slice = [&](int j) {
     const std::int64_t lo = static_cast<std::int64_t>(j) * size_ / workers;
@@ -109,13 +104,10 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
         const auto [lo, hi] = slice(j);
         for (int v = lo; v < hi; ++v) {
           std::int64_t e_size = 0;
-          scratch.two_radius_sizes(g, v, r_, 2 * r_ + 1,
+          scratch.two_radius_sizes(g, v, r_, e_hops,
                                    r_offsets_[static_cast<std::size_t>(v) + 1],
                                    e_size);
-          if (implicit)
-            e_sizes_[static_cast<std::size_t>(v)] = static_cast<int>(e_size);
-          else
-            e_offsets_[static_cast<std::size_t>(v) + 1] = e_size;
+          if (!implicit) e_offsets_[static_cast<std::size_t>(v) + 1] = e_size;
         }
       },
       workers);
@@ -134,14 +126,12 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
         const auto [lo, hi] = slice(j);
         for (int v = lo; v < hi; ++v) {
           const auto vi = static_cast<std::size_t>(v);
-          scratch.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball,
-                                          e_ball);
-          const std::int64_t e_counted =
-              implicit ? e_sizes_[vi] : e_offsets_[vi + 1] - e_offsets_[vi];
+          scratch.two_radius_neighborhood(g, v, r_, e_hops, r_ball, e_ball);
           MHCA_ASSERT(static_cast<std::int64_t>(r_ball.size()) ==
                               r_offsets_[vi + 1] - r_offsets_[vi] &&
-                          static_cast<std::int64_t>(e_ball.size()) ==
-                              e_counted,
+                          (implicit ||
+                           static_cast<std::int64_t>(e_ball.size()) ==
+                               e_offsets_[vi + 1] - e_offsets_[vi]),
                       "count pass disagrees with fill pass");
           std::copy(r_ball.begin(), r_ball.end(),
                     r_data_.begin() +
@@ -160,17 +150,27 @@ std::int64_t NeighborhoodCache::resident_bytes() const {
     return static_cast<std::int64_t>(vec.size() * sizeof(vec[0]));
   };
   return bytes(r_offsets_) + bytes(r_data_) + bytes(e_offsets_) +
-         bytes(e_data_) + bytes(e_sizes_);
+         bytes(e_data_);
 }
 
-std::int64_t NeighborhoodCache::explicit_layout_bytes() const {
+std::int64_t NeighborhoodCache::explicit_layout_bytes(const Graph& g) const {
   if (tier_ == EballTier::kExplicit) return resident_bytes();
+  MHCA_ASSERT(g.size() == size_, "graph size changed under the cache");
+  // Count every election ball, 64 at a time in vertex order.
+  constexpr int kBatch = static_cast<int>(BfsScratch::kMaxSizeSources);
+  BfsScratch scratch;
+  std::array<int, kBatch> batch{}, sizes{};
   std::int64_t e_entries = 0;
-  for (const int s : e_sizes_) e_entries += s;
-  const auto bytes = [](const auto& vec) {
-    return static_cast<std::int64_t>(vec.size() * sizeof(vec[0]));
-  };
-  return resident_bytes() - bytes(e_sizes_) +
+  for (int b = 0; b < size_; b += kBatch) {
+    const int len = std::min(kBatch, size_ - b);
+    std::iota(batch.begin(), batch.begin() + len, b);
+    scratch.k_hop_sizes(g, std::span<const int>(batch.data(),
+                                                static_cast<std::size_t>(len)),
+                        2 * r_ + 1, sizes);
+    for (int i = 0; i < len; ++i)
+      e_entries += sizes[static_cast<std::size_t>(i)];
+  }
+  return resident_bytes() +
          static_cast<std::int64_t>(size_ + 1) *
              static_cast<std::int64_t>(sizeof(std::int64_t)) +
          e_entries * static_cast<std::int64_t>(sizeof(int));
@@ -187,46 +187,35 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     return;
   }
 
-  // The two reaches (see the header): r-balls within r hops of
-  // `touched`, election balls within 2r+1. The (2r+1)-reach stays in BFS
-  // order on the implicit tier, so each 64-source batch of k_hop_sizes
-  // holds nearby vertices whose balls mostly overlap.
-  const bool implicit = tier_ == EballTier::kImplicit;
-  scratch_.multi_source_k_hop_unsorted(g, touched, 2 * r_ + 1, e_reach_);
-  if (!implicit) std::sort(e_reach_.begin(), e_reach_.end());
+  // The two reaches (see the header): r-balls within r hops of `touched`,
+  // election balls within 2r+1 — explicit tier only, since the implicit
+  // tier stores nothing of them. Recompute the reach's balls into flat
+  // buffers (they hold the blast radius, not the whole cache), then patch
+  // them in.
   scratch_.multi_source_k_hop(g, touched, r_, r_reach_);
-
-  // Recompute the reach's balls into flat buffers (they hold the blast
-  // radius, not the whole cache), then patch them in.
   r_new_.clear();
-  e_new_.clear();
-  if (implicit) {
-    constexpr std::size_t kBatch = BfsScratch::kMaxSizeSources;
-    const std::span<const int> order = e_reach_;
-    std::array<int, kBatch> sizes{};
-    for (std::size_t b = 0; b < order.size(); b += kBatch) {
-      const auto batch = order.subspan(b, std::min(kBatch, order.size() - b));
-      scratch_.k_hop_sizes(g, batch, 2 * r_ + 1, sizes);
-      for (std::size_t i = 0; i < batch.size(); ++i)
-        e_sizes_[static_cast<std::size_t>(batch[i])] = sizes[i];
-    }
+  if (tier_ == EballTier::kImplicit) {
     for (const int v : r_reach_) {
       scratch_.k_hop_neighborhood(g, v, r_, r_ball_);
       r_new_.append(r_ball_);
     }
-  } else {
-    auto next_r = r_reach_.begin();
-    for (const int v : e_reach_) {
-      scratch_.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball_, e_ball_);
-      e_new_.append(e_ball_);
-      if (next_r != r_reach_.end() && *next_r == v) {
-        ++next_r;
-        r_new_.append(r_ball_);
-      }
+    patch(r_offsets_, r_data_, r_reach_, r_new_);
+    last_invalidated_ = static_cast<int>(r_reach_.size());
+    return;
+  }
+  scratch_.multi_source_k_hop(g, touched, 2 * r_ + 1, e_reach_);
+  e_new_.clear();
+  auto next_r = r_reach_.begin();
+  for (const int v : e_reach_) {
+    scratch_.two_radius_neighborhood(g, v, r_, 2 * r_ + 1, r_ball_, e_ball_);
+    e_new_.append(e_ball_);
+    if (next_r != r_reach_.end() && *next_r == v) {
+      ++next_r;
+      r_new_.append(r_ball_);
     }
   }
   patch(r_offsets_, r_data_, r_reach_, r_new_);
-  if (!implicit) patch(e_offsets_, e_data_, e_reach_, e_new_);
+  patch(e_offsets_, e_data_, e_reach_, e_new_);
   last_invalidated_ = static_cast<int>(e_reach_.size());
 }
 

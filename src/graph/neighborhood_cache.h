@@ -13,15 +13,19 @@
 //   - kExplicit (n <= kExplicitTierLimit): every (2r+1)-ball is a
 //     stored int32 CSR span, as the r-balls always are. Fast to scan, and
 //     cheap at small n.
-//   - kImplicit (larger graphs): only the per-vertex ball *size* is stored
-//     (4 bytes/vertex); membership is re-enumerated on demand by bounded
-//     BFS (`BfsScratch::k_hop_find`). At 50k vertices / r = 2 the explicit
-//     e-ball spans are ~100 MB and dwarf everything else in the cache;
-//     dropping them is what lets the cached decision path reach 10^6
-//     vertices on a normal dev box. The election only ever runs an
-//     existence scan (first blocker) over the ball, and its verdict is
-//     scan-order independent, so decisions are byte-identical across tiers
-//     (fuzzed by tests/tiered_differential_test.cc).
+//   - kImplicit (larger graphs): nothing of the election balls is stored,
+//     so the build and apply_delta walk r hops only; membership is
+//     re-enumerated on demand by bounded BFS (`BfsScratch::k_hop_find`).
+//     At 50k vertices / r = 2 the explicit e-ball spans are ~100 MB and
+//     dwarf everything else in the cache; dropping them is what lets the
+//     cached decision path reach 10^6 vertices on a normal dev box. The
+//     election only ever runs an existence scan (first blocker) over the
+//     ball, and its verdict is scan-order independent, so decisions are
+//     byte-identical across tiers (fuzzed by
+//     tests/tiered_differential_test.cc).
+//
+// Ball *sizes*, which only the protocol's message accounting reads, are not
+// kept here on either tier: FloodSizes (graph/hop.h) counts them on demand.
 //
 // `MHCA_EBALL_TIER=explicit|implicit` overrides the size rule (read per
 // construction — tests force both tiers on the same graph).
@@ -61,9 +65,8 @@ class NeighborhoodCache {
   /// two-pass count-then-fill layout into the CSR arrays (pass 1 sizes
   /// every ball, a prefix sum fixes each vertex's span, pass 2 re-runs the
   /// BFS writing into its disjoint slice), so the built cache is
-  /// byte-identical at any worker count *and* at either tier (the implicit
-  /// tier keeps both passes; its fill pass checks the re-enumerated e-ball
-  /// size against the count pass and simply doesn't store the members).
+  /// byte-identical at any worker count. The implicit tier runs the same
+  /// two passes to r hops only.
   /// 1 = the serial single-pass build; 0 = the MHCA_CACHE_BUILD_WORKERS
   /// environment variable if set (CI uses it to pin determinism across
   /// worker counts), else one worker per hardware thread.
@@ -94,8 +97,8 @@ class NeighborhoodCache {
   }
 
   /// Sorted vertices within 2r+1 hops of v, including v. Explicit tier
-  /// only — the implicit tier stores no membership; enumerate with
-  /// `BfsScratch::k_hop_find` / `k_hop_neighborhood` instead.
+  /// only — the implicit tier stores nothing of the election balls;
+  /// enumerate with `BfsScratch::k_hop_find` / `k_hop_neighborhood` instead.
   std::span<const int> election_ball(int v) const {
     MHCA_ASSERT(tier_ == EballTier::kExplicit,
                 "election_ball spans exist only on the explicit tier");
@@ -104,15 +107,6 @@ class NeighborhoodCache {
 
   int r_ball_size(int v) const {
     return static_cast<int>(r_ball(v).size());
-  }
-
-  /// |J_{2r+1}(v)| — stored on both tiers (the protocol's message
-  /// accounting needs it every round; 4 bytes/vertex is the whole price of
-  /// the implicit tier).
-  int election_ball_size(int v) const {
-    if (tier_ == EballTier::kImplicit)
-      return e_sizes_[static_cast<std::size_t>(v)];
-    return static_cast<int>(election_ball(v).size());
   }
 
   /// Total stored ball entries (memory introspection; the implicit tier
@@ -125,10 +119,12 @@ class NeighborhoodCache {
   std::int64_t resident_bytes() const;
 
   /// Bytes the cache would hold with the e-ball layer stored explicitly
-  /// (the pre-tiered layout): equals resident_bytes() on the explicit
-  /// tier. bench_decision_path gates explicit_layout_bytes() /
-  /// resident_bytes() >= 4 at the 50k / r=2 cell (`cache_bytes_ok`).
-  std::int64_t explicit_layout_bytes() const;
+  /// (the pre-tiered layout), for the graph g the cache describes: equals
+  /// resident_bytes() on the explicit tier. On the implicit tier it counts
+  /// every election ball of g, which costs about a cache build —
+  /// introspection only. bench_decision_path gates explicit_layout_bytes()
+  /// / resident_bytes() >= 4 on its implicit-tier cells (`cache_bytes_ok`).
+  std::int64_t explicit_layout_bytes(const Graph& g) const;
 
   /// Re-synchronize with a graph that just changed. `touched` are the
   /// vertices incident to an added/removed edge (the graph must already be
@@ -141,16 +137,13 @@ class NeighborhoodCache {
   /// touched vertex. So the reach is split, one multi-source BFS each:
   ///
   ///   - r-balls are recomputed only within r hops;
-  ///   - election balls within 2r+1 hops. The explicit tier rebuilds both
-  ///     balls of such a vertex from one BFS; the implicit tier stores only
-  ///     sizes, so it counts the (2r+1)-balls without building or sorting
-  ///     them — 64 at a time with the bit-parallel `BfsScratch::k_hop_sizes`,
-  ///     batched in BFS order so each batch's balls mostly overlap — and runs
-  ///     the short r-hop BFS for the r-reach alone.
+  ///   - election balls within 2r+1 hops, on the explicit tier only (it
+  ///     rebuilds both balls of such a vertex from one BFS). The implicit
+  ///     tier stores nothing of them, so its delta walks r hops only.
   ///
   /// Runs on the calling thread. The BFS workspace and buffers are kept
-  /// across calls: ~12 bytes per vertex (plus 16 on the implicit tier), and
-  /// the largest suffix the patch has had to rebuild.
+  /// across calls: ~12 bytes per vertex, and the largest suffix the patch
+  /// has had to rebuild.
   ///
   /// Only moved bytes are written: spans whose size is unchanged — and
   /// every span before the first size change — keep their offsets and are
@@ -160,10 +153,9 @@ class NeighborhoodCache {
   /// tiers; tests/dynamics_differential_test.cc fuzzes it end to end).
   void apply_delta(const Graph& g, std::span<const int> touched);
 
-  /// Election balls the last apply_delta refreshed: the size of the
-  /// (2r+1)-hop reach of `touched`, as before the reach was split (the
-  /// r-hop reach is a subset), so BENCH_dynamics.json's
-  /// avg_invalidated_balls stays comparable across revisions.
+  /// Vertices whose balls the last apply_delta recomputed: the (2r+1)-hop
+  /// reach of `touched` on the explicit tier (the r-hop reach is a
+  /// subset), the r-hop reach on the implicit tier.
   int last_invalidated() const { return last_invalidated_; }
 
  private:
@@ -200,7 +192,6 @@ class NeighborhoodCache {
   std::vector<int> r_data_;
   std::vector<std::int64_t> e_offsets_;  ///< size_+1; explicit tier only.
   std::vector<int> e_data_;              ///< Explicit tier only.
-  std::vector<int> e_sizes_;             ///< size_; implicit tier only.
   int last_invalidated_ = 0;
 
   // apply_delta scratch, sized on first use (not counted as resident cache).

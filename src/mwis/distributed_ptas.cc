@@ -38,7 +38,9 @@ DistributedRobustPtas::DistributedRobustPtas(const Graph& h,
     : h_(h),
       cfg_(cfg),
       exact_(cfg.bnb_node_cap),  // solves go through solve_with_scratch
-      scratch_(h.size()) {
+      scratch_(h.size()),
+      ld_sizes_(2 * cfg.r + 1),
+      lb_sizes_(3 * cfg.r + 2) {
   MHCA_ASSERT(cfg_.r >= 1, "r must be at least 1");
   MHCA_ASSERT(cfg_.max_mini_rounds >= 0, "negative mini-round budget");
   MHCA_ASSERT(cfg_.local_solve_parallelism >= 0, "negative parallelism");
@@ -59,22 +61,9 @@ DistributedRobustPtas::DistributedRobustPtas(const Graph& h,
   soa_stamp_.assign(n, 0);
 }
 
-int DistributedRobustPtas::lb_ball_size(int v) {
-  if (lb_ball_size_.empty())
-    lb_ball_size_.assign(static_cast<std::size_t>(h_.size()), -1);
-  int& s = lb_ball_size_[static_cast<std::size_t>(v)];
-  if (s < 0) {
-    scratch_.k_hop_neighborhood(h_, v, 3 * cfg_.r + 2, ball_buf_);
-    s = static_cast<int>(ball_buf_.size());
-  }
-  return s;
-}
-
 std::int64_t DistributedRobustPtas::weight_broadcast_messages(
     std::span<const int> prev_winners) {
-  std::int64_t msgs = 0;
-  for (int v : prev_winners) msgs += cache_.election_ball_size(v);
-  return msgs;
+  return ld_sizes_.sum(h_, prev_winners, scratch_);
 }
 
 void DistributedRobustPtas::elect_by_cache(
@@ -351,16 +340,15 @@ void DistributedRobustPtas::solve_local_instances(
 
 void DistributedRobustPtas::on_graph_delta(std::span<const int> touched) {
   cache_.apply_delta(h_, touched);
-  // Scoped invalidation of the cached LB flood ball sizes, mirroring the
-  // cache's: |J_{3r+2}(v)| can only change if v is within 3r+2 hops of a
-  // touched vertex on the old or the new graph, and one BFS on the new
-  // graph covers both — `touched` contains both endpoints of every removed
-  // edge, so an old-graph path from touched survives intact from its last
-  // removed edge on (whose far endpoint is itself touched), making
-  // old-graph reach a subset of new-graph reach.
-  if (lb_ball_size_.empty()) return;
-  scratch_.multi_source_k_hop(h_, touched, 3 * cfg_.r + 2, reach_buf_);
-  for (int v : reach_buf_) lb_ball_size_[static_cast<std::size_t>(v)] = -1;
+  // Flood sizes: one BFS in discovery order, to the LB memo's stale
+  // radius, marks both memos' stale entries (the LD memo's are a prefix).
+  // Before the first message count neither memo exists, and nothing is
+  // walked.
+  if (ld_sizes_.empty() && lb_sizes_.empty()) return;
+  scratch_.multi_source_k_hop_unsorted(h_, touched, lb_sizes_.stale_radius(),
+                                       reach_buf_);
+  ld_sizes_.invalidate(reach_buf_, scratch_);
+  lb_sizes_.invalidate(reach_buf_, scratch_);
 }
 
 DistributedPtasResult DistributedRobustPtas::run(
@@ -412,6 +400,7 @@ DistributedPtasResult DistributedRobustPtas::run(
     soa_epoch_ = 1;
   }
   died_.clear();
+  flood_leaders_.clear();
   for (int v = 0; v < n; ++v) {
     if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate)
       election_keys_[static_cast<std::size_t>(v)] =
@@ -470,7 +459,6 @@ DistributedPtasResult DistributedRobustPtas::run(
     // --- Status determination (LB), applied in election order. ---
     changed_.clear();
     for (std::size_t li = 0; li < leaders.size(); ++li) {
-      const int leader = leaders[li];
       const MwisResult& local = solve_results_[li];
       res.solver_nodes_explored += local.nodes_explored;
       if (cfg_.local_solver == LocalSolverKind::kExact && !local.exact)
@@ -509,11 +497,10 @@ DistributedPtasResult DistributedRobustPtas::run(
           }
         }
       }
-      if (cfg_.count_messages) {
-        rec.messages += cache_.election_ball_size(leader);  // LD flood
-        rec.messages += lb_ball_size(leader);               // LB flood
-      }
     }
+    if (cfg_.count_messages)
+      flood_leaders_.insert(flood_leaders_.end(), leaders.begin(),
+                            leaders.end());
     // Election maintenance, O(status flips): a vertex leaving candidacy
     // stops contributing to ball maxima, so its SoA key drops to the
     // sentinel; the flips become the next election's rescan seeds (their
@@ -535,7 +522,6 @@ DistributedPtasResult DistributedRobustPtas::run(
 
     rec.candidates_remaining = candidates;
     rec.cumulative_weight = res.weight;
-    res.total_messages += rec.messages;
     // LS takes 2r+1 mini-timeslots, LB 3r+2 (§IV-C gives 3r+1 for marks at
     // distance <= r; winner-adjacent losers sit one hop further out).
     res.total_mini_timeslots += (2 * r + 1) + (3 * r + 2);
@@ -550,6 +536,26 @@ DistributedPtasResult DistributedRobustPtas::run(
       if (status[static_cast<std::size_t>(v)] == VertexStatus::kCandidate)
         election_keys_[static_cast<std::size_t>(v)] = 0;
     }
+  }
+
+  // Message accounting, part of the apply stage: every leader floods its
+  // declaration (LD) to 2r+1 hops and its determination (LB) to 3r+2.
+  // Summing the whole decision's leaders first recounts their stale sizes
+  // in full batches; the per-round sums after it find them all fresh.
+  if (cfg_.count_messages) {
+    const auto t0 = Clock::now();
+    if (tr) tr->begin(obs::kTidEngine, "ptas.apply");
+    res.total_messages = ld_sizes_.sum(h_, flood_leaders_, scratch_) +
+                         lb_sizes_.sum(h_, flood_leaders_, scratch_);
+    std::span<const int> rest = flood_leaders_;
+    for (MiniRoundRecord& rec : res.mini_rounds) {
+      const auto round = rest.first(static_cast<std::size_t>(rec.leaders));
+      rest = rest.subspan(round.size());
+      rec.messages = ld_sizes_.sum(h_, round, scratch_) +
+                     lb_sizes_.sum(h_, round, scratch_);
+    }
+    if (tr) tr->end(obs::kTidEngine);  // ptas.apply
+    if (timed) acc.apply_ms += ms_since(t0);
   }
 
   res.mini_rounds_used = mini_round;

@@ -35,7 +35,11 @@
 // mini-rounds only candidates whose election ball saw a status flip are
 // rescanned — an unchanged ball means an unchanged maximum, so last round's
 // "not a leader" verdict stands (see elect_by_cache). Message *accounting*
-// still charges the real flood sizes. The relaxation-and-BFS formulation
+// still charges the real flood sizes: |J_{2r+1}| per LD and weight-broadcast
+// flood, |J_{3r+2}| per LB flood, read from two FloodSizes memos
+// (graph/hop.h) that count a size when a flood first needs it and again
+// only after a graph delta near it. With count_messages off they stay
+// empty. The relaxation-and-BFS formulation
 // survives as a test-only oracle (tests/reference/seed_ptas.h); the
 // equivalence suites demand byte-identical decisions against it — node-cap
 // aborts and weight ties included.
@@ -73,7 +77,10 @@ struct DistributedPtasConfig {
   /// decision latency stays bounded — the paper's robustness only needs a
   /// β-approximate local oracle. Raise for offline/optimum-quality runs.
   std::int64_t bnb_node_cap = kDefaultBnbNodeCap;
-  bool count_messages = false;          ///< Track flood sizes (costs BFS).
+  /// Count the messages the protocol floods. Costs a bit-parallel ball
+  /// count per leader and weight broadcaster whose size a graph delta has
+  /// changed (or that was never counted); off, nothing is counted.
+  bool count_messages = false;
   /// Fan independent per-leader local solves of one mini-round across
   /// worker threads (exact solver only). 0 = one worker per
   /// hardware thread, 1 = inline. Deterministic at any setting.
@@ -160,27 +167,27 @@ class DistributedRobustPtas {
   /// The graph this engine reads just changed (src/dynamics): `touched` are
   /// the H vertices incident to an added/removed edge. Re-synchronizes the
   /// NeighborhoodCache by scoped invalidation (balls within 2r+1 hops of a
-  /// touched vertex, old or new graph), and scope-invalidates the lazily
-  /// cached LB flood ball sizes the same way: only vertices within 3r+2
-  /// hops of `touched` on the *new* graph can have a changed |J_{3r+2}| (the
-  /// touched set contains both endpoints of every removed edge, so any
-  /// old-graph path from a touched vertex survives from its last removed
-  /// edge on — old-graph reach is a subset of new-graph reach). Decisions
-  /// after this call are byte-identical to a freshly constructed engine
-  /// (fuzzed by tests/dynamics_differential_test.cc).
+  /// touched vertex, old or new graph), and marks stale the flood sizes a
+  /// delta can have changed: |J_k(v)| only for v within k-1 hops of
+  /// `touched` on the *new* graph (FloodSizes::stale_radius). Decisions and
+  /// message counts after this call are identical to a freshly constructed
+  /// engine's (fuzzed by tests/dynamics_differential_test.cc and
+  /// tests/flood_size_differential_test.cc).
   void on_graph_delta(std::span<const int> touched);
 
   /// Messages the Weight-Broadcast step of Algorithm 2 costs: each vertex of
   /// the previous strategy floods its new estimate within 2r+1 hops.
   std::int64_t weight_broadcast_messages(std::span<const int> prev_winners);
 
+  /// The flood-size memos of radius 2r+1 (LD and weight broadcast) and 3r+2
+  /// (LB), for introspection.
+  const FloodSizes& ld_flood_sizes() const { return ld_sizes_; }
+  const FloodSizes& lb_flood_sizes() const { return lb_sizes_; }
+
   const DecisionStageTimes& stage_times() const { return stage_times_; }
   void reset_stage_times() { stage_times_ = {}; }
 
  private:
-  /// |J_{3r+2}(v)|, cached lazily per vertex (BFS on first use).
-  int lb_ball_size(int v);
-
   /// Election: a Candidate leads iff no Candidate in its cached (2r+1)-hop
   /// ball has a larger key (ties broken by the lower vertex id — the paper
   /// assumes distinct weights).
@@ -220,9 +227,8 @@ class DistributedRobustPtas {
   GreedyMwisSolver greedy_;
   BfsScratch scratch_;
   NeighborhoodCache cache_;
-  /// Per-vertex |J_{3r+2}(v)| of the LB flood, the one radius the cache
-  /// does not store (-1 = not yet computed).
-  std::vector<int> lb_ball_size_;
+  FloodSizes ld_sizes_;  ///< |J_{2r+1}|: LD and weight-broadcast floods.
+  FloodSizes lb_sizes_;  ///< |J_{3r+2}|: LB floods.
   // Incremental SoA election state (see elect_by_cache).
   // Allocated once in the constructor and reset *lazily* per decision:
   // run() bumps `soa_epoch_` instead of reassigning the arrays, and the
@@ -253,12 +259,12 @@ class DistributedRobustPtas {
   /// where soa_stamp_[v] == soa_epoch_ (see the lazy-reset note above).
   std::vector<std::uint32_t> soa_stamp_;
   std::uint32_t soa_epoch_ = 0;
-  std::vector<int> reach_buf_;           ///< on_graph_delta invalidation.
+  std::vector<int> reach_buf_;           ///< on_graph_delta flood reach.
+  std::vector<int> flood_leaders_;       ///< A decision's leaders, by round.
   std::vector<int> gather_cands_;        ///< Per-leader candidates, flat.
   std::vector<std::size_t> gather_offsets_;
   std::vector<MwisResult> solve_results_;
   std::vector<SolveScratch> worker_scratch_;
-  std::vector<int> ball_buf_;            ///< lb_ball_size() BFS output.
   DecisionStageTimes stage_times_;
 };
 

@@ -45,7 +45,9 @@ struct SimulationConfig {
   RoundTiming timing;
 
   std::uint64_t seed = 1;      ///< Drives ε-greedy randomization only.
-  bool count_messages = false; ///< Tally protocol messages (costs BFS).
+  /// Tally protocol messages. Costs one bit-parallel ball count per flood
+  /// source whose size a graph delta changed; off, nothing is counted.
+  bool count_messages = false;
   int series_stride = 1;       ///< Record every k-th slot in the series.
 };
 

@@ -181,13 +181,22 @@ TEST(DynamicsDifferential, GraphMatchesFreshBuildBeyondTierLimit) {
   Graph g = from_edge_list(
       n, std::vector<std::pair<int, int>>(present.begin(), present.end()));
   NeighborhoodCache cache(g, 1);
+  // The implicit tier keeps no e-ball sizes; the message accounting's
+  // FloodSizes memo at 2r+1 follows the same deltas.
+  BfsScratch sizes_scratch(n);
+  FloodSizes e_sizes(2 * 1 + 1);
+  std::vector<int> reach;
 
   std::vector<std::pair<int, int>> added, removed;
   for (int d = 0; d < 20; ++d) {
     random_delta(n, present, rng, added, removed);
     if (added.empty() && removed.empty()) continue;
     g.apply_delta(added, removed);
-    cache.apply_delta(g, touched_of(added, removed));
+    const std::vector<int> touched = touched_of(added, removed);
+    cache.apply_delta(g, touched);
+    sizes_scratch.multi_source_k_hop_unsorted(g, touched,
+                                              e_sizes.stale_radius(), reach);
+    e_sizes.invalidate(reach, sizes_scratch);
 
     const Graph rebuilt = from_edge_list(
         n, std::vector<std::pair<int, int>>(present.begin(), present.end()));
@@ -209,9 +218,10 @@ TEST(DynamicsDifferential, GraphMatchesFreshBuildBeyondTierLimit) {
                              cached.end()))
           << "ball " << v << " diverged at delta " << d;
       // This graph is past the tier limit, so the cache runs the
-      // implicit e-ball tier: apply_delta maintains sizes, not spans.
+      // implicit e-ball tier and stores nothing of the election balls.
       scratch.k_hop_neighborhood(g, v, 2 * 1 + 1, ball);
-      ASSERT_EQ(cache.election_ball_size(v), static_cast<int>(ball.size()))
+      ASSERT_EQ(e_sizes.sum(g, {{v}}, sizes_scratch),
+                static_cast<std::int64_t>(ball.size()))
           << "e-ball size " << v << " diverged at delta " << d;
     }
   }

@@ -16,6 +16,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <utility>
 #include <vector>
 
@@ -50,9 +51,10 @@ TEST(LargeN, DefaultGeometricScenarioRunsAtFiftyThousandVertices) {
 
 TEST(LargeN, EballTierSelectionRule) {
   // The election-ball layer is tiered by n <= kExplicitTierLimit, with
-  // MHCA_EBALL_TIER as a per-construction override — and the two tiers describe the same
-  // balls: identical r-ball spans, identical election-ball sizes, and the
-  // implicit tier's sizes match a fresh BFS enumeration.
+  // MHCA_EBALL_TIER as a per-construction override — and the two tiers
+  // describe the same balls: identical r-ball spans, and the election-ball
+  // sizes the message accounting charges (a FloodSizes memo at 2r+1) match
+  // both the explicit spans and a fresh BFS enumeration.
   Rng rng(91);
   ConflictGraph small_cg = random_geometric_avg_degree(
       300, 5.0, rng, /*force_connected=*/false);
@@ -66,24 +68,26 @@ TEST(LargeN, EballTierSelectionRule) {
 
   const NeighborhoodCache exp(small, 2, /*parallelism=*/1);
   ASSERT_EQ(exp.eball_tier(), NeighborhoodCache::EballTier::kExplicit);
-  EXPECT_EQ(exp.explicit_layout_bytes(), exp.resident_bytes());
+  EXPECT_EQ(exp.explicit_layout_bytes(small), exp.resident_bytes());
 
   EballTierOverride force(NeighborhoodCache::EballTier::kImplicit);
   const NeighborhoodCache imp(small, 2, /*parallelism=*/1);
   ASSERT_EQ(imp.eball_tier(), NeighborhoodCache::EballTier::kImplicit);
   EXPECT_LT(imp.resident_bytes(), exp.resident_bytes());
-  EXPECT_EQ(imp.explicit_layout_bytes(), exp.resident_bytes());
+  EXPECT_EQ(imp.explicit_layout_bytes(small), exp.resident_bytes());
 
   BfsScratch scratch(small.size());
+  FloodSizes e_sizes(2 * 2 + 1);
   std::vector<int> ball;
   for (int v = 0; v < small.size(); ++v) {
     const auto re = exp.r_ball(v), ri = imp.r_ball(v);
     ASSERT_TRUE(std::equal(re.begin(), re.end(), ri.begin(), ri.end()))
         << "r-ball of " << v;
-    ASSERT_EQ(imp.election_ball_size(v), exp.election_ball_size(v))
+    const std::int64_t e_size = e_sizes.sum(small, {{v}}, scratch);
+    ASSERT_EQ(e_size, static_cast<std::int64_t>(exp.election_ball(v).size()))
         << "e-ball size of " << v;
     scratch.k_hop_neighborhood(small, v, 2 * 2 + 1, ball);
-    ASSERT_EQ(imp.election_ball_size(v), static_cast<int>(ball.size()))
+    ASSERT_EQ(e_size, static_cast<std::int64_t>(ball.size()))
         << "e-ball size of " << v << " vs BFS";
   }
 }
@@ -171,7 +175,8 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
   ASSERT_GT(h.size(), NeighborhoodCache::kExplicitTierLimit);
 
   // This graph is past the tier limit, so both tiers are exercised: the
-  // default implicit tier here, the explicit tier forced below.
+  // default implicit tier here (r-balls only), the explicit tier forced
+  // below.
   const NeighborhoodCache serial(h, 2, /*parallelism=*/1);
   ASSERT_EQ(serial.eball_tier(), NeighborhoodCache::EballTier::kImplicit);
   const auto check = [&](const NeighborhoodCache& par, int workers) {
@@ -183,8 +188,6 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
       const auto rs = serial.r_ball(v), rp = par.r_ball(v);
       ASSERT_TRUE(std::equal(rs.begin(), rs.end(), rp.begin(), rp.end()))
           << "r-ball of " << v << " at workers=" << workers;
-      ASSERT_EQ(serial.election_ball_size(v), par.election_ball_size(v))
-          << "election ball size of " << v << " at workers=" << workers;
       if (spans) {
         const auto es = serial.election_ball(v), ep = par.election_ball(v);
         ASSERT_TRUE(std::equal(es.begin(), es.end(), ep.begin(), ep.end()))
@@ -199,8 +202,14 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
   }
   {
     // Same claim with explicit e-ball spans: the count-then-fill layout is
-    // worker-count independent on both tiers.
+    // worker-count independent on both tiers. The spans' sizes are the
+    // flood sizes the message accounting counts on demand.
     EballTierOverride force(NeighborhoodCache::EballTier::kExplicit);
+    BfsScratch scratch(h.size());
+    FloodSizes e_sizes(2 * 2 + 1);
+    std::vector<int> all(static_cast<std::size_t>(h.size()));
+    std::iota(all.begin(), all.end(), 0);
+    e_sizes.sum(h, all, scratch);
     const NeighborhoodCache eser(h, 2, /*parallelism=*/1);
     ASSERT_EQ(eser.eball_tier(), NeighborhoodCache::EballTier::kExplicit);
     const NeighborhoodCache epar(h, 2, /*parallelism=*/4);
@@ -209,8 +218,8 @@ TEST(LargeN, ParallelCacheBuildByteIdenticalAcrossWorkerCounts) {
       const auto es = eser.election_ball(v), ep = epar.election_ball(v);
       ASSERT_TRUE(std::equal(es.begin(), es.end(), ep.begin(), ep.end()))
           << "explicit election ball of " << v;
-      ASSERT_EQ(serial.election_ball_size(v), eser.election_ball_size(v))
-          << "tiers disagree on e-ball size of " << v;
+      ASSERT_EQ(e_sizes.cached(v), static_cast<int>(es.size()))
+          << "flood size disagrees with the e-ball of " << v;
     }
   }
 }

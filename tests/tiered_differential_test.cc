@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
 #include <set>
 #include <string>
 #include <utility>
@@ -101,7 +102,13 @@ TEST(TieredDifferential, ApplyDeltaMatchesFreshBuildOnBothTiers) {
     const bool expl = cache.eball_tier() ==
                       NeighborhoodCache::EballTier::kExplicit;
 
+    // The election-ball sizes the message accounting charges live in a
+    // FloodSizes memo, invalidated by the same deltas.
     BfsScratch scratch(n);
+    FloodSizes e_sizes(2 * r + 1);
+    std::vector<int> all(static_cast<std::size_t>(n)), reach, ball;
+    std::iota(all.begin(), all.end(), 0);
+    e_sizes.sum(g, all, scratch);
     for (int d = 0; d < 25; ++d) {
       std::vector<std::pair<int, int>> added, removed;
       for (int t = 0; t < 3; ++t) {
@@ -132,6 +139,10 @@ TEST(TieredDifferential, ApplyDeltaMatchesFreshBuildOnBothTiers) {
                     touched.end());
       g.apply_delta(added, removed);
       cache.apply_delta(g, touched);
+      scratch.multi_source_k_hop_unsorted(g, touched, e_sizes.stale_radius(),
+                                          reach);
+      e_sizes.invalidate(reach, scratch);
+      e_sizes.sum(g, all, scratch);
 
       Graph rebuilt(n);
       for (const auto& [u, v] : present) rebuilt.add_edge(u, v);
@@ -142,7 +153,8 @@ TEST(TieredDifferential, ApplyDeltaMatchesFreshBuildOnBothTiers) {
         const auto ra = cache.r_ball(v), rb = fresh.r_ball(v);
         ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
             << "r-ball " << v << " at delta " << d;
-        ASSERT_EQ(cache.election_ball_size(v), fresh.election_ball_size(v))
+        scratch.k_hop_neighborhood(rebuilt, v, 2 * r + 1, ball);
+        ASSERT_EQ(e_sizes.cached(v), static_cast<int>(ball.size()))
             << "e-ball size " << v << " at delta " << d;
         if (expl) {
           const auto ea = cache.election_ball(v), eb = fresh.election_ball(v);
