@@ -1,8 +1,8 @@
 #include "graph/cds.h"
 
 #include <algorithm>
-#include <queue>
 
+#include "graph/hop.h"
 #include "util/assert.h"
 
 namespace mhca {
@@ -23,23 +23,15 @@ bool induces_connected_subgraph(const Graph& g, std::span<const int> vs) {
   if (vs.size() <= 1) return true;
   std::vector<char> member(static_cast<std::size_t>(g.size()), 0);
   for (int v : vs) member[static_cast<std::size_t>(v)] = 1;
-  std::vector<char> seen(static_cast<std::size_t>(g.size()), 0);
-  std::queue<int> q;
-  q.push(vs[0]);
-  seen[static_cast<std::size_t>(vs[0])] = 1;
-  std::size_t reached = 1;
-  while (!q.empty()) {
-    const int v = q.front();
-    q.pop();
-    for (int u : g.neighbors(v)) {
-      auto ui = static_cast<std::size_t>(u);
-      if (member[ui] && !seen[ui]) {
-        seen[ui] = 1;
+  BfsScratch scratch(g.size());
+  std::size_t reached = 0;
+  scratch.walk(
+      g, vs.first(1), BfsScratch::kUnbounded,
+      [&](int u, int) { return member[static_cast<std::size_t>(u)] != 0; },
+      [&](int, int) {
         ++reached;
-        q.push(u);
-      }
-    }
-  }
+        return false;
+      });
   return reached == vs.size();
 }
 
@@ -63,22 +55,14 @@ std::vector<int> simple_connected_dominating_set(const Graph& g) {
   // BFS tree from the first dominator.
   const int root = mis.front();
   std::vector<int> parent(static_cast<std::size_t>(g.size()), -1);
-  std::vector<char> seen(static_cast<std::size_t>(g.size()), 0);
-  std::queue<int> q;
-  q.push(root);
-  seen[static_cast<std::size_t>(root)] = 1;
-  while (!q.empty()) {
-    const int v = q.front();
-    q.pop();
-    for (int u : g.neighbors(v)) {
-      auto ui = static_cast<std::size_t>(u);
-      if (!seen[ui]) {
-        seen[ui] = 1;
-        parent[ui] = v;
-        q.push(u);
-      }
-    }
-  }
+  BfsScratch scratch(g.size());
+  scratch.walk(
+      g, {&root, 1}, BfsScratch::kUnbounded,
+      [&](int u, int from) {
+        parent[static_cast<std::size_t>(u)] = from;
+        return true;
+      },
+      [](int, int) { return false; });
 
   // Backbone = dominators + their parent chains into the backbone.
   std::vector<char> in_cds(static_cast<std::size_t>(g.size()), 0);
@@ -105,51 +89,21 @@ int pipelined_broadcast_timeslots(const Graph& g, std::span<const int> cds,
   // a plain ttl-flood covers, or ttl if equal.
   std::vector<char> relay(static_cast<std::size_t>(g.size()), 0);
   for (int v : cds) relay[static_cast<std::size_t>(v)] = 1;
-  relay[static_cast<std::size_t>(origin)] = 1;
 
-  std::vector<int> plain_dist(static_cast<std::size_t>(g.size()), -1);
-  std::vector<int> cds_dist(static_cast<std::size_t>(g.size()), -1);
-  // Plain BFS for the coverage target.
-  {
-    std::queue<int> q;
-    q.push(origin);
-    plain_dist[static_cast<std::size_t>(origin)] = 0;
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
-      const int d = plain_dist[static_cast<std::size_t>(v)];
-      if (d == ttl) continue;
-      for (int u : g.neighbors(v))
-        if (plain_dist[static_cast<std::size_t>(u)] < 0) {
-          plain_dist[static_cast<std::size_t>(u)] = d + 1;
-          q.push(u);
-        }
-    }
-  }
-  // Restricted BFS: only relays expand.
-  {
-    std::queue<int> q;
-    q.push(origin);
-    cds_dist[static_cast<std::size_t>(origin)] = 0;
-    while (!q.empty()) {
-      const int v = q.front();
-      q.pop();
-      if (!relay[static_cast<std::size_t>(v)]) continue;
-      for (int u : g.neighbors(v))
-        if (cds_dist[static_cast<std::size_t>(u)] < 0) {
-          cds_dist[static_cast<std::size_t>(u)] =
-              cds_dist[static_cast<std::size_t>(v)] + 1;
-          q.push(u);
-        }
-    }
-  }
+  // Plain ttl ball: the coverage target.
+  BfsScratch scratch(g.size());
+  const std::vector<int> target = scratch.k_hop_neighborhood(g, origin, ttl);
+  // Relay walk: every vertex is discovered, only the origin and the relays
+  // expand.
+  scratch.walk(
+      g, {&origin, 1}, BfsScratch::kUnbounded,
+      [&](int u, int) { return relay[static_cast<std::size_t>(u)] != 0; },
+      [](int, int) { return false; });
   int slots = 0;
-  for (int v = 0; v < g.size(); ++v) {
-    const auto vi = static_cast<std::size_t>(v);
-    if (plain_dist[vi] < 0 || plain_dist[vi] > ttl) continue;
-    MHCA_ASSERT(cds_dist[vi] >= 0,
+  for (int v : target) {
+    MHCA_ASSERT(scratch.reached(v),
                 "CDS-restricted flood failed to cover a target vertex");
-    slots = std::max(slots, cds_dist[vi]);
+    slots = std::max(slots, scratch.distance(v));
   }
   return slots;
 }

@@ -1,8 +1,8 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <queue>
 
+#include "graph/hop.h"
 #include "util/assert.h"
 
 namespace mhca {
@@ -211,22 +211,14 @@ int Graph::max_degree() const {
 
 bool Graph::is_connected() const {
   if (size() <= 1) return true;
-  std::vector<char> seen(static_cast<std::size_t>(size()), 0);
-  std::queue<int> q;
-  q.push(0);
-  seen[0] = 1;
-  int reached = 1;
-  while (!q.empty()) {
-    const int v = q.front();
-    q.pop();
-    for (int u : neighbors(v)) {
-      if (!seen[static_cast<std::size_t>(u)]) {
-        seen[static_cast<std::size_t>(u)] = 1;
-        ++reached;
-        q.push(u);
-      }
-    }
-  }
+  BfsScratch scratch(size());
+  const int origin = 0;
+  int reached = 0;
+  scratch.walk(*this, {&origin, 1}, BfsScratch::kUnbounded, AdmitAll{},
+               [&](int, int) {
+                 ++reached;
+                 return false;
+               });
   return reached == size();
 }
 

@@ -17,6 +17,15 @@ void BfsScratch::resize(int n) {
   epoch_ = 0;
 }
 
+void BfsScratch::begin(const Graph& g) {
+  if (static_cast<int>(stamp_.size()) != g.size()) resize(g.size());
+  if (++epoch_ == 0) {
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  queue_.clear();
+}
+
 std::vector<int> BfsScratch::k_hop_neighborhood(const Graph& g, int v, int k) {
   std::vector<int> out;
   k_hop_neighborhood(g, v, k, out);
@@ -25,31 +34,7 @@ std::vector<int> BfsScratch::k_hop_neighborhood(const Graph& g, int v, int k) {
 
 void BfsScratch::k_hop_neighborhood(const Graph& g, int v, int k,
                                     std::vector<int>& out) {
-  MHCA_ASSERT(v >= 0 && v < g.size(), "vertex out of range");
-  MHCA_ASSERT(k >= 0, "hop count must be non-negative");
-  if (static_cast<int>(stamp_.size()) != g.size()) resize(g.size());
-  ++epoch_;
-  out.clear();
-  queue_.clear();
-  queue_.push_back(v);
-  stamp_[static_cast<std::size_t>(v)] = epoch_;
-  dist_[static_cast<std::size_t>(v)] = 0;
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const int x = queue_[head++];
-    out.push_back(x);
-    const int dx = dist_[static_cast<std::size_t>(x)];
-    if (dx == k) continue;
-    for (int u : g.neighbors(x)) {
-      auto ui = static_cast<std::size_t>(u);
-      if (stamp_[ui] != epoch_) {
-        stamp_[ui] = epoch_;
-        dist_[ui] = dx + 1;
-        queue_.push_back(u);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end());
+  multi_source_k_hop(g, {&v, 1}, k, out);
 }
 
 void BfsScratch::two_radius_neighborhood(const Graph& g, int v, int k_inner,
@@ -62,38 +47,7 @@ void BfsScratch::two_radius_neighborhood(const Graph& g, int v, int k_inner,
   // inner ball is its distance-<= k_inner subset (outer is already sorted).
   inner.clear();
   for (int u : outer)
-    if (dist_[static_cast<std::size_t>(u)] <= k_inner) inner.push_back(u);
-}
-
-void BfsScratch::two_radius_sizes(const Graph& g, int v, int k_inner,
-                                  int k_outer, std::int64_t& inner_size,
-                                  std::int64_t& outer_size) {
-  MHCA_ASSERT(0 <= k_inner && k_inner <= k_outer,
-              "need 0 <= k_inner <= k_outer");
-  MHCA_ASSERT(v >= 0 && v < g.size(), "vertex out of range");
-  if (static_cast<int>(stamp_.size()) != g.size()) resize(g.size());
-  ++epoch_;
-  queue_.clear();
-  queue_.push_back(v);
-  stamp_[static_cast<std::size_t>(v)] = epoch_;
-  dist_[static_cast<std::size_t>(v)] = 0;
-  inner_size = 0;
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const int x = queue_[head++];
-    const int dx = dist_[static_cast<std::size_t>(x)];
-    if (dx <= k_inner) ++inner_size;
-    if (dx == k_outer) continue;
-    for (int u : g.neighbors(x)) {
-      auto ui = static_cast<std::size_t>(u);
-      if (stamp_[ui] != epoch_) {
-        stamp_[ui] = epoch_;
-        dist_[ui] = dx + 1;
-        queue_.push_back(u);
-      }
-    }
-  }
-  outer_size = static_cast<std::int64_t>(queue_.size());
+    if (distance(u) <= k_inner) inner.push_back(u);
 }
 
 void BfsScratch::multi_source_k_hop(const Graph& g,
@@ -106,34 +60,11 @@ void BfsScratch::multi_source_k_hop(const Graph& g,
 void BfsScratch::multi_source_k_hop_unsorted(const Graph& g,
                                              std::span<const int> sources,
                                              int k, std::vector<int>& out) {
-  MHCA_ASSERT(k >= 0, "hop count must be non-negative");
-  if (static_cast<int>(stamp_.size()) != g.size()) resize(g.size());
-  ++epoch_;
   out.clear();
-  queue_.clear();
-  for (int v : sources) {
-    MHCA_ASSERT(v >= 0 && v < g.size(), "vertex out of range");
-    const auto vi = static_cast<std::size_t>(v);
-    if (stamp_[vi] == epoch_) continue;
-    stamp_[vi] = epoch_;
-    dist_[vi] = 0;
-    queue_.push_back(v);
-  }
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const int x = queue_[head++];
+  walk(g, sources, k, AdmitAll{}, [&](int x, int) {
     out.push_back(x);
-    const int dx = dist_[static_cast<std::size_t>(x)];
-    if (dx == k) continue;
-    for (int u : g.neighbors(x)) {
-      auto ui = static_cast<std::size_t>(u);
-      if (stamp_[ui] != epoch_) {
-        stamp_[ui] = epoch_;
-        dist_[ui] = dx + 1;
-        queue_.push_back(u);
-      }
-    }
-  }
+    return false;
+  });
 }
 
 void BfsScratch::k_hop_sizes(const Graph& g, std::span<const int> sources,
@@ -187,33 +118,6 @@ void BfsScratch::k_hop_sizes(const Graph& g, std::span<const int> sources,
       ++sizes[static_cast<std::size_t>(std::countr_zero(m))];
     bits = 0;
   }
-}
-
-int BfsScratch::hop_distance(const Graph& g, int u, int v, int cap) {
-  MHCA_ASSERT(u >= 0 && u < g.size() && v >= 0 && v < g.size(),
-              "vertex out of range");
-  if (u == v) return 0;
-  if (static_cast<int>(stamp_.size()) != g.size()) resize(g.size());
-  ++epoch_;
-  queue_.clear();
-  queue_.push_back(u);
-  stamp_[static_cast<std::size_t>(u)] = epoch_;
-  dist_[static_cast<std::size_t>(u)] = 0;
-  std::size_t head = 0;
-  while (head < queue_.size()) {
-    const int x = queue_[head++];
-    const int dx = dist_[static_cast<std::size_t>(x)];
-    if (dx >= cap) continue;
-    for (int w : g.neighbors(x)) {
-      auto wi = static_cast<std::size_t>(w);
-      if (stamp_[wi] == epoch_) continue;
-      if (w == v) return dx + 1;
-      stamp_[wi] = epoch_;
-      dist_[wi] = dx + 1;
-      queue_.push_back(w);
-    }
-  }
-  return unreachable();
 }
 
 std::int64_t FloodSizes::sum(const Graph& g, std::span<const int> vs,
@@ -278,11 +182,6 @@ std::int64_t FloodSizes::resident_bytes() const {
 std::vector<int> k_hop_neighborhood(const Graph& g, int v, int k) {
   BfsScratch scratch(g.size());
   return scratch.k_hop_neighborhood(g, v, k);
-}
-
-int hop_distance(const Graph& g, int u, int v, int cap) {
-  BfsScratch scratch(g.size());
-  return scratch.hop_distance(g, u, v, cap);
 }
 
 }  // namespace mhca

@@ -1,5 +1,5 @@
-// Bounded-hop BFS utilities (r-hop neighborhoods J_{G,r}(v), hop distances)
-// and the flood-size memo built on them.
+// Bounded-hop BFS utilities (r-hop neighborhoods J_{G,r}(v)) over one
+// traversal kernel, BfsScratch::walk, and the flood-size memo built on them.
 //
 // These are the geometric primitives of the robust PTAS: LocalLeader election
 // uses (2r+1)-hop neighborhoods, local MWIS uses r-hop neighborhoods, and
@@ -18,6 +18,24 @@
 
 namespace mhca {
 
+/// Hops from a changed edge within which a k-hop ball J_k(v) can change,
+/// in membership or size: k-1. Say the touched vertices hold both
+/// endpoints of every added or removed edge. A ball that gains a vertex
+/// reaches it along a new path of at most k hops through an added edge;
+/// the path's prefix up to that edge has at most k-1 hops and ends at a
+/// touched vertex. A ball that loses one had an old path of at most k hops
+/// through a removed edge; the prefix up to the first removed edge
+/// survives in the new graph, has at most k-1 hops, and ends at a touched
+/// vertex. So after a delta only balls centred within k-1 new-graph hops
+/// of a touched vertex need recomputing.
+constexpr int ball_stale_radius(int k) { return k - 1; }
+
+/// BfsScratch::walk's `admit` for a plain BFS: every discovered vertex is
+/// expanded.
+struct AdmitAll {
+  constexpr bool operator()(int, int) const { return true; }
+};
+
 /// Reusable BFS workspace. Uses a stamp array so repeated traversals over the
 /// same graph do not pay an O(V) clear each time.
 class BfsScratch {
@@ -26,8 +44,55 @@ class BfsScratch {
 
   void resize(int n);
 
+  /// Radius of a walk with no hop bound.
+  static constexpr int kUnbounded = std::numeric_limits<int>::max();
+
+  /// The bounded BFS every traversal below is built on: walk J_k of
+  /// `sources` (duplicates allowed; k = kUnbounded walks the whole
+  /// component) in breadth-first order, each vertex's neighbors ascending.
+  ///
+  ///   - `admit(u, from)` runs once, when u is first discovered from the
+  ///     dequeued vertex `from`. u is stamped, and its distance recorded,
+  ///     either way, but it is enqueued (visited, and expanded below k
+  ///     hops) only if admit returns true. Sources are always enqueued.
+  ///   - `visit(x, d)` runs when x, at hop distance d, is dequeued.
+  ///     Returning true stops the walk.
+  ///
+  /// Returns the vertex whose visit stopped the walk, else -1. Afterwards
+  /// reached(u) and distance(u) describe every discovered vertex, admitted
+  /// or not, until the next walk. Callers pass lambdas, so both callbacks
+  /// inline into the loop.
+  template <class Admit, class Visit>
+  int walk(const Graph& g, std::span<const int> sources, int k, Admit&& admit,
+           Visit&& visit) {
+    MHCA_ASSERT(k >= 0, "hop count must be non-negative");
+    begin(g);
+    for (const int v : sources) {
+      MHCA_ASSERT(v >= 0 && v < g.size(), "vertex out of range");
+      const auto vi = static_cast<std::size_t>(v);
+      if (stamp_[vi] == epoch_) continue;
+      stamp_[vi] = epoch_;
+      dist_[vi] = 0;
+      queue_.push_back(v);
+    }
+    for (std::size_t head = 0; head < queue_.size(); ++head) {
+      const int x = queue_[head];
+      const int dx = dist_[static_cast<std::size_t>(x)];
+      if (visit(x, dx)) return x;
+      if (dx == k) continue;
+      for (const int u : g.neighbors(x)) {
+        const auto ui = static_cast<std::size_t>(u);
+        if (stamp_[ui] == epoch_) continue;
+        stamp_[ui] = epoch_;
+        dist_[ui] = dx + 1;
+        if (admit(u, x)) queue_.push_back(u);
+      }
+    }
+    return -1;
+  }
+
   /// Collect all vertices u with hop distance d(v, u) <= k, **including v**,
-  /// in BFS (then sorted ascending) order.
+  /// sorted ascending.
   std::vector<int> k_hop_neighborhood(const Graph& g, int v, int k);
 
   /// As above but appends to `out` (cleared first); avoids an allocation.
@@ -39,17 +104,11 @@ class BfsScratch {
                                int k_outer, std::vector<int>& inner,
                                std::vector<int>& outer);
 
-  /// |J_{k_inner}(v)| and |J_{k_outer}(v)| in one BFS without materializing
-  /// or sorting either ball — the count pass of the NeighborhoodCache's
-  /// count-then-fill parallel build only needs the sizes.
-  void two_radius_sizes(const Graph& g, int v, int k_inner, int k_outer,
-                        std::int64_t& inner_size, std::int64_t& outer_size);
-
   /// Collect all vertices within k hops of *any* source (sources included;
   /// duplicates among sources are fine), sorted ascending. This is the
-  /// blast-radius primitive of incremental maintenance: vertices within
-  /// 2r+1 hops of an edge change are exactly the ones whose cached balls
-  /// can differ (see NeighborhoodCache::apply_delta).
+  /// blast-radius primitive of incremental maintenance: after an edge
+  /// change only the balls centred within ball_stale_radius(k) hops of a
+  /// touched vertex can differ (see NeighborhoodCache::apply_delta).
   void multi_source_k_hop(const Graph& g, std::span<const int> sources, int k,
                           std::vector<int>& out);
 
@@ -66,9 +125,9 @@ class BfsScratch {
   /// a 64-bit mask of the sources whose ball holds it, so the edge scans
   /// follow the *union* of the balls rather than their sum — a several-fold
   /// saving when the sources are close together, as consecutive entries of
-  /// a BFS order are. Size-only, like two_radius_sizes; FloodSizes
-  /// recounts its stale entries with it. Allocates 16 bytes per vertex on
-  /// first use.
+  /// a BFS order are. Size-only; FloodSizes recounts its stale entries with
+  /// it. Allocates 16 bytes per vertex on first use. Not a walk(): it
+  /// leaves reached() and distance() alone.
   void k_hop_sizes(const Graph& g, std::span<const int> sources, int k,
                    std::span<int> sizes);
 
@@ -83,44 +142,24 @@ class BfsScratch {
   /// the explicit span.
   template <class Pred>
   int k_hop_find(const Graph& g, int v, int k, Pred&& pred) {
-    MHCA_ASSERT(v >= 0 && v < g.size(), "vertex out of range");
-    MHCA_ASSERT(k >= 0, "hop count must be non-negative");
-    if (static_cast<int>(stamp_.size()) != g.size()) resize(g.size());
-    ++epoch_;
-    queue_.clear();
-    queue_.push_back(v);
-    stamp_[static_cast<std::size_t>(v)] = epoch_;
-    dist_[static_cast<std::size_t>(v)] = 0;
-    std::size_t head = 0;
-    while (head < queue_.size()) {
-      const int x = queue_[head++];
-      if (pred(x)) return x;
-      const int dx = dist_[static_cast<std::size_t>(x)];
-      if (dx == k) continue;
-      for (int u : g.neighbors(x)) {
-        const auto ui = static_cast<std::size_t>(u);
-        if (stamp_[ui] != epoch_) {
-          stamp_[ui] = epoch_;
-          dist_[ui] = dx + 1;
-          queue_.push_back(u);
-        }
-      }
-    }
-    return -1;
+    return walk(g, {&v, 1}, k, AdmitAll{},
+                [&](int x, int) { return pred(x); });
   }
 
-  /// Hop distance between u and v, or `unreachable()` if no path within
-  /// `cap` hops exists.
-  int hop_distance(const Graph& g, int u, int v,
-                   int cap = std::numeric_limits<int>::max());
+  /// True if the last walk discovered v (admitted or not).
+  bool reached(int v) const {
+    return stamp_[static_cast<std::size_t>(v)] == epoch_;
+  }
 
-  static constexpr int unreachable() { return std::numeric_limits<int>::max(); }
-
-  /// Hop distance at which the last traversal reached v. v must be in that
-  /// traversal's output (k_hop_sizes is not a traversal in this sense).
+  /// Hop distance at which the last walk discovered v. v must be reached().
   int distance(int v) const { return dist_[static_cast<std::size_t>(v)]; }
 
  private:
+  /// Start a walk over g: size the arrays to it and take a fresh epoch. On
+  /// wrap-around the stamps are refilled, so no stale stamp can alias the
+  /// new epoch.
+  void begin(const Graph& g);
+
   std::vector<std::uint32_t> stamp_;
   std::vector<int> dist_;
   std::vector<int> queue_;
@@ -157,15 +196,9 @@ class FloodSizes {
   std::int64_t sum(const Graph& g, std::span<const int> vs,
                    BfsScratch& scratch);
 
-  /// Hops from a changed edge within which |J_k| can change: k-1. Say the
-  /// touched vertices hold both endpoints of every added or removed edge.
-  /// A ball that gains a vertex reaches it along a new path of at most k
-  /// hops through an added edge; the path's prefix up to that edge has at
-  /// most k-1 hops and ends at a touched vertex. A ball that loses one
-  /// had an old path of at most k hops through a removed edge; the prefix
-  /// up to the first removed edge survives in the new graph, has at most
-  /// k-1 hops, and ends at a touched vertex.
-  int stale_radius() const { return k_ - 1; }
+  /// Hops from a changed edge within which |J_k| can change
+  /// (ball_stale_radius).
+  int stale_radius() const { return ball_stale_radius(k_); }
 
   /// g just changed, and `reach` is `scratch`'s last
   /// multi_source_k_hop_unsorted output from the touched vertices, to at
@@ -200,9 +233,5 @@ class FloodSizes {
 
 /// Convenience wrapper allocating a scratch internally.
 std::vector<int> k_hop_neighborhood(const Graph& g, int v, int k);
-
-/// Convenience wrapper allocating a scratch internally.
-int hop_distance(const Graph& g, int u, int v,
-                 int cap = std::numeric_limits<int>::max());
 
 }  // namespace mhca

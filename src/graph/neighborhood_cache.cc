@@ -1,7 +1,6 @@
 #include "graph/neighborhood_cache.h"
 
 #include <algorithm>
-#include <array>
 #include <charconv>
 #include <cstdlib>
 #include <cstring>
@@ -103,10 +102,13 @@ NeighborhoodCache::NeighborhoodCache(const Graph& g, int r, int parallelism)
         scratch.resize(size_);
         const auto [lo, hi] = slice(j);
         for (int v = lo; v < hi; ++v) {
-          std::int64_t e_size = 0;
-          scratch.two_radius_sizes(g, v, r_, e_hops,
-                                   r_offsets_[static_cast<std::size_t>(v) + 1],
-                                   e_size);
+          std::int64_t r_size = 0, e_size = 0;
+          scratch.walk(g, {&v, 1}, e_hops, AdmitAll{}, [&](int, int d) {
+            if (d <= r_) ++r_size;
+            ++e_size;
+            return false;
+          });
+          r_offsets_[static_cast<std::size_t>(v) + 1] = r_size;
           if (!implicit) e_offsets_[static_cast<std::size_t>(v) + 1] = e_size;
         }
       },
@@ -156,20 +158,10 @@ std::int64_t NeighborhoodCache::resident_bytes() const {
 std::int64_t NeighborhoodCache::explicit_layout_bytes(const Graph& g) const {
   if (tier_ == EballTier::kExplicit) return resident_bytes();
   MHCA_ASSERT(g.size() == size_, "graph size changed under the cache");
-  // Count every election ball, 64 at a time in vertex order.
-  constexpr int kBatch = static_cast<int>(BfsScratch::kMaxSizeSources);
+  std::vector<int> all(static_cast<std::size_t>(size_));
+  std::iota(all.begin(), all.end(), 0);
   BfsScratch scratch;
-  std::array<int, kBatch> batch{}, sizes{};
-  std::int64_t e_entries = 0;
-  for (int b = 0; b < size_; b += kBatch) {
-    const int len = std::min(kBatch, size_ - b);
-    std::iota(batch.begin(), batch.begin() + len, b);
-    scratch.k_hop_sizes(g, std::span<const int>(batch.data(),
-                                                static_cast<std::size_t>(len)),
-                        2 * r_ + 1, sizes);
-    for (int i = 0; i < len; ++i)
-      e_entries += sizes[static_cast<std::size_t>(i)];
-  }
+  const std::int64_t e_entries = FloodSizes(2 * r_ + 1).sum(g, all, scratch);
   return resident_bytes() +
          static_cast<std::int64_t>(size_ + 1) *
              static_cast<std::int64_t>(sizeof(std::int64_t)) +
@@ -187,14 +179,15 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     return;
   }
 
-  // The two reaches (see the header): r-balls within r hops of `touched`,
-  // election balls within 2r+1 — explicit tier only, since the implicit
-  // tier stores nothing of them. Recompute the reach's balls into flat
-  // buffers (they hold the blast radius, not the whole cache), then patch
-  // them in.
-  scratch_.multi_source_k_hop(g, touched, r_, r_reach_);
+  // The two reaches (see the header): r-balls within
+  // ball_stale_radius(r) hops of `touched`, election balls within
+  // ball_stale_radius(2r+1) — explicit tier only, since the implicit tier
+  // stores nothing of them. Recompute the reach's balls into flat buffers
+  // (they hold the blast radius, not the whole cache), then patch them in.
+  const int r_hops = ball_stale_radius(r_);
   r_new_.clear();
   if (tier_ == EballTier::kImplicit) {
+    scratch_.multi_source_k_hop(g, touched, r_hops, r_reach_);
     for (const int v : r_reach_) {
       scratch_.k_hop_neighborhood(g, v, r_, r_ball_);
       r_new_.append(r_ball_);
@@ -203,7 +196,12 @@ void NeighborhoodCache::apply_delta(const Graph& g,
     last_invalidated_ = static_cast<int>(r_reach_.size());
     return;
   }
-  scratch_.multi_source_k_hop(g, touched, 2 * r_ + 1, e_reach_);
+  // One BFS serves both reaches: the r-reach is the e-reach's near part.
+  scratch_.multi_source_k_hop(g, touched, ball_stale_radius(2 * r_ + 1),
+                              e_reach_);
+  r_reach_.clear();
+  for (const int v : e_reach_)
+    if (scratch_.distance(v) <= r_hops) r_reach_.push_back(v);
   e_new_.clear();
   auto next_r = r_reach_.begin();
   for (const int v : e_reach_) {

@@ -33,8 +33,9 @@
 // Reuse contract: the cache borrows the graph; the graph must be finalized
 // first. When the graph *does* change (dynamics, src/dynamics/README.md),
 // `apply_delta` re-synchronizes the cache by recomputing only the balls
-// that can have moved — r-balls within r hops of a touched vertex, election
-// balls within 2r+1 — instead of re-running one BFS per vertex.
+// that can have moved — r-balls within r-1 hops of a touched vertex,
+// election balls within 2r (ball_stale_radius, graph/hop.h) — instead of
+// re-running one BFS per vertex.
 #pragma once
 
 #include <cstdint>
@@ -66,7 +67,8 @@ class NeighborhoodCache {
   /// every ball, a prefix sum fixes each vertex's span, pass 2 re-runs the
   /// BFS writing into its disjoint slice), so the built cache is
   /// byte-identical at any worker count. The implicit tier runs the same
-  /// two passes to r hops only.
+  /// two passes to r hops only. Pass 1 is a BfsScratch::walk that only
+  /// counts.
   /// 1 = the serial single-pass build; 0 = the MHCA_CACHE_BUILD_WORKERS
   /// environment variable if set (CI uses it to pin determinism across
   /// worker counts), else one worker per hardware thread.
@@ -129,17 +131,13 @@ class NeighborhoodCache {
   /// Re-synchronize with a graph that just changed. `touched` are the
   /// vertices incident to an added/removed edge (the graph must already be
   /// patched). A ball of radius k can have moved only if its owner is
-  /// within k new-graph hops of `touched`: touched holds both endpoints of
-  /// every changed edge, so (a) a vertex entering some ball got there via
-  /// an added edge whose endpoints are touched, and (b) a vertex leaving one
-  /// had an old path through a removed edge — the prefix of that path up to
-  /// the *first* removed edge survives in the new graph and ends at a
-  /// touched vertex. So the reach is split, one multi-source BFS each:
+  /// within ball_stale_radius(k) = k-1 new-graph hops of `touched` (the
+  /// proof is at ball_stale_radius in graph/hop.h). So the reach is split:
   ///
-  ///   - r-balls are recomputed only within r hops;
-  ///   - election balls within 2r+1 hops, on the explicit tier only (it
+  ///   - r-balls are recomputed only within r-1 hops;
+  ///   - election balls within 2r hops, on the explicit tier only (it
   ///     rebuilds both balls of such a vertex from one BFS). The implicit
-  ///     tier stores nothing of them, so its delta walks r hops only.
+  ///     tier stores nothing of them, so its delta walks r-1 hops only.
   ///
   /// Runs on the calling thread. The BFS workspace and buffers are kept
   /// across calls: ~12 bytes per vertex, and the largest suffix the patch
@@ -153,9 +151,9 @@ class NeighborhoodCache {
   /// tiers; tests/dynamics_differential_test.cc fuzzes it end to end).
   void apply_delta(const Graph& g, std::span<const int> touched);
 
-  /// Vertices whose balls the last apply_delta recomputed: the (2r+1)-hop
-  /// reach of `touched` on the explicit tier (the r-hop reach is a
-  /// subset), the r-hop reach on the implicit tier.
+  /// Vertices whose balls the last apply_delta recomputed: the 2r-hop
+  /// reach of `touched` on the explicit tier (the (r-1)-hop reach is a
+  /// subset), the (r-1)-hop reach on the implicit tier.
   int last_invalidated() const { return last_invalidated_; }
 
  private:

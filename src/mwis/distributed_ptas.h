@@ -165,13 +165,15 @@ class DistributedRobustPtas {
                             std::span<const char> active = {});
 
   /// The graph this engine reads just changed (src/dynamics): `touched` are
-  /// the H vertices incident to an added/removed edge. Re-synchronizes the
-  /// NeighborhoodCache by scoped invalidation (balls within 2r+1 hops of a
-  /// touched vertex, old or new graph), and marks stale the flood sizes a
-  /// delta can have changed: |J_k(v)| only for v within k-1 hops of
-  /// `touched` on the *new* graph (FloodSizes::stale_radius). Decisions and
-  /// message counts after this call are identical to a freshly constructed
-  /// engine's (fuzzed by tests/dynamics_differential_test.cc and
+  /// the H vertices incident to an added/removed edge. One rule scopes the
+  /// work: J_k(v) can change only for v within ball_stale_radius(k) = k-1
+  /// hops of `touched` on the *new* graph (graph/hop.h). So the
+  /// NeighborhoodCache recomputes r-balls within r-1 hops and, on the
+  /// explicit tier, election balls within 2r; the flood-size memos mark
+  /// stale |J_{2r+1}| within 2r hops and |J_{3r+2}| within 3r+1.
+  /// Decisions and message counts after this call are identical to a
+  /// freshly constructed engine's (fuzzed by
+  /// tests/dynamics_differential_test.cc and
   /// tests/flood_size_differential_test.cc).
   void on_graph_delta(std::span<const int> touched);
 

@@ -7,28 +7,18 @@
 namespace mhca {
 namespace {
 
-/// BFS ball J_r(v) restricted to alive vertices (the "remaining graph").
+/// BFS ball J_r(v) restricted to alive vertices (the "remaining graph"),
+/// sorted.
 std::vector<int> restricted_ball(const Graph& g, const std::vector<char>& alive,
-                                 int v, int r) {
+                                 int v, int r, BfsScratch& scratch) {
   std::vector<int> out;
-  std::vector<int> dist(static_cast<std::size_t>(g.size()), -1);
-  std::vector<int> queue;
-  queue.push_back(v);
-  dist[static_cast<std::size_t>(v)] = 0;
-  std::size_t head = 0;
-  while (head < queue.size()) {
-    const int x = queue[head++];
-    out.push_back(x);
-    const int dx = dist[static_cast<std::size_t>(x)];
-    if (dx == r) continue;
-    for (int u : g.neighbors(x)) {
-      auto ui = static_cast<std::size_t>(u);
-      if (alive[ui] && dist[ui] < 0) {
-        dist[ui] = dx + 1;
-        queue.push_back(u);
-      }
-    }
-  }
+  scratch.walk(
+      g, {&v, 1}, r,
+      [&](int u, int) { return alive[static_cast<std::size_t>(u)] != 0; },
+      [&](int x, int) {
+        out.push_back(x);
+        return false;
+      });
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -77,7 +67,7 @@ MwisResult RobustPtasSolver::solve(const Graph& g,
     int r = 0;
     while (r < r_cap_) {
       const std::vector<int> ball =
-          restricted_ball(g, alive, vmax, r + 1);
+          restricted_ball(g, alive, vmax, r + 1, scratch_);
       MwisResult next = inner_.solve(g, weights, ball);
       result.nodes_explored += next.nodes_explored;
       if (next.weight <= rho_ * cur.weight) break;  // r̄ found, harvest cur

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 
+#include "graph/hop.h"
 #include "mwis/branch_and_bound.h"
 #include "mwis/mwis.h"
 
@@ -42,6 +43,7 @@ class RobustPtasSolver : public MwisSolver {
   double rho_;
   int r_cap_;
   BranchAndBoundMwisSolver inner_;
+  BfsScratch scratch_;  ///< Ball growth, reused across balls and solves.
   int last_max_radius_ = 0;
 };
 

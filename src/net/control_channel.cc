@@ -51,8 +51,7 @@ ControlChannel::ControlChannel(const Graph& topology,
                                const FaultProfile& faults)
     : topology_(topology),
       faults_(faults),
-      reach_bits_((static_cast<std::size_t>(topology.size()) + 63) / 64, 0),
-      visit_stamp_(static_cast<std::size_t>(topology.size()), 0) {
+      reach_bits_((static_cast<std::size_t>(topology.size()) + 63) / 64, 0) {
   faults_.validate();
 }
 
@@ -227,35 +226,25 @@ void ControlChannel::flood_impl(
 
   // Faulty BFS: a vertex that fails reception neither delivers nor
   // forwards; a vertex whose delivery is deferred still forwards (the delay
-  // models a slow receive path, not a broken relay).
-  ++visit_epoch_;
-  struct Item {
-    int vertex;
-    int depth;
-  };
-  std::vector<Item> queue;
-  queue.push_back({msg.origin, 0});
-  visit_stamp_[static_cast<std::size_t>(msg.origin)] = visit_epoch_;
-  std::size_t head = 0;
+  // models a slow receive path, not a broken relay). Fault draws and
+  // deliveries run in discovery order, every transmitter counts once.
   std::int64_t transmitters = 0;
   std::vector<Pending> same_flood;
-  while (head < queue.size()) {
-    const Item it = queue[head++];
-    ++transmitters;  // this vertex retransmits the flood once
-    if (it.depth == ttl) continue;
-    for (int u : topology_.neighbors(it.vertex)) {
-      auto ui = static_cast<std::size_t>(u);
-      if (visit_stamp_[ui] == visit_epoch_) continue;
-      visit_stamp_[ui] = visit_epoch_;
-      if (faults_.drop_prob > 0.0 &&
-          fault_draw(u, kSaltDrop) < faults_.drop_prob) {
-        ++stats_.drops;
-        continue;
-      }
-      queue.push_back({u, it.depth + 1});
-      deliver_copies(u, *decoded, digest, bytes, deliver, same_flood);
-    }
-  }
+  scratch_.walk(
+      topology_, {&msg.origin, 1}, ttl,
+      [&](int u, int) {
+        if (faults_.drop_prob > 0.0 &&
+            fault_draw(u, kSaltDrop) < faults_.drop_prob) {
+          ++stats_.drops;
+          return false;
+        }
+        deliver_copies(u, *decoded, digest, bytes, deliver, same_flood);
+        return true;
+      },
+      [&](int, int) {
+        ++transmitters;  // this vertex retransmits the flood once
+        return false;
+      });
   bill(msg.type, wire_size, transmitters);
 
   if (!same_flood.empty()) {

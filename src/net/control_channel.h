@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "graph/hop.h"
 #include "net/faults.h"
 #include "net/message.h"
 #include "net/wire.h"
@@ -180,8 +181,7 @@ class ControlChannel {
   int mtu_ = wire::kDefaultMtu;
   std::vector<int> reach_buf_;
   std::vector<std::uint64_t> reach_bits_;  ///< All zero between floods.
-  std::vector<std::uint32_t> visit_stamp_;
-  std::uint32_t visit_epoch_ = 0;
+  BfsScratch scratch_;  ///< The faulty flood's walk; sized on first use.
   std::int64_t round_ = 0;
   std::vector<Pending> pending_;
   ChannelStats stats_;

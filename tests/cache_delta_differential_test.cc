@@ -1,16 +1,17 @@
 // Whole-cache identity of NeighborhoodCache::apply_delta.
 //
-// apply_delta recomputes r-balls only within r hops of the touched vertices
-// and election balls only within 2r+1. The claim: after any delta the
-// patched cache equals a fresh build of the new graph byte for byte. This
+// apply_delta recomputes r-balls only within r-1 hops of the touched
+// vertices and election balls only within 2r (ball_stale_radius). The
+// claim: after any delta the patched cache equals a fresh build of the new
+// graph byte for byte. This
 // suite checks every vertex — r-ball span, election-ball span on the
 // explicit tier — after every random delta, on both e-ball tiers (forced via
 // MHCA_EBALL_TIER), starting from caches built with 1, 2 and 4 workers and
 // with 0 = MHCA_CACHE_BUILD_WORKERS. The election-ball sizes, which the
 // cache no longer keeps, are checked on a FloodSizes memo at 2r+1 invalidated
 // by the same deltas, against a fresh BFS. It also pins last_invalidated()
-// to the size of the reach the tier recomputes: 2r+1 hops on the explicit
-// tier, r on the implicit one.
+// to the size of the reach the tier recomputes: 2r hops on the explicit
+// tier, r-1 on the implicit one.
 #include <algorithm>
 #include <iterator>
 #include <numeric>
@@ -135,7 +136,7 @@ void check_sequence(Graph g, std::set<Edge> present, int r, int workers,
       ASSERT_EQ(e_sizes.cached(v), static_cast<int>(ball.size()))
           << "e-ball size of " << v;
     }
-    scratch.multi_source_k_hop(g, touched, is_explicit ? 2 * r + 1 : r,
+    scratch.multi_source_k_hop(g, touched, is_explicit ? 2 * r : r - 1,
                                reach);
     ASSERT_EQ(cache.last_invalidated(), static_cast<int>(reach.size()));
   }

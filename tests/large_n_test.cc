@@ -6,8 +6,9 @@
 // README's rule says, (2) the cached decision path (NeighborhoodCache +
 // CSR gather + incremental SoA election) takes byte-identical decisions
 // to the seed re-derivation reference (tests/reference/) at n ≈ 10k and
-// 250k, (3) incremental apply_delta keeps the CSR rows exact, and (4) a
-// default geometric scenario scaled to 50k vertices builds and runs.
+// 250k, (3) incremental apply_delta keeps the CSR rows exact, (4) a
+// default geometric scenario scaled to 50k vertices builds and runs, and
+// (5) BfsScratch's 32-bit walk epoch survives wrap-around (2^32 walks).
 //
 // ctest label "large": runs in the Release CI job only (Debug/ASan jobs
 // filter it out with -LE large — an unoptimized 10k-vertex decision is
@@ -16,6 +17,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <numeric>
 #include <utility>
 #include <vector>
@@ -32,6 +34,30 @@
 
 namespace mhca {
 namespace {
+
+// BfsScratch stamps visited vertices with a 32-bit epoch, one per walk.
+// After 2^32 walks the epoch wraps; a stamp left by an old walk must not
+// alias the new one. Vertex 0 is stamped by walk 1 (epoch 1), 2^32 - 1
+// walks without sources follow, and then walk 1's epoch would recur:
+// without the refill on wrap, vertex 0 would look visited and the last
+// walk would visit nothing.
+TEST(LargeN, WalkEpochWrapRefillsStamps) {
+  Graph g(1);
+  g.finalize();
+  BfsScratch scratch;
+  const int v = 0;
+  int visits = 0;
+  const auto count = [&](int, int) {
+    ++visits;
+    return false;
+  };
+  scratch.walk(g, {&v, 1}, 0, AdmitAll{}, count);
+  for (std::uint64_t i = 1; i < (std::uint64_t{1} << 32); ++i)
+    scratch.walk(g, {}, 0, AdmitAll{}, count);
+  scratch.walk(g, {&v, 1}, 0, AdmitAll{}, count);
+  EXPECT_EQ(visits, 2);
+  EXPECT_TRUE(scratch.reached(v));
+}
 
 TEST(LargeN, DefaultGeometricScenarioRunsAtFiftyThousandVertices) {
   // quickstart.ini leaves topology.force_connected unset. Rejection-sampling

@@ -12,6 +12,7 @@
 #include "graph/hop.h"
 #include "mwis/branch_and_bound.h"
 #include "mwis/distributed_ptas.h"
+#include "reference/hop_distance.h"
 #include "util/rng.h"
 
 namespace mhca {
@@ -248,7 +249,8 @@ TEST(DistributedPtas, FirstMiniRoundLeaderSeparation) {
 
   for (std::size_t i = 0; i < leaders.size(); ++i)
     for (std::size_t j = i + 1; j < leaders.size(); ++j)
-      EXPECT_GT(hop_distance(h, leaders[i], leaders[j], 2 * r + 2), 2 * r + 1);
+      EXPECT_GT(reference::hop_distance(h, leaders[i], leaders[j], 2 * r + 2),
+                2 * r + 1);
 }
 
 }  // namespace
