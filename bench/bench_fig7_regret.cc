@@ -88,22 +88,25 @@ int main() {
   }
   table.print(std::cout);
 
+  const bool alg2_beats_llr = pr_cab.back() <= pr_llr.back();
+  const bool beta_negative = br_cab.back() < 0 && br_llr.back() < 0;
+  const bool theta_loss = pr_cab.back() > 0.25 * opt.weight;
   std::cout << "\nSummary (kbps):\n";
   TablePrinter sum({"metric", "Alg2 (CAB)", "LLR", "paper-shape check"});
   sum.row("final practical regret", fixed(pr_cab.back() * kRateScaleKbps, 1),
           fixed(pr_llr.back() * kRateScaleKbps, 1),
-          pr_cab.back() <= pr_llr.back() ? "Alg2 <= LLR: OK" : "MISMATCH");
+          alg2_beats_llr ? "Alg2 <= LLR: OK" : "MISMATCH");
   sum.row("final beta-regret", fixed(br_cab.back() * kRateScaleKbps, 1),
           fixed(br_llr.back() * kRateScaleKbps, 1),
-          (br_cab.back() < 0 && br_llr.back() < 0) ? "both negative: OK"
-                                                   : "MISMATCH");
+          beta_negative ? "both negative: OK" : "MISMATCH");
   sum.row("regret >> 0 (theta loss)",
           fixed(pr_cab.back() / opt.weight, 3), fixed(pr_llr.back() / opt.weight, 3),
-          pr_cab.back() > 0.25 * opt.weight ? "OK" : "MISMATCH");
+          theta_loss ? "OK" : "MISMATCH");
   sum.print(std::cout);
 
   if (export_series_csv(cab, "fig7_alg2.csv", kRateScaleKbps) &&
       export_series_csv(llr, "fig7_llr.csv", kRateScaleKbps))
     std::cout << "\n(raw series exported to ./fig7_alg2.csv, ./fig7_llr.csv)\n";
-  return 0;
+  // A failed paper-shape check fails the run (ctest label `paper`).
+  return alg2_beats_llr && beta_negative && theta_loss ? 0 : 1;
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdio>
+#include <numeric>
 #include <utility>
 
 #include "graph/hop.h"
@@ -55,7 +56,9 @@ void DistributedRuntime::init() {
   for (int v = 0; v < ecg_.num_vertices(); ++v)
     agents_.emplace_back(v, cfg_.r, cfg_.membership, cfg_.liveness);
   index_memo_.resize(agents_.size());
-  discover();
+  std::vector<int> all(agents_.size());
+  std::iota(all.begin(), all.end(), 0);
+  discover(all);
 }
 
 void DistributedRuntime::set_fault_profile(const FaultProfile& faults) {
@@ -146,29 +149,40 @@ std::vector<int> DistributedRuntime::exchange_and_replay(
   return origins;
 }
 
-void DistributedRuntime::discover() {
+void DistributedRuntime::discover(std::span<const int> agents) {
   const Graph& h = ecg_.graph();
   const int horizon = 2 * cfg_.r + 1;
-  for (int v = 0; v < h.size(); ++v) {
+  std::vector<char> listed(agents_.size(), 0);
+  for (int v : agents) {
+    listed[static_cast<std::size_t>(v)] = 1;
     const auto nb = h.neighbors(v);
     agents_[static_cast<std::size_t>(v)].set_own_neighbors(
         std::vector<int>(nb.begin(), nb.end()));
   }
   const bool view_sync = cfg_.membership == MembershipMode::kViewSync;
   const auto deliver = [&](int to, const Message& m) {
+    if (!listed[static_cast<std::size_t>(to)]) return;
     if (view_sync)
       agents_[static_cast<std::size_t>(to)].on_membership_message(m, t_);
     else
       agents_[static_cast<std::size_t>(to)].on_hello(m);
   };
-  // Hellos read only their sender's own state, which no discovery delivery
-  // changes, so every owned hello is framed up front and the canonical
-  // replay floods them in ascending origin order.
+  // Every vertex within `horizon` hops of a listed agent floods its hello;
+  // by symmetry those floods reach exactly the listed agents that must list
+  // the sender. A hello carries its sender's current statistics (so tables
+  // rebuilt after churn stay index-consistent with the lockstep engine) and
+  // reads only the sender's own state, which no discovery delivery changes:
+  // every owned hello is framed up front, and the canonical replay floods
+  // them in ascending origin order.
+  BfsScratch scratch(h.size());
+  std::vector<int> senders;
+  scratch.multi_source_k_hop(h, agents, horizon, senders);
   std::vector<FloodFrame> frames;
-  for (int v = 0; v < h.size(); ++v)
-    if (owns(v)) frames.push_back(make_frame(make_hello(v), horizon));
+  for (int w : senders)
+    if (owns(w)) frames.push_back(make_frame(make_hello(w), horizon));
   exchange_and_replay(std::move(frames), deliver);
-  for (auto& a : agents_) a.finalize_discovery();
+  for (int v : agents)
+    agents_[static_cast<std::size_t>(v)].finalize_discovery();
 }
 
 void DistributedRuntime::on_topology_change(
@@ -177,8 +191,9 @@ void DistributedRuntime::on_topology_change(
               "on_topology_change is the omniscient delta feed; view-sync "
               "runs take on_wire_change");
   MHCA_ASSERT(transport_.shard_count() == 1,
-              "sharded runs support static graphs only (churn rediscovery "
-              "would need its own exchange barrier)");
+              "sharded runs support static graphs only (every shard would "
+              "have to apply each change between the same two exchanges, "
+              "and no sharded churn schedule exists to check that)");
   const Graph& h = ecg_.graph();
   const int horizon = 2 * cfg_.r + 1;
   MHCA_ASSERT(static_cast<int>(active_vertices.size()) == h.size(),
@@ -207,32 +222,10 @@ void DistributedRuntime::on_topology_change(
   std::vector<int> affected_list;
   for (std::size_t v = 0; v < affected.size(); ++v)
     if (affected[v]) affected_list.push_back(static_cast<int>(v));
-  for (int v : affected_list) {
-    agents_[static_cast<std::size_t>(v)].reset_discovery();
-    const auto nb = h.neighbors(v);
-    agents_[static_cast<std::size_t>(v)].set_own_neighbors(
-        std::vector<int>(nb.begin(), nb.end()));
-  }
-
-  // Every vertex within `horizon` hops of an affected agent re-floods its
-  // hello — by symmetry the flood reaches exactly the reopened agents whose
-  // new tables must list the sender. Hellos carry the sender's current
-  // statistics, so a vertex entering someone's horizon arrives with a
-  // consistent index (this is what keeps the runtime's decisions identical
-  // to the lockstep engine across topology changes).
-  std::vector<int> senders;
-  scratch.multi_source_k_hop(h, affected_list, horizon, senders);
-  for (int w : senders) {
-    const Message hello = make_hello(w);
-    channel_.flood(hello, horizon,
-                   [this, &affected](int to, const Message& m) {
-                     if (affected[static_cast<std::size_t>(to)])
-                       agents_[static_cast<std::size_t>(to)].on_hello(m);
-                   });
-  }
-  channel_.charge_timeslots(horizon);
   for (int v : affected_list)
-    agents_[static_cast<std::size_t>(v)].finalize_discovery();
+    agents_[static_cast<std::size_t>(v)].reset_discovery();
+  discover(affected_list);
+  channel_.charge_timeslots(horizon);
 }
 
 void DistributedRuntime::on_wire_change(

@@ -143,14 +143,14 @@ class DistributedRuntime {
   /// `touched` are the H vertices incident to an added/removed edge,
   /// `active_vertices` the new per-vertex activity mask. Agents whose
   /// (2r+1)-hop view can have changed — members of a touched agent's old
-  /// table, or within 2r+1 new-graph hops of a touched vertex — re-run
-  /// discovery: every vertex of the affected neighborhoods re-floods a
-  /// hello (billed on the control channel like any flood) carrying its
-  /// neighbor list *and* current statistics, so rebuilt tables stay
-  /// index-consistent and the decisions keep matching the lockstep engine.
-  /// Omniscient mode only — the god's-eye feed view-sync replaces — and
-  /// single-shard only (churn rediscovery floods directly, without an
-  /// exchange barrier).
+  /// table, or within 2r+1 new-graph hops of a touched vertex — re-run the
+  /// constructor's discovery routine: every vertex of the affected
+  /// neighborhoods re-floods a hello carrying its neighbor list *and*
+  /// current statistics, so rebuilt tables stay index-consistent and the
+  /// decisions keep matching the lockstep engine. Unlike the initial
+  /// discovery, rediscovery is billed on the control channel. Omniscient
+  /// mode only — the god's-eye feed view-sync replaces — and single-shard
+  /// only.
   void on_topology_change(std::span<const int> touched,
                           const std::vector<char>& active_vertices);
 
@@ -191,9 +191,15 @@ class DistributedRuntime {
 
  private:
   /// Both constructors' body, once the transport is bound: validation,
-  /// policy, agents, then discovery.
+  /// policy, agents, then discovery of every agent.
   void init();
-  void discover();
+  /// (2r+1)-hop neighborhood discovery for `agents` (sorted, unique): set
+  /// their own neighbors, flood the hello of every owned vertex within
+  /// 2r+1 hops of them through one exchange, deliver only to `agents`,
+  /// then finalize them. Construction runs it over every vertex (unbilled),
+  /// omniscient churn over the affected agents; one routine, so initial
+  /// discovery and rediscovery cannot drift.
+  void discover(std::span<const int> agents);
   /// One vertex's hello: id, direct neighbors, current (µ̃, m) — shared by
   /// initial discovery, scoped churn rediscovery, keep-alives and probes,
   /// so none of them can drift.

@@ -35,197 +35,222 @@ static_assert(NetSpec{}.mtu == net::NetConfig{}.mtu &&
 
 namespace {
 
-const std::vector<std::string> kSections{
-    "topology", "channel",     "policy", "dynamics", "solver",
-    "run",      "net",         "replication", "timing", "obs"};
+/// Shortest decimal form that parses back to exactly the same double.
+std::string format_double(double v) {
+  for (int precision = 1; precision <= 17; ++precision) {
+    std::ostringstream os;
+    os.precision(precision);
+    os << v;
+    if (std::stod(os.str()) == v) return os.str();
+  }
+  return std::to_string(v);
+}
 
-/// One fixed-schema field: the key plus its parse-and-assign action.
-/// Routing and the valid-keys error message both come from this table, so
-/// the two cannot drift.
+// One parse_into / text_of pair per field type: field() picks both from the
+// member's type, so a key's parsing and its canonical text cannot disagree.
+void parse_into(int& out, const std::string& v, const std::string& where) {
+  out = checked_int32(parse_int_value(v, where), where);
+}
+void parse_into(std::int64_t& out, const std::string& v,
+                const std::string& where) {
+  out = parse_int_value(v, where);
+}
+void parse_into(std::uint64_t& out, const std::string& v,
+                const std::string& where) {
+  out = parse_uint_value(v, where);
+}
+void parse_into(double& out, const std::string& v, const std::string& where) {
+  out = parse_double_value(v, where);
+}
+void parse_into(bool& out, const std::string& v, const std::string& where) {
+  out = parse_bool_value(v, where);
+}
+void parse_into(std::string& out, const std::string& v, const std::string&) {
+  out = v;
+}
+void parse_into(SolverKind& out, const std::string& v, const std::string&) {
+  out = solver_kind_from_string(v);
+}
+void parse_into(LocalSolverKind& out, const std::string& v,
+                const std::string&) {
+  out = local_solver_from_string(v);
+}
+
+std::string text_of(int v) { return std::to_string(v); }
+std::string text_of(std::int64_t v) { return std::to_string(v); }
+std::string text_of(std::uint64_t v) { return std::to_string(v); }
+std::string text_of(double v) { return format_double(v); }
+std::string text_of(bool v) { return v ? "true" : "false"; }
+std::string text_of(const std::string& v) { return v; }
+std::string text_of(SolverKind v) { return solver_kind_key(v); }
+std::string text_of(LocalSolverKind v) { return local_solver_key(v); }
+
+/// One fixed key of a section: how a value is parsed into the Scenario and
+/// how the Scenario writes it back. Parsing, overrides, serialization and
+/// the valid-keys error message all read this one entry. `text` is null for
+/// a parse-only (retired) key, which serialization skips.
 struct FieldDef {
   const char* key;
   std::function<void(Scenario&, const std::string& value,
                      const std::string& where)>
       set;
+  std::function<std::string(const Scenario&)> text;
 };
 
-int int32_field(const std::string& value, const std::string& where) {
-  return checked_int32(parse_int_value(value, where), where);
+/// The FieldDef of the member `ref` returns, e.g.
+/// `field("r", [](auto& s) -> auto& { return s.solver.r; })`.
+template <typename Ref>
+FieldDef field(const char* key, Ref ref) {
+  return {key,
+          [ref](Scenario& s, const std::string& v, const std::string& w) {
+            parse_into(ref(s), v, w);
+          },
+          [ref](const Scenario& s) { return text_of(ref(s)); }};
 }
 
-const std::vector<FieldDef>& solver_fields() {
-  static const std::vector<FieldDef> fields{
-      {"kind", [](Scenario& s, const std::string& v, const std::string&) {
-         s.solver.kind = solver_kind_from_string(v);
-       }},
-      {"r", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.solver.r = int32_field(v, w);
-       }},
-      {"D", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.solver.D = int32_field(v, w);
-       }},
-      {"local_solver",
-       [](Scenario& s, const std::string& v, const std::string&) {
-         s.solver.local_solver = local_solver_from_string(v);
-       }},
-      {"node_cap", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.solver.node_cap = parse_int_value(v, w);
-       }},
-      {"parallelism",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.solver.parallelism = int32_field(v, w);
-       }},
-      // Retired key, still set (to false) by the frozen perfbench inis.
-      {"memoized_covers",
-       [](Scenario&, const std::string& v, const std::string& w) {
-         if (parse_bool_value(v, w))
-           throw ScenarioError("'" + w +
-                               "' is retired: memoized clique covers were "
-                               "removed; drop the key or set it to false");
-       }},
-      {"epsilon", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.solver.epsilon = parse_double_value(v, w);
-       }},
+/// `f`, but `check(value)` runs first and throws on a bad value: a string
+/// field that must name an enum entry fails at parse time.
+template <typename Check>
+FieldDef checked(FieldDef f, Check check) {
+  f.set = [set = std::move(f.set), check](Scenario& s, const std::string& v,
+                                          const std::string& w) {
+    check(v);
+    set(s, v, w);
   };
-  return fields;
+  return f;
 }
 
-const std::vector<FieldDef>& run_fields() {
-  static const std::vector<FieldDef> fields{
-      {"slots", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.run.slots = parse_int_value(v, w);
-       }},
-      {"update_period",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.run.update_period = int32_field(v, w);
-       }},
-      {"seed", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.run.seed = parse_uint_value(v, w);
-       }},
-      {"series_stride",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.run.series_stride = int32_field(v, w);
-       }},
-      {"count_messages",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.run.count_messages = parse_bool_value(v, w);
-       }},
+/// The ParamMap of a component section: it takes every key the section's
+/// fields do not name. Both accessors are left empty for fixed-schema
+/// sections.
+struct ParamsDef {
+  std::function<ParamMap&(Scenario&)> of;
+  std::function<const ParamMap&(const Scenario&)> read;
+};
+
+template <typename Ref>
+ParamsDef params(Ref ref) {
+  return {ref, ref};
+}
+
+struct SectionDef {
+  const char* name;
+  std::vector<FieldDef> fields;  ///< Canonical (serialization) order.
+  ParamsDef params;
+};
+
+/// The scenario schema: every section and fixed key, in canonical order.
+const std::vector<SectionDef>& schema() {
+  static const std::vector<SectionDef> sections{
+      {"topology",
+       {field("kind", [](auto& s) -> auto& { return s.topology.kind; })},
+       params([](auto& s) -> auto& { return s.topology.params; })},
+      {"channel",
+       {field("kind", [](auto& s) -> auto& { return s.channel.kind; }),
+        field("channels", [](auto& s) -> auto& { return s.num_channels; })},
+       params([](auto& s) -> auto& { return s.channel.params; })},
+      {"policy",
+       {field("kind", [](auto& s) -> auto& { return s.policy.kind; })},
+       params([](auto& s) -> auto& { return s.policy.params; })},
+      {"dynamics",
+       {field("kind", [](auto& s) -> auto& { return s.dynamics.model.kind; }),
+        field("incremental",
+              [](auto& s) -> auto& { return s.dynamics.incremental; }),
+        field("batch", [](auto& s) -> auto& { return s.dynamics.batch; }),
+        field("seed", [](auto& s) -> auto& { return s.dynamics.seed; })},
+       params([](auto& s) -> auto& { return s.dynamics.model.params; })},
+      {"solver",
+       {field("kind", [](auto& s) -> auto& { return s.solver.kind; }),
+        field("r", [](auto& s) -> auto& { return s.solver.r; }),
+        field("D", [](auto& s) -> auto& { return s.solver.D; }),
+        field("local_solver",
+              [](auto& s) -> auto& { return s.solver.local_solver; }),
+        field("node_cap", [](auto& s) -> auto& { return s.solver.node_cap; }),
+        field("parallelism",
+              [](auto& s) -> auto& { return s.solver.parallelism; }),
+        // Retired key, still set (to false) by the frozen perfbench inis.
+        {"memoized_covers",
+         [](Scenario&, const std::string& v, const std::string& w) {
+           if (parse_bool_value(v, w))
+             throw ScenarioError("'" + w +
+                                 "' is retired: memoized clique covers were "
+                                 "removed; drop the key or set it to false");
+         },
+         nullptr},
+        field("epsilon", [](auto& s) -> auto& { return s.solver.epsilon; })},
+       {}},
+      {"run",
+       {field("slots", [](auto& s) -> auto& { return s.run.slots; }),
+        field("update_period",
+              [](auto& s) -> auto& { return s.run.update_period; }),
+        field("seed", [](auto& s) -> auto& { return s.run.seed; }),
+        field("series_stride",
+              [](auto& s) -> auto& { return s.run.series_stride; }),
+        field("count_messages",
+              [](auto& s) -> auto& { return s.run.count_messages; })},
+       {}},
+      {"net",
+       {field("drop_prob",
+              [](auto& s) -> auto& { return s.net.faults.drop_prob; }),
+        field("drop_seed", [](auto& s) -> auto& { return s.net.faults.seed; }),
+        field("dup_prob",
+              [](auto& s) -> auto& { return s.net.faults.dup_prob; }),
+        field("reorder_prob",
+              [](auto& s) -> auto& { return s.net.faults.reorder_prob; }),
+        field("delay_slots_max",
+              [](auto& s) -> auto& { return s.net.faults.delay_slots_max; }),
+        checked(field("membership",
+                      [](auto& s) -> auto& { return s.net.membership; }),
+                membership_mode_from_string),
+        field("hello_timeout_slots",
+              [](auto& s) -> auto& {
+                return s.net.liveness.hello_timeout_slots;
+              }),
+        field("hello_max_retries",
+              [](auto& s) -> auto& {
+                return s.net.liveness.hello_max_retries;
+              }),
+        field("backoff_base",
+              [](auto& s) -> auto& { return s.net.liveness.backoff_base; }),
+        checked(field("transport",
+                      [](auto& s) -> auto& { return s.net.transport; }),
+                transport_kind_from_string),
+        field("mtu", [](auto& s) -> auto& { return s.net.mtu; }),
+        field("shard", [](auto& s) -> auto& { return s.net.shard; })},
+       {}},
+      {"replication",
+       {field("replications",
+              [](auto& s) -> auto& { return s.replication.replications; }),
+        field("seed0", [](auto& s) -> auto& { return s.replication.seed0; }),
+        field("parallelism",
+              [](auto& s) -> auto& { return s.replication.parallelism; })},
+       {}},
+      {"timing",
+       {field("ta_ms", [](auto& s) -> auto& { return s.timing.ta_ms; }),
+        field("td_ms", [](auto& s) -> auto& { return s.timing.td_ms; }),
+        field("tb_ms", [](auto& s) -> auto& { return s.timing.tb_ms; }),
+        field("tl_ms", [](auto& s) -> auto& { return s.timing.tl_ms; }),
+        field("decision_mini_rounds",
+              [](auto& s) -> auto& {
+                return s.timing.decision_mini_rounds;
+              })},
+       {}},
+      // Empty paths round-trip: `trace = ` parses back to "" (off).
+      {"obs",
+       {field("trace", [](auto& s) -> auto& { return s.obs.trace; }),
+        field("metrics", [](auto& s) -> auto& { return s.obs.metrics; })},
+       {}},
   };
-  return fields;
+  return sections;
 }
 
-const std::vector<FieldDef>& net_fields() {
-  static const std::vector<FieldDef> fields{
-      {"drop_prob", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.faults.drop_prob = parse_double_value(v, w);
-       }},
-      {"drop_seed", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.faults.seed = parse_uint_value(v, w);
-       }},
-      {"dup_prob", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.faults.dup_prob = parse_double_value(v, w);
-       }},
-      {"reorder_prob",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.faults.reorder_prob = parse_double_value(v, w);
-       }},
-      {"delay_slots_max",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.faults.delay_slots_max = int32_field(v, w);
-       }},
-      {"membership",
-       [](Scenario& s, const std::string& v, const std::string&) {
-         membership_mode_from_string(v);  // reject bad values at parse time
-         s.net.membership = v;
-       }},
-      {"hello_timeout_slots",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.liveness.hello_timeout_slots = int32_field(v, w);
-       }},
-      {"hello_max_retries",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.liveness.hello_max_retries = int32_field(v, w);
-       }},
-      {"backoff_base",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.liveness.backoff_base = int32_field(v, w);
-       }},
-      {"transport",
-       [](Scenario& s, const std::string& v, const std::string&) {
-         transport_kind_from_string(v);  // reject bad values at parse time
-         s.net.transport = v;
-       }},
-      {"mtu", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.mtu = int32_field(v, w);
-       }},
-      {"shard", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.net.shard = int32_field(v, w);
-       }},
-  };
-  return fields;
-}
-
-const std::vector<FieldDef>& replication_fields() {
-  static const std::vector<FieldDef> fields{
-      {"replications",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.replication.replications = int32_field(v, w);
-       }},
-      {"seed0", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.replication.seed0 = parse_uint_value(v, w);
-       }},
-      {"parallelism",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.replication.parallelism = int32_field(v, w);
-       }},
-  };
-  return fields;
-}
-
-const std::vector<FieldDef>& timing_fields() {
-  static const std::vector<FieldDef> fields{
-      {"ta_ms", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.timing.ta_ms = parse_double_value(v, w);
-       }},
-      {"td_ms", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.timing.td_ms = parse_double_value(v, w);
-       }},
-      {"tb_ms", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.timing.tb_ms = parse_double_value(v, w);
-       }},
-      {"tl_ms", [](Scenario& s, const std::string& v, const std::string& w) {
-         s.timing.tl_ms = parse_double_value(v, w);
-       }},
-      {"decision_mini_rounds",
-       [](Scenario& s, const std::string& v, const std::string& w) {
-         s.timing.decision_mini_rounds = int32_field(v, w);
-       }},
-  };
-  return fields;
-}
-
-const std::vector<FieldDef>& obs_fields() {
-  static const std::vector<FieldDef> fields{
-      {"trace", [](Scenario& s, const std::string& v, const std::string&) {
-         s.obs.trace = v;
-       }},
-      {"metrics", [](Scenario& s, const std::string& v, const std::string&) {
-         s.obs.metrics = v;
-       }},
-  };
-  return fields;
-}
-
-/// nullptr for the component sections (topology/channel/policy), which mix
-/// reserved keys with free-form factory params and are routed by hand.
-const std::vector<FieldDef>* fixed_section(const std::string& section) {
-  if (section == "solver") return &solver_fields();
-  if (section == "run") return &run_fields();
-  if (section == "net") return &net_fields();
-  if (section == "replication") return &replication_fields();
-  if (section == "timing") return &timing_fields();
-  if (section == "obs") return &obs_fields();
-  return nullptr;
+const SectionDef& find_section(const std::string& name) {
+  for (const SectionDef& sec : schema())
+    if (name == sec.name) return sec;
+  std::vector<std::string> valid;
+  for (const SectionDef& sec : schema()) valid.emplace_back(sec.name);
+  throw ScenarioError("unknown section [" + name +
+                      "]; valid sections: " + join_keys(valid));
 }
 
 std::string trim(const std::string& s) {
@@ -240,7 +265,6 @@ std::string trim(const std::string& s) {
 /// and identical error messages.
 void set_field(Scenario& s, const std::string& section, const std::string& key,
                const std::string& value) {
-  const std::string where = section.empty() ? key : section + "." + key;
   if (section.empty()) {
     if (key == "name") {
       s.name = value;
@@ -250,73 +274,21 @@ void set_field(Scenario& s, const std::string& section, const std::string& key,
                         "'; only 'name' may appear before the first "
                         "[section]");
   }
-  if (section == "topology") {
-    if (key == "kind")
-      s.topology.kind = value;
-    else
-      s.topology.params.set(key, value);
-    return;
-  }
-  if (section == "channel") {
-    if (key == "kind")
-      s.channel.kind = value;
-    else if (key == "channels")
-      s.num_channels = checked_int32(parse_int_value(value, where), where);
-    else
-      s.channel.params.set(key, value);
-    return;
-  }
-  if (section == "policy") {
-    if (key == "kind")
-      s.policy.kind = value;
-    else
-      s.policy.params.set(key, value);
-    return;
-  }
-  if (section == "dynamics") {
-    // Like the other component sections, but with two reserved fixed keys
-    // next to the free-form model parameters.
-    if (key == "kind")
-      s.dynamics.model.kind = value;
-    else if (key == "incremental")
-      s.dynamics.incremental = parse_bool_value(value, where);
-    else if (key == "batch")
-      s.dynamics.batch = parse_bool_value(value, where);
-    else if (key == "seed")
-      s.dynamics.seed = parse_uint_value(value, where);
-    else
-      s.dynamics.model.params.set(key, value);
-    return;
-  }
-  if (const std::vector<FieldDef>* fields = fixed_section(section)) {
-    for (const FieldDef& f : *fields) {
-      if (key == f.key) {
-        f.set(s, value, where);
-        return;
-      }
+  const SectionDef& sec = find_section(section);
+  for (const FieldDef& f : sec.fields) {
+    if (key == f.key) {
+      f.set(s, value, section + "." + key);
+      return;
     }
-    std::vector<std::string> valid;
-    for (const FieldDef& f : *fields) valid.emplace_back(f.key);
-    throw ScenarioError("unknown key '" + key + "' in [" + section +
-                        "]; valid keys: " + join_keys(valid));
   }
-  throw ScenarioError("unknown section [" + section +
-                      "]; valid sections: " + join_keys(kSections));
-}
-
-/// Shortest decimal form that parses back to exactly the same double.
-std::string format_double(double v) {
-  for (int precision = 1; precision <= 17; ++precision) {
-    std::ostringstream os;
-    os.precision(precision);
-    os << v;
-    if (std::stod(os.str()) == v) return os.str();
+  if (sec.params.of) {
+    sec.params.of(s).set(key, value);
+    return;
   }
-  return std::to_string(v);
-}
-
-void emit_params(std::ostringstream& os, const ParamMap& params) {
-  for (const auto& [k, v] : params.entries()) os << k << " = " << v << "\n";
+  std::vector<std::string> valid;
+  for (const FieldDef& f : sec.fields) valid.emplace_back(f.key);
+  throw ScenarioError("unknown key '" + key + "' in [" + section +
+                      "]; valid keys: " + join_keys(valid));
 }
 
 }  // namespace
@@ -338,11 +310,7 @@ Scenario parse_scenario(const std::string& text) {
         if (t.back() != ']')
           throw ScenarioError("malformed section header '" + t + "'");
         section = trim(t.substr(1, t.size() - 2));
-        bool known = false;
-        for (const auto& k : kSections) known = known || k == section;
-        if (!known)
-          throw ScenarioError("unknown section [" + section +
-                              "]; valid sections: " + join_keys(kSections));
+        find_section(section);  // reject an unknown section at its header
         continue;
       }
       const std::size_t eq = t.find('=');
@@ -374,61 +342,14 @@ Scenario parse_scenario_file(const std::string& path) {
 std::string serialize_scenario(const Scenario& s) {
   std::ostringstream os;
   os << "name = " << s.name << "\n";
-  os << "\n[topology]\nkind = " << s.topology.kind << "\n";
-  emit_params(os, s.topology.params);
-  os << "\n[channel]\nkind = " << s.channel.kind << "\n"
-     << "channels = " << s.num_channels << "\n";
-  emit_params(os, s.channel.params);
-  os << "\n[policy]\nkind = " << s.policy.kind << "\n";
-  emit_params(os, s.policy.params);
-  os << "\n[dynamics]\nkind = " << s.dynamics.model.kind << "\n"
-     << "incremental = " << (s.dynamics.incremental ? "true" : "false")
-     << "\n"
-     << "batch = " << (s.dynamics.batch ? "true" : "false") << "\n"
-     << "seed = " << s.dynamics.seed << "\n";
-  emit_params(os, s.dynamics.model.params);
-  os << "\n[solver]\n"
-     << "kind = " << solver_kind_key(s.solver.kind) << "\n"
-     << "r = " << s.solver.r << "\n"
-     << "D = " << s.solver.D << "\n"
-     << "local_solver = " << local_solver_key(s.solver.local_solver) << "\n"
-     << "node_cap = " << s.solver.node_cap << "\n"
-     << "parallelism = " << s.solver.parallelism << "\n"
-     << "epsilon = " << format_double(s.solver.epsilon) << "\n";
-  os << "\n[run]\n"
-     << "slots = " << s.run.slots << "\n"
-     << "update_period = " << s.run.update_period << "\n"
-     << "seed = " << s.run.seed << "\n"
-     << "series_stride = " << s.run.series_stride << "\n"
-     << "count_messages = " << (s.run.count_messages ? "true" : "false")
-     << "\n";
-  os << "\n[net]\n"
-     << "drop_prob = " << format_double(s.net.faults.drop_prob) << "\n"
-     << "drop_seed = " << s.net.faults.seed << "\n"
-     << "dup_prob = " << format_double(s.net.faults.dup_prob) << "\n"
-     << "reorder_prob = " << format_double(s.net.faults.reorder_prob) << "\n"
-     << "delay_slots_max = " << s.net.faults.delay_slots_max << "\n"
-     << "membership = " << s.net.membership << "\n"
-     << "hello_timeout_slots = " << s.net.liveness.hello_timeout_slots << "\n"
-     << "hello_max_retries = " << s.net.liveness.hello_max_retries << "\n"
-     << "backoff_base = " << s.net.liveness.backoff_base << "\n"
-     << "transport = " << s.net.transport << "\n"
-     << "mtu = " << s.net.mtu << "\n"
-     << "shard = " << s.net.shard << "\n";
-  os << "\n[replication]\n"
-     << "replications = " << s.replication.replications << "\n"
-     << "seed0 = " << s.replication.seed0 << "\n"
-     << "parallelism = " << s.replication.parallelism << "\n";
-  os << "\n[timing]\n"
-     << "ta_ms = " << format_double(s.timing.ta_ms) << "\n"
-     << "td_ms = " << format_double(s.timing.td_ms) << "\n"
-     << "tb_ms = " << format_double(s.timing.tb_ms) << "\n"
-     << "tl_ms = " << format_double(s.timing.tl_ms) << "\n"
-     << "decision_mini_rounds = " << s.timing.decision_mini_rounds << "\n";
-  // Empty paths round-trip: `trace = ` parses back to "" (off).
-  os << "\n[obs]\n"
-     << "trace = " << s.obs.trace << "\n"
-     << "metrics = " << s.obs.metrics << "\n";
+  for (const SectionDef& sec : schema()) {
+    os << "\n[" << sec.name << "]\n";
+    for (const FieldDef& f : sec.fields)
+      if (f.text) os << f.key << " = " << f.text(s) << "\n";
+    if (sec.params.read)
+      for (const auto& [k, v] : sec.params.read(s).entries())
+        os << k << " = " << v << "\n";
+  }
   return os.str();
 }
 

@@ -151,6 +151,90 @@ TEST(ScenarioFormat, DefaultsRoundTrip) {
   EXPECT_EQ(s1, s2);
 }
 
+TEST(ScenarioFormat, CanonicalDefaultTextIsPinned) {
+  // Key order, section order and number formatting of the canonical form:
+  // `mhca_sim print` writes exactly this for a scenario that sets nothing.
+  EXPECT_EQ(scenario::serialize_scenario(Scenario{}),
+            "name = scenario\n"
+            "\n[topology]\nkind = geometric\n"
+            "\n[channel]\nkind = gaussian\nchannels = 8\n"
+            "\n[policy]\nkind = cab\n"
+            "\n[dynamics]\nkind = static\nincremental = true\nbatch = false\n"
+            "seed = 0\n"
+            "\n[solver]\nkind = distributed\nr = 2\nD = 4\n"
+            "local_solver = exact\nnode_cap = 2000\nparallelism = 1\n"
+            "epsilon = 1\n"
+            "\n[run]\nslots = 1000\nupdate_period = 1\nseed = 1\n"
+            "series_stride = 0\ncount_messages = false\n"
+            "\n[net]\ndrop_prob = 0\ndrop_seed = 0\ndup_prob = 0\n"
+            "reorder_prob = 0\ndelay_slots_max = 0\nmembership = omniscient\n"
+            "hello_timeout_slots = 4\nhello_max_retries = 3\n"
+            "backoff_base = 2\ntransport = inprocess\nmtu = 1400\nshard = 1\n"
+            "\n[replication]\nreplications = 0\nseed0 = 1\nparallelism = 0\n"
+            // Doubles print at the shortest precision that parses back
+            // exactly, which for these is scientific notation.
+            "\n[timing]\nta_ms = 2e+03\ntd_ms = 1e+03\ntb_ms = 1e+02\n"
+            "tl_ms = 5e+01\ndecision_mini_rounds = 4\n"
+            "\n[obs]\ntrace = \nmetrics = \n");
+}
+
+std::string read_text(const std::filesystem::path& path) {
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  return text.str();
+}
+
+/// Every checked-in scenario text: the examples, and the perfbench
+/// workloads with {seed} filled in as perfbench/run.py does.
+std::vector<std::pair<std::string, std::string>> checked_in_scenarios() {
+  namespace fs = std::filesystem;
+  std::vector<std::pair<std::string, std::string>> out;
+  for (const char* sub : {"examples/scenarios", "perfbench/workloads"}) {
+    for (const auto& entry :
+         fs::directory_iterator(fs::path(MHCA_SOURCE_DIR) / sub)) {
+      if (entry.path().extension() != ".ini") continue;
+      std::string ini = read_text(entry.path());
+      for (std::size_t at = ini.find("{seed}"); at != std::string::npos;
+           at = ini.find("{seed}", at))
+        ini.replace(at, 6, "1");
+      out.emplace_back(entry.path().filename().string(), std::move(ini));
+    }
+  }
+  return out;
+}
+
+TEST(ScenarioFormat, EveryCheckedInScenarioRoundTripsToAFixedPoint) {
+  const auto scenarios = checked_in_scenarios();
+  EXPECT_GE(scenarios.size(), 20u) << "scenario set shrank unexpectedly";
+  for (const auto& [file, ini] : scenarios) {
+    SCOPED_TRACE(file);
+    const Scenario s = scenario::parse_scenario(ini);
+    const std::string text = scenario::serialize_scenario(s);
+    const Scenario back = scenario::parse_scenario(text);
+    EXPECT_EQ(back, s);
+    EXPECT_EQ(scenario::serialize_scenario(back), text);
+  }
+}
+
+TEST(ScenarioFormat, ReadmeExampleParsesAndValidates) {
+  // The annotated example in src/scenario/README.md is the format's
+  // reference; it must be a scenario the parser accepts as written.
+  const std::string readme = read_text(
+      std::filesystem::path(MHCA_SOURCE_DIR) / "src" / "scenario" /
+      "README.md");
+  const std::string open = "```ini\n";
+  const std::size_t begin = readme.find(open);
+  ASSERT_NE(begin, std::string::npos) << "README has no ```ini block";
+  const std::size_t end = readme.find("```", begin + open.size());
+  ASSERT_NE(end, std::string::npos);
+  const Scenario s = scenario::parse_scenario(
+      readme.substr(begin + open.size(), end - begin - open.size()));
+  EXPECT_EQ(s.name, "my-experiment");
+  EXPECT_EQ(s.num_channels, 8);
+  scenario::validate(s);
+}
+
 // ----------------------------------------------------- actionable errors
 
 testing::AssertionResult message_contains(const std::string& haystack,
